@@ -59,5 +59,5 @@ targets = rng.normal(size=(6, 4))
 aligned = targets + 0.05 * rng.normal(size=(6, 4))
 shuffled = aligned[rng.permutation(6)]
 print("\ncontrastive alignment (tau = 0.2):")
-print(f"  aligned pairs:  {info_nce(targets, aligned, tau=0.2):.4f}")
-print(f"  shuffled pairs: {info_nce(targets, shuffled, tau=0.2):.4f}")
+print(f"  aligned pairs:  {info_nce(targets, aligned, tau=0.2).loss:.4f}")
+print(f"  shuffled pairs: {info_nce(targets, shuffled, tau=0.2).loss:.4f}")

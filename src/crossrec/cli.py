@@ -42,6 +42,7 @@ from .experiments import VARIANTS, run_ablation
 from .graph import SOURCE
 from .training import (
     DomainGraphs,
+    NonFiniteLossError,
     TrainConfig,
     fit,
     load_checkpoint,
@@ -94,19 +95,6 @@ def atomic_write_text(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -403,7 +391,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     manifest.finalize()
     print(
-        f"trained {config.max_epochs} epochs; best epoch {result.best_epoch} "
+        f"trained {len(result.log)} epochs; best epoch {result.best_epoch} "
         f"(validation NDCG@100 = {result.best_validation:.4f}); checkpoint at {checkpoint}"
     )
     return EXIT_OK
@@ -574,7 +562,7 @@ def main(argv: list[str] | None = None) -> int:
         missing = error.filename if error.filename else str(error)
         print(f"error: missing file: {missing}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (ValueError, OSError) as error:
+    except (ValueError, OSError, NonFiniteLossError) as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_ERROR
 

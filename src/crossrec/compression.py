@@ -8,8 +8,9 @@ steer the gates: an upper bound on the retained information (``kl_upper_bound``)
 pushes gates closed, an InfoNCE term (``info_nce``) keeps the mixed
 representation aligned with the user's target-domain portrait.
 
-All functions are pure and take their random draws as explicit arguments, so
-any caller-managed stream reproduces results exactly.
+All functions take their random draws as explicit arguments, so any
+caller-managed stream reproduces results exactly.  They are pure, except that
+``info_nce_backward`` reuses the buffers of the forward record it is given.
 """
 
 from __future__ import annotations
@@ -157,17 +158,39 @@ def _floored_norms(x: np.ndarray, floor: float) -> np.ndarray:
     return np.maximum(np.linalg.norm(x, axis=1), floor)
 
 
+class ForwardConsumedError(RuntimeError):
+    """An InfoNCE forward record was passed to the backward a second time."""
+
+
+@dataclass
+class InfoNceForward:
+    """What ``info_nce_backward`` needs from the forward pass.
+
+    ``cos`` and ``exp`` (``exp(cos/tau - rowmax)``) are B x B buffers that the
+    backward overwrites in place, so a record serves exactly one backward.
+    """
+
+    loss: float
+    tau: float
+    norm_floor: float
+    n_m: np.ndarray
+    n_t: np.ndarray
+    denominator: np.ndarray
+    cos: np.ndarray | None
+    exp: np.ndarray | None
+
+
 def info_nce(
     e_target_users: np.ndarray,
     mixed: np.ndarray,
     tau: float,
     norm_floor: float = NORM_FLOOR,
-) -> float:
+) -> InfoNceForward:
     """Contrastive alignment of mixed representations with target portraits.
 
     Each mixed row is the anchor; its paired target-user row is the positive
     and the other target rows in the batch are negatives.  Similarity is
-    cosine, scaled by ``1/tau``.
+    cosine, scaled by ``1/tau``.  The loss is ``.loss`` of the returned record.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
@@ -175,51 +198,63 @@ def info_nce(
     mixed = np.asarray(mixed, dtype=np.float64)
     if t_reps.shape != mixed.shape:
         raise ValueError(f"shape mismatch: {t_reps.shape} vs {mixed.shape}")
-    cos = _cosine_matrix(mixed, t_reps, norm_floor)
-    scaled = cos / tau
-    scaled -= scaled.max(axis=1, keepdims=True)
-    log_denominator = np.log(np.exp(scaled).sum(axis=1))
-    losses = log_denominator - np.diag(scaled)
-    return float(losses.mean())
-
-
-def _cosine_matrix(anchors: np.ndarray, candidates: np.ndarray, floor: float) -> np.ndarray:
-    """cos[i, j] = cosine(anchors_i, candidates_j) with norm floors."""
-    n_a = _floored_norms(anchors, floor)
-    n_c = _floored_norms(candidates, floor)
-    return (anchors @ candidates.T) / (n_a[:, None] * n_c[None, :])
+    n_m = _floored_norms(mixed, norm_floor)
+    n_t = _floored_norms(t_reps, norm_floor)
+    cos = mixed @ t_reps.T
+    cos /= n_m[:, None] * n_t[None, :]
+    exp = cos / tau
+    exp -= exp.max(axis=1, keepdims=True)
+    positives = exp.diagonal().copy()
+    np.exp(exp, out=exp)
+    denominator = exp.sum(axis=1)
+    losses = np.log(denominator) - positives
+    return InfoNceForward(
+        float(losses.mean()), tau, norm_floor, n_m, n_t, denominator, cos, exp
+    )
 
 
 def info_nce_backward(
     e_target_users: np.ndarray,
     mixed: np.ndarray,
-    tau: float,
-    norm_floor: float = NORM_FLOOR,
+    forward: InfoNceForward,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of ``info_nce`` w.r.t. target rows and mixed rows."""
+    """Gradient of ``info_nce`` w.r.t. target rows and mixed rows.
+
+    Consumes ``forward``: its B x B buffers are reused in place and then
+    dropped, so a second call on the same record raises
+    ``ForwardConsumedError``.
+    """
+    if forward.cos is None:
+        raise ForwardConsumedError("InfoNCE forward record was already used by a backward pass")
+    cos, g, n_m, n_t = forward.cos, forward.exp, forward.n_m, forward.n_t
+    forward.cos = forward.exp = None
     t_reps = np.asarray(e_target_users, dtype=np.float64)
     mixed = np.asarray(mixed, dtype=np.float64)
     b = t_reps.shape[0]
-    n_m = _floored_norms(mixed, norm_floor)
-    n_t = _floored_norms(t_reps, norm_floor)
-    cos = (mixed @ t_reps.T) / (n_m[:, None] * n_t[None, :])
+    if mixed.shape != t_reps.shape or cos.shape != (b, b):
+        raise ValueError(
+            f"inputs {mixed.shape}, {t_reps.shape} do not match the forward's {cos.shape}"
+        )
 
-    scaled = cos / tau
-    scaled -= scaled.max(axis=1, keepdims=True)
-    exp = np.exp(scaled)
-    softmax = exp / exp.sum(axis=1, keepdims=True)
-    # d(mean_i loss_i)/d cos[i, j]
-    g_cos = (softmax - np.eye(b)) / (tau * b)
+    # d(mean_i loss_i)/d cos[i, j] = (softmax - I) / (tau B)
+    g /= forward.denominator[:, None]
+    g[np.diag_indices(b)] -= 1.0
+    g /= forward.tau * b
+    cos *= g
+    row_sums = cos.sum(axis=1)
+    col_sums = cos.sum(axis=0)
+    inv = np.multiply(n_m[:, None], n_t[None, :], out=cos)
+    np.divide(1.0, inv, out=inv)
+    g *= inv
 
-    inv = 1.0 / (n_m[:, None] * n_t[None, :])
     # cosine gradient: through the dot product and through each norm; rows at
     # the norm floor are treated as constant-norm (subgradient choice)
-    m_live = (np.linalg.norm(mixed, axis=1) > norm_floor).astype(np.float64)
-    t_live = (np.linalg.norm(t_reps, axis=1) > norm_floor).astype(np.float64)
-    g_mixed = (g_cos * inv) @ t_reps
-    g_mixed -= ((g_cos * cos).sum(axis=1) / n_m**2 * m_live)[:, None] * mixed
-    g_target = (g_cos * inv).T @ mixed
-    g_target -= ((g_cos * cos).sum(axis=0) / n_t**2 * t_live)[:, None] * t_reps
+    m_live = (n_m > forward.norm_floor).astype(np.float64)
+    t_live = (n_t > forward.norm_floor).astype(np.float64)
+    g_mixed = g @ t_reps
+    g_mixed -= (row_sums / n_m**2 * m_live)[:, None] * mixed
+    g_target = g.T @ mixed
+    g_target -= (col_sums / n_t**2 * t_live)[:, None] * t_reps
     return g_target, g_mixed
 
 
@@ -246,9 +281,6 @@ class GateNetwork:
             b2=np.zeros(()),
         )
 
-    def logits(self, h: np.ndarray) -> np.ndarray:
-        return self.forward(h)[0]
-
     def forward(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return per-row logits and the hidden activations (for backward)."""
         hidden = np.tanh(h @ self.w1 + self.b1)
@@ -267,36 +299,3 @@ class GateNetwork:
             "b2": np.asarray(g_logits.sum()),
         }
         return grads, g_pre @ self.w1.T
-
-
-@dataclass
-class CompressionOutput:
-    """Everything one compression pass produces, kept for backprop and audit."""
-
-    h: np.ndarray
-    logits: np.ndarray
-    gate: np.ndarray
-    eps: np.ndarray
-    mixed: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-    uniform_draws: np.ndarray
-
-
-def compress_batch(
-    gate_network: GateNetwork,
-    h: np.ndarray,
-    uniform_draws: np.ndarray,
-    noise_draws: np.ndarray,
-    temperature: float,
-    sigma_floor: float = SIGMA_FLOOR,
-) -> CompressionOutput:
-    """Run the whole compression stage on one batch of merged representations."""
-    logits, _ = gate_network.forward(h)
-    gate = gumbel_sigmoid(logits, uniform_draws, temperature)
-    mu, sigma = batch_statistics(h, sigma_floor)
-    mixed, eps = mix_noise(h, gate, mu, sigma, noise_draws)
-    return CompressionOutput(
-        h=h, logits=logits, gate=gate, eps=eps, mixed=mixed,
-        mu=mu, sigma=sigma, uniform_draws=uniform_draws,
-    )

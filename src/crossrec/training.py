@@ -252,6 +252,7 @@ class _ForwardCache:
     mixed: np.ndarray | None
     mu: np.ndarray | None
     sigma: np.ndarray | None
+    contrastive: compression.InfoNceForward | None
     fused: np.ndarray
     scores: dict[str, np.ndarray]
     gate_override: float | None
@@ -296,7 +297,7 @@ def forward_losses(
         bundle = transfer.LossBundle(pred_t, 0.0, 0.0, 0.0, config.alphas, pred_t)
         cache = _ForwardCache(
             batch, draws, config, params, graphs, None, state_t, None, eu_t,
-            None, None, None, None, None, None, None, None, fused, scores, None,
+            None, None, None, None, None, None, None, None, None, fused, scores, None,
         )
         return bundle, cache
 
@@ -331,11 +332,11 @@ def forward_losses(
     contrastive = compression.info_nce(
         eu_t, mixed, config.contrastive_temperature, config.norm_floor
     )
-    bundle = transfer.total_loss(pred_t, pred_s, kl, contrastive, config.alphas)
+    bundle = transfer.total_loss(pred_t, pred_s, kl, contrastive.loss, config.alphas)
     cache = _ForwardCache(
         batch, draws, config, params, graphs, state_s, state_t, eu_s, eu_t,
-        merged, hidden, logits, gate, eps, mixed, mu, sigma, fused, scores,
-        gate_override,
+        merged, hidden, logits, gate, eps, mixed, mu, sigma, contrastive, fused,
+        scores, gate_override,
     )
     return bundle, cache
 
@@ -393,7 +394,7 @@ def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
 
     if a3 != 0.0:
         g_t_cl, g_mixed_cl = compression.info_nce_backward(
-            cache.eu_t, cache.mixed, config.contrastive_temperature, config.norm_floor
+            cache.eu_t, cache.mixed, cache.contrastive
         )
         g_mixed += a3 * g_mixed_cl
         g_eu_t += a3 * g_t_cl
@@ -780,25 +781,35 @@ def save_checkpoint(path, params: ModelParameters, meta: dict | None = None) -> 
             handle.write(data.tobytes(order="C"))
 
 
+def _read_exact(handle, size: int) -> bytes:
+    data = handle.read(size)
+    if len(data) != size:
+        raise ValueError(f"truncated checkpoint: wanted {size} bytes, got {len(data)}")
+    return data
+
+
 def load_checkpoint(path) -> tuple[ModelParameters, dict]:
+    """Read a checkpoint; raises ``ValueError`` unless the file is exactly one."""
     with open(path, "rb") as handle:
         magic = handle.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        version, meta_len = struct.unpack("<II", handle.read(8))
+        version, meta_len = struct.unpack("<II", _read_exact(handle, 8))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        meta = json.loads(handle.read(meta_len).decode("utf-8"))
-        (count,) = struct.unpack("<I", handle.read(4))
+        meta = json.loads(_read_exact(handle, meta_len).decode("utf-8"))
+        (count,) = struct.unpack("<I", _read_exact(handle, 4))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", handle.read(2))
-            name = handle.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", handle.read(1))
-            shape = struct.unpack(f"<{max(ndim, 1)}Q", handle.read(8 * max(ndim, 1)))
+            (name_len,) = struct.unpack("<H", _read_exact(handle, 2))
+            name = _read_exact(handle, name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", _read_exact(handle, 1))
+            shape = struct.unpack(f"<{max(ndim, 1)}Q", _read_exact(handle, 8 * max(ndim, 1)))
             if ndim == 0:
                 shape = ()
             size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(handle.read(8 * size), dtype="<f8").copy()
+            data = np.frombuffer(_read_exact(handle, 8 * size), dtype="<f8").copy()
             arrays[name] = data.reshape(shape)
+        if handle.read(1):
+            raise ValueError("trailing bytes after the last checkpoint array")
     return ModelParameters(meta["kind"], arrays), meta

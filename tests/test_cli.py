@@ -112,6 +112,29 @@ class TestTrain:
         assert resolved["max_epochs"] == 3
         assert resolved["alpha1"] == 0.111  # flag beats config file
 
+    def test_divergence_exits_one_with_error_line(self, synth_dir, tmp_path, capsys):
+        flags = [*FAST_TRAIN]
+        flags[flags.index("--lr") + 1] = "1e300"
+        with np.errstate(all="ignore"):
+            code = main(
+                ["train", *data_flags(synth_dir), "--out", str(tmp_path / "run"), "--seed", "3"]
+                + flags
+            )
+        assert code == 1
+        assert "error: aborted step: non-finite" in capsys.readouterr().err
+
+    def test_reports_epochs_actually_run(self, synth_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        code = main([
+            "train", *data_flags(synth_dir), "--out", str(run_dir), "--seed", "3",
+            "--embedding-dim", "8", "--gate-hidden", "8", "--batch-size", "16",
+            "--lr", "0.1", "--epochs", "50", "--patience", "1",
+        ])
+        assert code == 0
+        epochs_run = len((run_dir / "training_log.tsv").read_text().strip().split("\n")) - 1
+        assert epochs_run < 50  # early stopping fired
+        assert f"trained {epochs_run} epochs;" in capsys.readouterr().out
+
     def test_unknown_flag_fails_fast(self, synth_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["train", *data_flags(synth_dir), "--out", str(tmp_path), "--bogus", "1"])

@@ -7,6 +7,8 @@ import pytest
 from scipy.special import expit
 
 from crossrec.compression import (
+    NORM_FLOOR,
+    ForwardConsumedError,
     GateNetwork,
     batch_statistics,
     compress_deterministic,
@@ -179,13 +181,13 @@ class TestKlUpperBound:
 
 class TestInfoNce:
     def test_single_pair_is_zero(self):
-        value = info_nce(np.array([[1.0, 2.0]]), np.array([[0.5, 1.0]]), tau=1.0)
+        value = info_nce(np.array([[1.0, 2.0]]), np.array([[0.5, 1.0]]), tau=1.0).loss
         assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_orthonormal_pair_batch(self):
         # direct softmax oracle: each row -log(e / (e + 1))
         reps = np.array([[1.0, 0.0], [0.0, 1.0]])
-        value = info_nce(reps, reps.copy(), tau=1.0)
+        value = info_nce(reps, reps.copy(), tau=1.0).loss
         expected = -math.log(math.e / (math.e + 1.0))
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(0.3132616875182228, abs=1e-12)
@@ -203,14 +205,14 @@ class TestInfoNce:
         for i in range(5):
             logits = [cosine(mixed[i], t_reps[j]) / tau for j in range(5)]
             losses.append(-math.log(math.exp(logits[i]) / sum(math.exp(l) for l in logits)))
-        assert info_nce(t_reps, mixed, tau) == pytest.approx(np.mean(losses), abs=1e-12)
+        assert info_nce(t_reps, mixed, tau).loss == pytest.approx(np.mean(losses), abs=1e-12)
 
     def test_cosine_scale_invariance(self):
         rng = np.random.default_rng(9)
         t_reps = rng.normal(size=(4, 3))
         mixed = rng.normal(size=(4, 3))
-        base = info_nce(t_reps, mixed, tau=0.2)
-        scaled = info_nce(3.7 * t_reps, 0.21 * mixed, tau=0.2)
+        base = info_nce(t_reps, mixed, tau=0.2).loss
+        scaled = info_nce(3.7 * t_reps, 0.21 * mixed, tau=0.2).loss
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_nonnegative_and_permutation_invariant(self):
@@ -219,10 +221,10 @@ class TestInfoNce:
             b = int(rng.integers(1, 8))
             t_reps = rng.normal(size=(b, 4))
             mixed = rng.normal(size=(b, 4))
-            value = info_nce(t_reps, mixed, tau=0.2)
+            value = info_nce(t_reps, mixed, tau=0.2).loss
             assert value >= 0.0
             perm = rng.permutation(b)
-            assert info_nce(t_reps[perm], mixed[perm], tau=0.2) == pytest.approx(
+            assert info_nce(t_reps[perm], mixed[perm], tau=0.2).loss == pytest.approx(
                 value, abs=1e-12
             )
 
@@ -234,7 +236,7 @@ class TestInfoNce:
         rng = np.random.default_rng(11)
         t_reps = rng.normal(size=(5, 3))
         mixed = rng.normal(size=(5, 3))
-        g_t, g_m = info_nce_backward(t_reps, mixed, tau=0.3)
+        g_t, g_m = info_nce_backward(t_reps, mixed, info_nce(t_reps, mixed, tau=0.3))
         eps = 1e-6
         worst = 0.0
         for array, grad in ((t_reps, g_t), (mixed, g_m)):
@@ -243,14 +245,71 @@ class TestInfoNce:
             for i in range(flat.size):
                 saved = flat[i]
                 flat[i] = saved + eps
-                upper = info_nce(t_reps, mixed, tau=0.3)
+                upper = info_nce(t_reps, mixed, tau=0.3).loss
                 flat[i] = saved - eps
-                lower = info_nce(t_reps, mixed, tau=0.3)
+                lower = info_nce(t_reps, mixed, tau=0.3).loss
                 flat[i] = saved
                 numeric = (upper - lower) / (2 * eps)
                 denom = max(abs(numeric), abs(flat_grad[i]), 1e-8)
                 worst = max(worst, abs(numeric - flat_grad[i]) / denom)
         assert worst <= 1e-5
+
+    @pytest.mark.parametrize("b", [1, 5, 100, 257])
+    def test_bit_identical_to_recomputing_oracle(self, b):
+        rng = np.random.default_rng(b)
+        t_reps = rng.normal(size=(b, 6))
+        mixed = rng.normal(size=(b, 6))
+        if b > 1:
+            mixed[b // 2] = 0.0  # a row at the norm floor
+        forward = info_nce(t_reps, mixed, tau=0.2)
+        assert forward.loss == _oracle_info_nce(t_reps, mixed, tau=0.2)
+        g_t, g_m = info_nce_backward(t_reps, mixed, forward)
+        o_t, o_m = _oracle_info_nce_backward(t_reps, mixed, tau=0.2)
+        assert np.array_equal(g_t, o_t)
+        assert np.array_equal(g_m, o_m)
+
+    def test_second_backward_on_one_record_raises(self):
+        rng = np.random.default_rng(14)
+        t_reps = rng.normal(size=(4, 3))
+        mixed = rng.normal(size=(4, 3))
+        forward = info_nce(t_reps, mixed, tau=0.2)
+        info_nce_backward(t_reps, mixed, forward)
+        with pytest.raises(ForwardConsumedError):
+            info_nce_backward(t_reps, mixed, forward)
+
+
+def _oracle_norms(x):
+    return np.maximum(np.linalg.norm(x, axis=1), NORM_FLOOR)
+
+
+def _oracle_info_nce(t_reps, mixed, tau):
+    """The recomputing formulation: cosine matrix, shifted log-sum-exp."""
+    cos = (mixed @ t_reps.T) / (_oracle_norms(mixed)[:, None] * _oracle_norms(t_reps)[None, :])
+    scaled = cos / tau
+    scaled -= scaled.max(axis=1, keepdims=True)
+    log_denominator = np.log(np.exp(scaled).sum(axis=1))
+    return float((log_denominator - np.diag(scaled)).mean())
+
+
+def _oracle_info_nce_backward(t_reps, mixed, tau):
+    """The recomputing backward: rebuilds the cosine matrix and the softmax."""
+    b = t_reps.shape[0]
+    n_m = _oracle_norms(mixed)
+    n_t = _oracle_norms(t_reps)
+    cos = (mixed @ t_reps.T) / (n_m[:, None] * n_t[None, :])
+    scaled = cos / tau
+    scaled -= scaled.max(axis=1, keepdims=True)
+    exp = np.exp(scaled)
+    softmax = exp / exp.sum(axis=1, keepdims=True)
+    g_cos = (softmax - np.eye(b)) / (tau * b)
+    inv = 1.0 / (n_m[:, None] * n_t[None, :])
+    m_live = (np.linalg.norm(mixed, axis=1) > NORM_FLOOR).astype(np.float64)
+    t_live = (np.linalg.norm(t_reps, axis=1) > NORM_FLOOR).astype(np.float64)
+    g_mixed = (g_cos * inv) @ t_reps
+    g_mixed -= ((g_cos * cos).sum(axis=1) / n_m**2 * m_live)[:, None] * mixed
+    g_target = (g_cos * inv).T @ mixed
+    g_target -= ((g_cos * cos).sum(axis=0) / n_t**2 * t_live)[:, None] * t_reps
+    return g_target, g_mixed
 
 
 class TestGateNetwork:
@@ -310,20 +369,3 @@ class TestBatchStatistics:
         assert np.array_equal(mu, np.ones(3))
         assert np.all(sigma == 1e-4)
 
-
-class TestCompressBatch:
-    def test_output_invariants(self):
-        from crossrec.compression import compress_batch
-
-        rng = np.random.default_rng(20)
-        gate = GateNetwork.initialize(dim=5, hidden=4, rng=rng)
-        h = rng.normal(size=(7, 5))
-        uniform = rng.uniform(0.01, 0.99, size=7)
-        noise = rng.normal(size=(7, 5))
-        out = compress_batch(gate, h, uniform, noise, temperature=0.5)
-        assert np.allclose(
-            out.mixed, out.gate[:, None] * out.h + (1 - out.gate[:, None]) * out.eps
-        )
-        assert np.all((out.gate > 0) & (out.gate < 1))
-        assert np.all(out.sigma >= 1e-4)
-        assert np.allclose(out.eps, out.mu + out.sigma * noise)

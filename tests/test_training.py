@@ -158,6 +158,18 @@ class TestTrainStep:
         assert params.all_finite()
 
 
+class TestForwardCache:
+    def test_compression_invariants(self, dense_micro_bundle):
+        config = TrainConfig(embedding_dim=4, gate_hidden=4, layers=2, seed=5)
+        graphs, params, batch, draws = micro_setup(dense_micro_bundle, config)
+        _, cache = forward_losses(params, graphs, batch, draws, config)
+        gate = cache.gate[:, None]
+        assert np.allclose(cache.mixed, gate * cache.merged + (1 - gate) * cache.eps)
+        assert np.all((cache.gate > 0) & (cache.gate < 1))
+        assert np.all(cache.sigma >= config.sigma_floor)
+        assert np.allclose(cache.eps, cache.mu + cache.sigma * draws.noise)
+
+
 class TestGradientCheck:
     def test_linear_path_is_machine_exact(self, dense_micro_bundle):
         # gate pinned to one and only ranking losses active: the graph up to
@@ -298,6 +310,26 @@ class TestCheckpoints:
         save_checkpoint(first, params, {"config": {"seed": 3}})
         save_checkpoint(second, params.copy(), {"config": {"seed": 3}})
         assert first.read_bytes() == second.read_bytes()
+
+    def test_truncated_file_rejected(self, tiny_bundle, tmp_path):
+        bundle, _ = tiny_bundle
+        params = init_parameters(TrainConfig(embedding_dim=8, gate_hidden=8, seed=3), bundle)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        payload = path.read_bytes()
+        for cut in (6, 12, 40, len(payload) // 2, len(payload) - 1):
+            path.write_bytes(payload[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tiny_bundle, tmp_path):
+        bundle, _ = tiny_bundle
+        params = init_parameters(TrainConfig(embedding_dim=8, gate_hidden=8, seed=3), bundle)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
 
     def test_magic_check(self, tmp_path):
         bogus = tmp_path / "bogus.ckpt"
