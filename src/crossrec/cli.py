@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -55,38 +56,29 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MISSING_FILE = 2
 
-# flags that map straight onto TrainConfig fields
-_CONFIG_FIELDS = {
-    "embedding_dim": int,
-    "batch_size": int,
-    "max_epochs": int,
-    "learning_rate": float,
-    "layers": int,
-    "gate_hidden": int,
-    "gumbel_temperature": float,
-    "contrastive_temperature": float,
-    "alpha1": float,
-    "alpha2": float,
-    "alpha3": float,
-    "patience": int,
-    "prediction_loss": str,
-    "weight_decay": float,
-    "init_std": float,
-    "seed": int,
-    "hop_radius": int,
+# TrainConfig fields settable by flag or config file; ``alphas`` is set as
+# alpha1..alpha3 and ``hop_radius`` goes to load_bundle
+_TRAIN_FIELDS = (
+    "embedding_dim", "batch_size", "max_epochs", "learning_rate", "layers", "gate_hidden",
+    "gumbel_temperature", "contrastive_temperature", "patience", "prediction_loss",
+    "weight_decay", "init_std", "seed",
+)
+_TRAIN_DEFAULTS = {
+    **{name: getattr(TrainConfig(), name) for name in _TRAIN_FIELDS},
+    **{f"alpha{i}": alpha for i, alpha in enumerate(TrainConfig().alphas, 1)},
+    "hop_radius": inspect.signature(load_bundle).parameters["hop_radius"].default,
 }
+_CONFIG_FIELDS = {key: type(value) for key, value in _TRAIN_DEFAULTS.items()}
 
-_SYNTH_FIELDS = {
-    "users": int,
-    "source_items": int,
-    "target_items": int,
-    "latent_dim": int,
-    "entity_clusters": int,
-    "entity_neighbors": int,
-    "source_interactions": int,
-    "target_interactions": int,
-    "rho": float,
+# gen-synth flag/config name -> SynthSpec field
+_SYNTH_NAMES = {
+    "users": "user_count", "source_items": "source_items", "target_items": "target_items",
+    "latent_dim": "latent_dim", "entity_clusters": "entity_clusters",
+    "entity_neighbors": "entity_neighbors", "source_interactions": "source_interactions",
+    "target_interactions": "target_interactions", "rho": "irrelevant_fraction", "seed": "seed",
 }
+_SYNTH_DEFAULTS = {key: getattr(SynthSpec(), name) for key, name in _SYNTH_NAMES.items()}
+_SYNTH_FIELDS = {key: type(value) for key, value in _SYNTH_DEFAULTS.items()}
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -180,55 +172,13 @@ def _resolve(args: argparse.Namespace, parser_defaults: dict) -> dict:
 
 def _train_config(resolved: dict) -> TrainConfig:
     return TrainConfig(
-        embedding_dim=resolved["embedding_dim"],
-        batch_size=resolved["batch_size"],
-        max_epochs=resolved["max_epochs"],
-        learning_rate=resolved["learning_rate"],
-        layers=resolved["layers"],
-        gate_hidden=resolved["gate_hidden"],
-        gumbel_temperature=resolved["gumbel_temperature"],
-        contrastive_temperature=resolved["contrastive_temperature"],
         alphas=(resolved["alpha1"], resolved["alpha2"], resolved["alpha3"]),
-        seed=resolved["seed"],
-        patience=resolved["patience"],
-        prediction_loss=resolved["prediction_loss"],
-        weight_decay=resolved["weight_decay"],
-        init_std=resolved["init_std"],
+        **{name: resolved[name] for name in _TRAIN_FIELDS},
     )
 
 
-_TRAIN_DEFAULTS = {
-    "embedding_dim": 32,
-    "batch_size": 4096,
-    "max_epochs": 100,
-    "learning_rate": 1e-3,
-    "layers": 2,
-    "gate_hidden": 32,
-    "gumbel_temperature": 0.5,
-    "contrastive_temperature": 0.2,
-    "alpha1": 0.01,
-    "alpha2": 1.0,
-    "alpha3": 1.0,
-    "patience": 10,
-    "prediction_loss": "bpr",
-    "weight_decay": 0.0,
-    "init_std": 0.1,
-    "seed": 0,
-    "hop_radius": 1,
-}
-
-_SYNTH_DEFAULTS = {
-    "users": 500,
-    "source_items": 300,
-    "target_items": 300,
-    "latent_dim": 8,
-    "entity_clusters": 16,
-    "entity_neighbors": 4,
-    "source_interactions": 12,
-    "target_interactions": 6,
-    "rho": 0.3,
-    "seed": 0,
-}
+def _synth_spec(resolved: dict) -> SynthSpec:
+    return SynthSpec(**{name: resolved[key] for key, name in _SYNTH_NAMES.items()})
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -424,13 +374,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     bundle, _ = load_bundle(paths, hop_radius=resolved["hop_radius"])
     split = split_leave_one_out(bundle, config.seed)
-    graphs = DomainGraphs.from_training_edges(
-        bundle,
-        split.train_source,
-        split.train_target,
-        use_kg=config.use_kg and config.model == "cross",
-        include_source=config.model == "cross",
-    )
+    graphs = DomainGraphs.for_config(config, bundle, split)
     score_fn = build_scorer(params, graphs, config)
     excluded = split.train_target_items_by_user(bundle.user_count)
     per_user, aggregates = evaluate_ranking(
@@ -456,18 +400,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     manifest = Manifest(out_dir, "gen-synth", resolved)
     manifest.write()
 
-    spec = SynthSpec(
-        user_count=resolved["users"],
-        source_items=resolved["source_items"],
-        target_items=resolved["target_items"],
-        latent_dim=resolved["latent_dim"],
-        entity_clusters=resolved["entity_clusters"],
-        entity_neighbors=resolved["entity_neighbors"],
-        source_interactions=resolved["source_interactions"],
-        target_interactions=resolved["target_interactions"],
-        irrelevant_fraction=resolved["rho"],
-        seed=resolved["seed"],
-    )
+    spec = _synth_spec(resolved)
     bundle, flags = generate_synthetic(spec)
     written = save_bundle(bundle, out_dir)
     flags_path = out_dir / "flags.tsv"
@@ -485,9 +418,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_inject_noise(args: argparse.Namespace) -> int:
-    resolved = {"seed": 0, "ratio": args.ratio}
-    if args.seed is not None:
-        resolved["seed"] = args.seed
+    resolved = _resolve(args, {"seed": 0, "ratio": args.ratio})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     source_path = Path(args.source)

@@ -19,25 +19,18 @@ from .graph import SparseGraph
 
 @dataclass
 class EmbeddingState:
-    """All intermediate layer outputs of one propagation run.
+    """The final layer of one propagation run and the number of layers.
 
-    ``layer_outputs[0]`` is the initial matrix, ``layer_outputs[-1]`` the
-    final one.  ``z`` restricts the final layer to the user and item rows,
-    which is what downstream scoring consumes.
+    The map is linear and the adjacency symmetric, so the backward pass needs
+    no intermediate layer.  ``z`` restricts the final layer to the user and
+    item rows, which is what downstream scoring consumes.
     """
 
     user_count: int
     item_count: int
     entity_count: int
-    layer_outputs: list[np.ndarray] = field(repr=False)
-
-    @property
-    def layers(self) -> int:
-        return len(self.layer_outputs) - 1
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.layer_outputs[-1]
+    final: np.ndarray = field(repr=False)
+    layers: int
 
     @property
     def z(self) -> np.ndarray:
@@ -51,16 +44,11 @@ class EmbeddingState:
     def items(self) -> np.ndarray:
         return self.final[self.user_count : self.user_count + self.item_count]
 
-    @property
-    def entities(self) -> np.ndarray:
-        return self.final[self.user_count + self.item_count :]
-
 
 def propagate(graph: SparseGraph, e0: np.ndarray, layers: int) -> EmbeddingState:
     """Run ``layers`` rounds of normalized neighborhood averaging.
 
-    Returns every intermediate layer; the backward pass and diagnostics need
-    them.  ``layers == 0`` returns the input unchanged.
+    Keeps only the final layer.  ``layers == 0`` returns the input unchanged.
     """
     if not graph.normalized:
         raise ValueError("propagate expects a normalized adjacency")
@@ -71,14 +59,10 @@ def propagate(graph: SparseGraph, e0: np.ndarray, layers: int) -> EmbeddingState
         raise ValueError(
             f"embedding matrix has {e0.shape} rows, graph has {graph.node_count} nodes"
         )
-    outputs = [e0]
     current = e0
     for _ in range(layers):
         current = graph.matrix @ current
-        outputs.append(current)
-    return EmbeddingState(
-        graph.user_count, graph.item_count, graph.entity_count, outputs
-    )
+    return EmbeddingState(graph.user_count, graph.item_count, graph.entity_count, current, layers)
 
 
 def backprop_propagate(
@@ -92,7 +76,7 @@ def backprop_propagate(
     returned matrix feed learnable tables.
     """
     grad_at_z = np.asarray(grad_at_z, dtype=np.float64)
-    width = state.layer_outputs[0].shape[1]
+    width = state.final.shape[1]
     visible = state.user_count + state.item_count
     if grad_at_z.shape != (visible, width):
         raise ValueError(

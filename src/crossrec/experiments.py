@@ -20,13 +20,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import DatasetBundle, SynthSpec, generate_synthetic
+from .data import DatasetBundle
 from .evaluation import (
     LeaveOneOutSplit,
     RankingResult,
     evaluate_ranking,
     inject_source_noise,
-    split_leave_one_out,
 )
 from .graph import SOURCE, InteractionGraph
 from .training import TARGET_ONLY, FitResult, TrainConfig, build_scorer, fit
@@ -133,26 +132,3 @@ def relative_degradation(curve: dict[float, float], at_ratio: float) -> float:
     if clean == 0.0:
         return 0.0 if curve[at_ratio] == 0.0 else np.inf
     return (clean - curve[at_ratio]) / clean
-
-
-def synthetic_benchmark(
-    spec: SynthSpec,
-    config: TrainConfig,
-    variants: tuple[str, ...],
-    seeds: tuple[int, ...],
-    metric: tuple[str, int] = ("ndcg", 10),
-) -> dict[str, list[float]]:
-    """Train each variant over several seeds on freshly generated data.
-
-    The seed drives data generation, the holdout split, and training, so each
-    repetition is an independent draw of the whole pipeline.
-    """
-    results: dict[str, list[float]] = {variant: [] for variant in variants}
-    for seed in seeds:
-        bundle, _ = generate_synthetic(replace(spec, seed=seed))
-        split = split_leave_one_out(bundle, seed)
-        seeded = replace(config, seed=seed)
-        for variant in variants:
-            outcome = run_ablation(variant, seeded, bundle, split, ks=(metric[1],))
-            results[variant].append(outcome.metric(*metric))
-    return results

@@ -70,9 +70,6 @@ class InteractionGraph:
     def edge_count(self) -> int:
         return self.edges.shape[0]
 
-    def user_degree(self) -> np.ndarray:
-        return np.bincount(self.edges[:, 0], minlength=self.user_count)
-
 
 @dataclass(frozen=True)
 class KnowledgeLinkage:
@@ -135,18 +132,6 @@ class SparseGraph:
     @property
     def node_count(self) -> int:
         return self.user_count + self.item_count + self.entity_count
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def column_indices(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.data
 
     @property
     def nnz(self) -> int:

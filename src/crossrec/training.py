@@ -7,6 +7,11 @@ and the contrastive term.  Every step's gradients are the exact adjoints of
 that composition (verified against central finite differences), and
 parameters are updated with Adagrad.
 
+The ``target_only`` baseline is the same path without a source graph: the
+target convolution, scores and ranking loss run, while the source
+convolution, gate, noise mixing, source loss, information bound and
+contrastive term are skipped, so the fused user vector is the target one.
+
 Randomness is consumed from counter-based streams derived from the run seed,
 so identical configurations reproduce bit-identical trajectories and the
 stochastic draws of any step can be replayed for gradient checking.
@@ -101,7 +106,17 @@ class DomainGraphs:
 
     source: SparseGraph | None
     target: SparseGraph
-    use_kg: bool
+
+    @classmethod
+    def for_config(
+        cls, config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit
+    ) -> "DomainGraphs":
+        """The graphs ``config`` trains on: target-only has no source graph or KG."""
+        cross = config.model == CROSS
+        return cls.from_training_edges(
+            bundle, split.train_source, split.train_target,
+            use_kg=config.use_kg and cross, include_source=cross,
+        )
 
     @classmethod
     def from_training_edges(
@@ -123,7 +138,7 @@ class DomainGraphs:
                 SOURCE, bundle.user_count, bundle.source.item_count, train_source
             )
             normalized_source = normalize_symmetric(assemble_adjacency(source_graph, kg))
-        return cls(normalized_source, normalized_target, use_kg)
+        return cls(normalized_source, normalized_target)
 
 
 @dataclass
@@ -157,6 +172,33 @@ class ModelParameters:
         return all(np.isfinite(v).all() for v in self.arrays.values())
 
 
+# node blocks of a ``[users | items | entities]`` graph
+_USERS, _ITEMS, _ENTITIES = range(3)
+
+
+def _table_layout(kind: str, use_kg: bool) -> dict[str, tuple[tuple[str, ...], int]]:
+    """Learnable embedding tables in draw order: name -> (domains, node block).
+
+    A table shared by two domains (the entity table) fills that block of both
+    graphs and receives the sum of both domains' gradients.
+    """
+    if kind == TARGET_ONLY:
+        return {"user_t": ((TARGET,), _USERS), "item_t": ((TARGET,), _ITEMS)}
+    layout = {"user_s": ((SOURCE,), _USERS), "user_t": ((TARGET,), _USERS)}
+    if use_kg:
+        layout["entity"] = ((SOURCE, TARGET), _ENTITIES)
+    else:
+        layout["item_s"] = ((SOURCE,), _ITEMS)
+        layout["item_t_init"] = ((TARGET,), _ITEMS)
+    return layout
+
+
+def _block_rows(graph: SparseGraph | EmbeddingState, block: int) -> slice:
+    sizes = (graph.user_count, graph.item_count, graph.entity_count)
+    start = sum(sizes[:block])
+    return slice(start, start + sizes[block])
+
+
 def init_parameters(
     config: TrainConfig, bundle: DatasetBundle, rng: np.random.Generator | None = None
 ) -> ModelParameters:
@@ -164,26 +206,18 @@ def init_parameters(
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_INIT]))
     d = config.embedding_dim
-    std = config.init_std
     arrays: dict[str, np.ndarray] = {}
-    if config.model == TARGET_ONLY:
-        arrays["user_t"] = rng.normal(0.0, std, size=(bundle.user_count, d))
-        arrays["item_t"] = rng.normal(0.0, std, size=(bundle.target.item_count, d))
-        return ModelParameters(TARGET_ONLY, arrays)
-
-    arrays["user_s"] = rng.normal(0.0, std, size=(bundle.user_count, d))
-    arrays["user_t"] = rng.normal(0.0, std, size=(bundle.user_count, d))
-    if config.use_kg:
-        arrays["entity"] = rng.normal(0.0, std, size=(bundle.kg.entity_count, d))
-    else:
-        arrays["item_s"] = rng.normal(0.0, std, size=(bundle.source.item_count, d))
-        arrays["item_t_init"] = rng.normal(0.0, std, size=(bundle.target.item_count, d))
-    gate = GateNetwork.initialize(d, config.gate_hidden, rng)
-    arrays["gate_w1"] = gate.w1
-    arrays["gate_b1"] = gate.b1
-    arrays["gate_w2"] = gate.w2
-    arrays["gate_b2"] = np.asarray(gate.b2, dtype=np.float64)
-    return ModelParameters(CROSS, arrays)
+    for name, (domains, block) in _table_layout(config.model, config.use_kg).items():
+        catalog = bundle.source if domains[0] == SOURCE else bundle.target
+        rows = (bundle.user_count, catalog.item_count, bundle.kg.entity_count)[block]
+        arrays[name] = rng.normal(0.0, config.init_std, size=(rows, d))
+    if config.model == CROSS:
+        gate = GateNetwork.initialize(d, config.gate_hidden, rng)
+        arrays["gate_w1"] = gate.w1
+        arrays["gate_b1"] = gate.b1
+        arrays["gate_w2"] = gate.w2
+        arrays["gate_b2"] = np.asarray(gate.b2, dtype=np.float64)
+    return ModelParameters(config.model, arrays)
 
 
 @dataclass(frozen=True)
@@ -218,23 +252,17 @@ class StepDraws:
 def _initial_embeddings(
     params: ModelParameters, graph: SparseGraph, domain: str, config: TrainConfig
 ) -> np.ndarray:
-    d = config.embedding_dim
-    e0 = np.zeros((graph.node_count, d))
-    if params.kind == TARGET_ONLY:
-        e0[: graph.user_count] = params.arrays["user_t"]
-        e0[graph.user_count :] = params.arrays["item_t"]
-        return e0
-    e0[: graph.user_count] = params.arrays["user_s" if domain == SOURCE else "user_t"]
-    if config.use_kg:
-        e0[graph.user_count + graph.item_count :] = params.arrays["entity"]
-    else:
-        key = "item_s" if domain == SOURCE else "item_t_init"
-        e0[graph.user_count : graph.user_count + graph.item_count] = params.arrays[key]
+    e0 = np.zeros((graph.node_count, config.embedding_dim))
+    for name, (domains, block) in _table_layout(params.kind, config.use_kg).items():
+        if domain in domains:
+            e0[_block_rows(graph, block)] = params.arrays[name]
     return e0
 
 
 @dataclass
 class _ForwardCache:
+    """Forward intermediates; the source-side ones are None for target-only."""
+
     batch: Batch
     drawn: StepDraws
     config: TrainConfig
@@ -264,6 +292,10 @@ def _pred_loss(config: TrainConfig):
     return transfer.cross_entropy_loss, transfer.cross_entropy_loss_backward
 
 
+def _propagate(params: ModelParameters, graph: SparseGraph, domain: str, config: TrainConfig):
+    return propagate(graph, _initial_embeddings(params, graph, domain, config), config.layers)
+
+
 def forward_losses(
     params: ModelParameters,
     graphs: DomainGraphs,
@@ -279,60 +311,50 @@ def forward_losses(
     values (the gradient checker uses this to make the objective a pure
     function of the parameters).  ``gate_override`` bypasses the gate network
     and fixes every gate to a constant, which turns the graph into the
-    linear-plus-ranking-loss path used by diagnostics.
+    linear-plus-ranking-loss path used by diagnostics.  Without a source
+    domain (target-only) the fused vector is the target user vector and the
+    source-side terms are zero.
     """
     loss_fn, _ = _pred_loss(config)
-
-    if params.kind == TARGET_ONLY:
-        state_t = propagate(graphs.target, _initial_embeddings(params, graphs.target, TARGET, config), config.layers)
-        eu_t = state_t.users[batch.users]
-        fused = eu_t
-        pos_vec = state_t.items[batch.pos_target]
-        neg_vec = state_t.items[batch.neg_target]
-        scores = {
-            "pos_t": np.sum(fused * pos_vec, axis=1),
-            "neg_t": np.sum(fused * neg_vec, axis=1),
-        }
-        pred_t = loss_fn(scores["pos_t"], scores["neg_t"])
-        bundle = transfer.LossBundle(pred_t, 0.0, 0.0, 0.0, config.alphas, pred_t)
-        cache = _ForwardCache(
-            batch, draws, config, params, graphs, None, state_t, None, eu_t,
-            None, None, None, None, None, None, None, None, None, fused, scores, None,
-        )
-        return bundle, cache
-
-    state_s = propagate(graphs.source, _initial_embeddings(params, graphs.source, SOURCE, config), config.layers)
-    state_t = propagate(graphs.target, _initial_embeddings(params, graphs.target, TARGET, config), config.layers)
-    eu_s = state_s.users[batch.users]
+    cross = params.kind == CROSS
+    state_t = _propagate(params, graphs.target, TARGET, config)
     eu_t = state_t.users[batch.users]
+    fused = eu_t
+    state_s = eu_s = merged = hidden = logits = gate = eps = mixed = mu = sigma = None
+    contrastive = None
+    pred_s = kl = contrastive_loss = 0.0
 
-    merged = compression.merge_representations(eu_s, eu_t)
-    if gate_override is None:
-        logits, hidden = params.gate().forward(merged)
-        gate = compression.gumbel_sigmoid(logits, draws.uniform, config.gumbel_temperature)
-    else:
-        logits, hidden = None, None
-        gate = np.full(merged.shape[0], float(gate_override))
-    if frozen_stats is None:
-        mu, sigma = compression.batch_statistics(merged, config.sigma_floor)
-    else:
-        mu, sigma = frozen_stats
-    mixed, eps = compression.mix_noise(merged, gate, mu, sigma, draws.noise)
-    fused = mixed + eu_t
+    if cross:
+        state_s = _propagate(params, graphs.source, SOURCE, config)
+        eu_s = state_s.users[batch.users]
+        merged = compression.merge_representations(eu_s, eu_t)
+        if gate_override is None:
+            logits, hidden = params.gate().forward(merged)
+            gate = compression.gumbel_sigmoid(logits, draws.uniform, config.gumbel_temperature)
+        else:
+            gate = np.full(merged.shape[0], float(gate_override))
+        if frozen_stats is None:
+            mu, sigma = compression.batch_statistics(merged, config.sigma_floor)
+        else:
+            mu, sigma = frozen_stats
+        mixed, eps = compression.mix_noise(merged, gate, mu, sigma, draws.noise)
+        fused = mixed + eu_t
 
     scores = {
-        "pos_s": np.sum(fused * state_s.items[batch.pos_source], axis=1),
-        "neg_s": np.sum(fused * state_s.items[batch.neg_source], axis=1),
         "pos_t": np.sum(fused * state_t.items[batch.pos_target], axis=1),
         "neg_t": np.sum(fused * state_t.items[batch.neg_target], axis=1),
     }
     pred_t = loss_fn(scores["pos_t"], scores["neg_t"])
-    pred_s = loss_fn(scores["pos_s"], scores["neg_s"])
-    kl = compression.kl_upper_bound(gate, merged, mu, sigma, config.m_floor)
-    contrastive = compression.info_nce(
-        eu_t, mixed, config.contrastive_temperature, config.norm_floor
-    )
-    bundle = transfer.total_loss(pred_t, pred_s, kl, contrastive.loss, config.alphas)
+    if cross:
+        scores["pos_s"] = np.sum(fused * state_s.items[batch.pos_source], axis=1)
+        scores["neg_s"] = np.sum(fused * state_s.items[batch.neg_source], axis=1)
+        pred_s = loss_fn(scores["pos_s"], scores["neg_s"])
+        kl = compression.kl_upper_bound(gate, merged, mu, sigma, config.m_floor)
+        contrastive = compression.info_nce(
+            eu_t, mixed, config.contrastive_temperature, config.norm_floor
+        )
+        contrastive_loss = contrastive.loss
+    bundle = transfer.total_loss(pred_t, pred_s, kl, contrastive_loss, config.alphas)
     cache = _ForwardCache(
         batch, draws, config, params, graphs, state_s, state_t, eu_s, eu_t,
         merged, hidden, logits, gate, eps, mixed, mu, sigma, contrastive, fused,
@@ -343,102 +365,71 @@ def forward_losses(
 
 def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
     """Exact adjoint of :func:`forward_losses` w.r.t. every parameter array."""
-    config, batch = cache.config, cache.batch
+    config, batch, params = cache.config, cache.batch, cache.params
     _, loss_backward = _pred_loss(config)
-    params = cache.params
-
-    if params.kind == TARGET_ONLY:
-        g_pos, g_neg = loss_backward(cache.scores["pos_t"], cache.scores["neg_t"])
-        state_t = cache.state_t
-        pos_vec = state_t.items[batch.pos_target]
-        neg_vec = state_t.items[batch.neg_target]
-        g_fused = g_pos[:, None] * pos_vec + g_neg[:, None] * neg_vec
-        g_z = np.zeros((state_t.user_count + state_t.item_count, config.embedding_dim))
-        np.add.at(g_z, batch.users, g_fused)
-        offset = state_t.user_count
-        np.add.at(g_z, offset + batch.pos_target, g_pos[:, None] * cache.fused)
-        np.add.at(g_z, offset + batch.neg_target, g_neg[:, None] * cache.fused)
-        g_e0 = backprop_propagate(g_z, state_t, cache.graphs.target)
-        return {
-            "user_t": g_e0[: state_t.user_count],
-            "item_t": g_e0[state_t.user_count :],
-        }
-
     a1, a2, a3 = config.alphas
-    state_s, state_t = cache.state_s, cache.state_t
-    n_u = state_t.user_count
-    d = config.embedding_dim
+    cross = params.kind == CROSS
+    states = {TARGET: cache.state_t, SOURCE: cache.state_s}
+    graphs = {TARGET: cache.graphs.target, SOURCE: cache.graphs.source}
+    ranked = [(TARGET, "t", 1.0, batch.pos_target, batch.neg_target)]
+    if cross:
+        ranked.append((SOURCE, "s", a1, batch.pos_source, batch.neg_source))
 
     g_fused = np.zeros_like(cache.fused)
-    g_z_s = np.zeros((state_s.user_count + state_s.item_count, d))
-    g_z_t = np.zeros((n_u + state_t.item_count, d))
-
-    for domain, weight, g_z_dom, state, pos_idx, neg_idx in (
-        ("t", 1.0, g_z_t, state_t, batch.pos_target, batch.neg_target),
-        ("s", a1, g_z_s, state_s, batch.pos_source, batch.neg_source),
-    ):
+    g_z: dict[str, np.ndarray] = {}
+    for domain, tag, weight, pos_idx, neg_idx in ranked:
+        state = states[domain]
+        g_z[domain] = np.zeros((state.user_count + state.item_count, config.embedding_dim))
         if weight == 0.0:
             continue
-        g_pos, g_neg = loss_backward(cache.scores[f"pos_{domain}"], cache.scores[f"neg_{domain}"])
+        g_pos, g_neg = loss_backward(cache.scores[f"pos_{tag}"], cache.scores[f"neg_{tag}"])
         g_pos = g_pos * weight
         g_neg = g_neg * weight
-        pos_vec = state.items[pos_idx]
-        neg_vec = state.items[neg_idx]
-        g_fused += g_pos[:, None] * pos_vec + g_neg[:, None] * neg_vec
+        g_fused += g_pos[:, None] * state.items[pos_idx] + g_neg[:, None] * state.items[neg_idx]
         offset = state.user_count
-        np.add.at(g_z_dom, offset + pos_idx, g_pos[:, None] * cache.fused)
-        np.add.at(g_z_dom, offset + neg_idx, g_neg[:, None] * cache.fused)
-
-    g_mixed = g_fused.copy()
-    g_eu_t = g_fused.copy()
-
-    if a3 != 0.0:
-        g_t_cl, g_mixed_cl = compression.info_nce_backward(
-            cache.eu_t, cache.mixed, cache.contrastive
-        )
-        g_mixed += a3 * g_mixed_cl
-        g_eu_t += a3 * g_t_cl
-
-    g_gate = np.sum(g_mixed * (cache.merged - cache.eps), axis=1)
-    g_merged = g_mixed * cache.gate[:, None]
-
-    if a2 != 0.0:
-        g_gate_kl, g_merged_kl = compression.kl_upper_bound_backward(
-            cache.gate, cache.merged, cache.mu, cache.sigma, config.m_floor
-        )
-        g_gate += a2 * g_gate_kl
-        g_merged += a2 * g_merged_kl
+        np.add.at(g_z[domain], offset + pos_idx, g_pos[:, None] * cache.fused)
+        np.add.at(g_z[domain], offset + neg_idx, g_neg[:, None] * cache.fused)
 
     grads: dict[str, np.ndarray] = {}
-    if cache.gate_override is None:
-        g_logits = g_gate * cache.gate * (1.0 - cache.gate) / config.gumbel_temperature
-        gate_grads, g_merged_net = params.gate().backward(cache.merged, cache.hidden, g_logits)
-        g_merged += g_merged_net
-        for key, value in gate_grads.items():
-            grads[f"gate_{key}"] = value
-    else:
-        for key in ("gate_w1", "gate_b1", "gate_w2", "gate_b2"):
-            grads[key] = np.zeros_like(params.arrays[key])
+    g_eu_t = g_fused
+    if cross:
+        g_mixed = g_fused.copy()
+        if a3 != 0.0:
+            g_t_cl, g_mixed_cl = compression.info_nce_backward(
+                cache.eu_t, cache.mixed, cache.contrastive
+            )
+            g_mixed += a3 * g_mixed_cl
+            g_eu_t += a3 * g_t_cl
 
-    g_eu_s = g_merged
-    g_eu_t = g_eu_t + g_merged
+        g_gate = np.sum(g_mixed * (cache.merged - cache.eps), axis=1)
+        g_merged = g_mixed * cache.gate[:, None]
+        if a2 != 0.0:
+            g_gate_kl, g_merged_kl = compression.kl_upper_bound_backward(
+                cache.gate, cache.merged, cache.mu, cache.sigma, config.m_floor
+            )
+            g_gate += a2 * g_gate_kl
+            g_merged += a2 * g_merged_kl
 
-    np.add.at(g_z_s, batch.users, g_eu_s)
-    np.add.at(g_z_t, batch.users, g_eu_t)
+        if cache.gate_override is None:
+            g_logits = g_gate * cache.gate * (1.0 - cache.gate) / config.gumbel_temperature
+            gate_grads, g_merged_net = params.gate().backward(cache.merged, cache.hidden, g_logits)
+            g_merged += g_merged_net
+            for key, value in gate_grads.items():
+                grads[f"gate_{key}"] = value
+        else:
+            for key in ("gate_w1", "gate_b1", "gate_w2", "gate_b2"):
+                grads[key] = np.zeros_like(params.arrays[key])
+        np.add.at(g_z[SOURCE], batch.users, g_merged)
+        g_eu_t = g_eu_t + g_merged
+    np.add.at(g_z[TARGET], batch.users, g_eu_t)
 
-    g_e0_s = backprop_propagate(g_z_s, state_s, cache.graphs.source)
-    g_e0_t = backprop_propagate(g_z_t, state_t, cache.graphs.target)
-
-    grads["user_s"] = g_e0_s[: state_s.user_count]
-    grads["user_t"] = g_e0_t[:n_u]
-    if config.use_kg:
-        grads["entity"] = (
-            g_e0_s[state_s.user_count + state_s.item_count :]
-            + g_e0_t[n_u + state_t.item_count :]
-        )
-    else:
-        grads["item_s"] = g_e0_s[state_s.user_count : state_s.user_count + state_s.item_count]
-        grads["item_t_init"] = g_e0_t[n_u : n_u + state_t.item_count]
+    g_e0 = {
+        domain: backprop_propagate(g_z[domain], states[domain], graphs[domain])
+        for domain in g_z
+    }
+    for name, (domains, block) in _table_layout(params.kind, config.use_kg).items():
+        parts = [g_e0[domain][_block_rows(states[domain], block)] for domain in domains]
+        grads[name] = parts[0] if len(parts) == 1 else parts[0] + parts[1]
     return grads
 
 
@@ -491,12 +482,11 @@ def build_scorer(params: ModelParameters, graphs: DomainGraphs, config: TrainCon
     Serving is deterministic: the gate is its expectation sigmoid(logit) and
     the noise collapses to the population mean of the merged representations.
     """
-    state_t = propagate(graphs.target, _initial_embeddings(params, graphs.target, TARGET, config), config.layers)
+    state_t = _propagate(params, graphs.target, TARGET, config)
     item_matrix = state_t.items
-    if params.kind == TARGET_ONLY:
-        fused_all = state_t.users
-    else:
-        state_s = propagate(graphs.source, _initial_embeddings(params, graphs.source, SOURCE, config), config.layers)
+    fused_all = state_t.users
+    if params.kind == CROSS:
+        state_s = _propagate(params, graphs.source, SOURCE, config)
         merged = compression.merge_representations(state_s.users, state_t.users)
         logits, _ = params.gate().forward(merged)
         mu, _ = compression.batch_statistics(merged, config.sigma_floor)
@@ -597,20 +587,12 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
     if config.model == CROSS and split.train_source.size == 0:
         raise ValueError("training set is empty")
 
-    graphs = DomainGraphs.from_training_edges(
-        bundle,
-        split.train_source,
-        split.train_target,
-        use_kg=config.use_kg and config.model == CROSS,
-        include_source=config.model == CROSS,
-    )
+    graphs = DomainGraphs.for_config(config, bundle, split)
     params = init_parameters(config, bundle)
     excluded_by_user = split.train_target_items_by_user(bundle.user_count)
 
     domains = (SOURCE, TARGET) if config.model == CROSS else (TARGET,)
-    items_by_user = {
-        TARGET: split.train_target_items_by_user(bundle.user_count),
-    }
+    items_by_user = {TARGET: excluded_by_user}
     if config.model == CROSS:
         items_by_user[SOURCE] = split.train_source_items_by_user(bundle.user_count)
     item_counts = {SOURCE: bundle.source.item_count, TARGET: bundle.target.item_count}

@@ -1,12 +1,24 @@
 """Command-line contract: files produced, exit codes, idempotency."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from crossrec.cli import main, parse_config_file
+from crossrec.cli import (
+    _SYNTH_DEFAULTS,
+    _TRAIN_DEFAULTS,
+    _resolve,
+    _synth_spec,
+    _train_config,
+    build_parser,
+    main,
+    parse_config_file,
+)
+from crossrec.data import SynthSpec
+from crossrec.training import TrainConfig
 
 FAST_TRAIN = [
     "--embedding-dim", "8", "--gate-hidden", "8", "--epochs", "4",
@@ -206,6 +218,36 @@ class TestInjectNoise:
         assert graph.edge_count > base_graph.edge_count
 
 
+    def noise_run(self, synth_dir, out, *extra):
+        return main([
+            "inject-noise", "--source", str(synth_dir / "source.tsv"),
+            "--ratio", "0.05", "--out", str(out), *extra,
+        ])
+
+    def seed_used(self, out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        header = (out / "noisy_source.tsv").read_text().split("\n", 1)[0]
+        return manifest["config"]["seed"], header.split(" seed=")[1].split()[0]
+
+    def test_missing_config_exit_two(self, synth_dir, tmp_path):
+        code = self.noise_run(synth_dir, tmp_path / "noise", "--config", str(tmp_path / "no.conf"))
+        assert code == 2
+
+    def test_config_file_seed_applies(self, synth_dir, tmp_path):
+        config = tmp_path / "noise.conf"
+        config.write_text("seed = 5\n")
+        out = tmp_path / "noise"
+        assert self.noise_run(synth_dir, out, "--config", str(config)) == 0
+        assert self.seed_used(out) == (5, "5")
+
+    def test_seed_flag_beats_config_file(self, synth_dir, tmp_path):
+        config = tmp_path / "noise.conf"
+        config.write_text("seed = 5\n")
+        out = tmp_path / "noise"
+        assert self.noise_run(synth_dir, out, "--config", str(config), "--seed", "9") == 0
+        assert self.seed_used(out) == (9, "9")
+
+
 class TestAblate:
     def test_metrics_tagged_with_variant(self, synth_dir, tmp_path):
         out = tmp_path / "ablation"
@@ -237,3 +279,14 @@ class TestConfigParsing:
         path.write_text("not a config line\n")
         with pytest.raises(ValueError):
             parse_config_file(path)
+
+
+class TestDefaults:
+    def test_no_flag_resolution_is_the_dataclass_defaults(self, tmp_path):
+        parser = build_parser()
+        files = ["--source", "s", "--target", "t", "--kg", "k", "--map-source", "ms",
+                 "--map-target", "mt"]
+        args = parser.parse_args(["train", *files, "--out", str(tmp_path)])
+        assert asdict(_train_config(_resolve(args, _TRAIN_DEFAULTS))) == asdict(TrainConfig())
+        args = parser.parse_args(["gen-synth", "--out", str(tmp_path)])
+        assert asdict(_synth_spec(_resolve(args, _SYNTH_DEFAULTS))) == asdict(SynthSpec())

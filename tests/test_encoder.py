@@ -28,8 +28,8 @@ class TestPropagate:
         rng = np.random.default_rng(1)
         normalized, _ = build_normalized(rng)
         state = propagate(normalized, np.zeros((normalized.node_count, 4)), 3)
-        for layer in state.layer_outputs:
-            assert np.all(layer == 0)
+        assert state.layers == 3
+        assert np.all(state.final == 0)
 
     def test_single_edge_swap(self):
         # one user with embedding [1, 0], one item at zero, one edge: after a

@@ -135,7 +135,7 @@ class TestNormalizeSymmetric:
         # user 0 interacts with 4 items, each of degree 1
         graph = InteractionGraph("source", 1, 4, [(0, i) for i in range(4)])
         normalized = normalize_symmetric(assemble_adjacency(graph, KnowledgeLinkage.empty()))
-        assert np.allclose(normalized.values, 0.5)
+        assert np.allclose(normalized.matrix.data, 0.5)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
@@ -172,7 +172,7 @@ class TestNormalizeSymmetric:
         graph = InteractionGraph("source", 2, 2, [(0, 0)])
         kg = KnowledgeLinkage(3, np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
         normalized = normalize_symmetric(assemble_adjacency(graph, kg))
-        assert np.isfinite(normalized.values).all()
+        assert np.isfinite(normalized.matrix.data).all()
         assert normalized.degrees()[1] == 0  # user 1 has no edges
 
     def test_requires_symmetry(self):

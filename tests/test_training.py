@@ -1,10 +1,20 @@
 """Optimizer behavior, exact gradients, determinism, checkpoints."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from crossrec.encoder import backprop_propagate, propagate
 from crossrec.evaluation import split_leave_one_out
+from crossrec.transfer import (
+    bpr_loss,
+    bpr_loss_backward,
+    cross_entropy_loss,
+    cross_entropy_loss_backward,
+)
 from crossrec.training import (
+    TARGET_ONLY,
     Batch,
     DomainGraphs,
     ModelParameters,
@@ -19,15 +29,15 @@ from crossrec.training import (
     init_parameters,
     load_checkpoint,
     save_checkpoint,
+    _sample_batches,
     train_step,
 )
 
 
 def micro_setup(bundle, config, seed=7):
     """Graphs, parameters, and one deterministic batch over all users."""
-    graphs = DomainGraphs.from_training_edges(
-        bundle, bundle.source.edges, bundle.target.edges, use_kg=config.use_kg
-    )
+    every_edge = SimpleNamespace(train_source=bundle.source.edges, train_target=bundle.target.edges)
+    graphs = DomainGraphs.for_config(config, bundle, every_edge)
     params = init_parameters(config, bundle)
     rng = np.random.default_rng(seed)
     users = np.arange(bundle.user_count)
@@ -168,6 +178,86 @@ class TestForwardCache:
         assert np.all((cache.gate > 0) & (cache.gate < 1))
         assert np.all(cache.sigma >= config.sigma_floor)
         assert np.allclose(cache.eps, cache.mu + cache.sigma * draws.noise)
+
+
+def target_only_oracle(params, graphs, batch, config):
+    """Loss and gradients of the target-only model as a separate code path.
+
+    These are the formulas of the dedicated target-only branch that the single
+    model path replaced, kept here to pin that path bit for bit.
+    """
+    if config.prediction_loss == "bpr":
+        loss_fn, loss_backward = bpr_loss, bpr_loss_backward
+    else:
+        loss_fn, loss_backward = cross_entropy_loss, cross_entropy_loss_backward
+    graph = graphs.target
+    e0 = np.zeros((graph.node_count, config.embedding_dim))
+    e0[: graph.user_count] = params.arrays["user_t"]
+    e0[graph.user_count :] = params.arrays["item_t"]
+    state_t = propagate(graph, e0, config.layers)
+    fused = state_t.users[batch.users]
+    pos_vec = state_t.items[batch.pos_target]
+    neg_vec = state_t.items[batch.neg_target]
+    pos_scores = np.sum(fused * pos_vec, axis=1)
+    neg_scores = np.sum(fused * neg_vec, axis=1)
+    pred_t = loss_fn(pos_scores, neg_scores)
+
+    g_pos, g_neg = loss_backward(pos_scores, neg_scores)
+    g_fused = g_pos[:, None] * pos_vec + g_neg[:, None] * neg_vec
+    g_z = np.zeros((state_t.user_count + state_t.item_count, config.embedding_dim))
+    np.add.at(g_z, batch.users, g_fused)
+    offset = state_t.user_count
+    np.add.at(g_z, offset + batch.pos_target, g_pos[:, None] * fused)
+    np.add.at(g_z, offset + batch.neg_target, g_neg[:, None] * fused)
+    g_e0 = backprop_propagate(g_z, state_t, graph)
+    return pred_t, {"user_t": g_e0[: state_t.user_count], "item_t": g_e0[state_t.user_count :]}
+
+
+def assert_matches_target_only_oracle(params, graphs, batch, draws, config):
+    bundle, cache = forward_losses(params, graphs, batch, draws, config)
+    grads = backward_losses(cache)
+    pred_t, expected = target_only_oracle(params, graphs, batch, config)
+    assert bundle.pred_target == pred_t
+    assert bundle.total == pred_t
+    assert (bundle.pred_source, bundle.kl, bundle.contrastive) == (0.0, 0.0, 0.0)
+    assert set(grads) == set(expected)
+    for name, grad in expected.items():
+        assert np.array_equal(grads[name], grad), name
+    return grads
+
+
+class TestTargetOnlyOracle:
+    @pytest.mark.parametrize("loss", ["bpr", "ce"])
+    def test_dense_micro_bundle(self, dense_micro_bundle, loss):
+        config = TrainConfig(
+            embedding_dim=4, layers=2, seed=5, model=TARGET_ONLY, prediction_loss=loss
+        )
+        graphs, params, batch, draws = micro_setup(dense_micro_bundle, config)
+        assert graphs.source is None
+        assert list(params.arrays) == ["user_t", "item_t"]
+        assert_matches_target_only_oracle(params, graphs, batch, draws, config)
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 16])
+    def test_tiny_split_batches(self, tiny_bundle, tiny_split, batch_size):
+        # one epoch of the real sampler; the oracle's gradients drive the
+        # Adagrad steps, so later batches are checked away from the init
+        bundle, _ = tiny_bundle
+        config = TrainConfig(
+            embedding_dim=8, layers=2, seed=7, model=TARGET_ONLY, batch_size=batch_size,
+            learning_rate=0.1,
+        )
+        graphs = DomainGraphs.for_config(config, bundle, tiny_split)
+        params = init_parameters(config, bundle)
+        items_by_user = {"target": tiny_split.train_target_items_by_user(bundle.user_count)}
+        batches = _sample_batches(
+            np.random.default_rng(3), tiny_split.users, batch_size, items_by_user,
+            {"target": bundle.target.item_count}, ("target",),
+        )
+        assert batches[0].users.size == min(batch_size, tiny_split.users.size)
+        for step, batch in enumerate(batches):
+            draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 8)
+            grads = assert_matches_target_only_oracle(params, graphs, batch, draws, config)
+            adagrad_update(params, grads, config.learning_rate)
 
 
 class TestGradientCheck:

@@ -4,50 +4,69 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from crossrec.transfer import (
     LossBundle,
     bpr_loss,
     bpr_loss_backward,
     cross_entropy_loss,
-    score,
     total_loss,
 )
+from crossrec.training import (
+    CROSS,
+    TARGET_ONLY,
+    TrainConfig,
+    _initial_embeddings,
+    build_scorer,
+    forward_losses,
+)
+
+from test_training import micro_setup
 
 
 class TestScore:
-    def test_orthogonal_fusion(self):
-        assert score([0.0, 0.0], [1.0, 1.0], [1.0, -1.0]) == 0.0
+    def test_fused_inner_product_on_training_and_serving_paths(self, dense_micro_bundle):
+        # every score is (compressed + e_target) . item, with e_target and the
+        # items from a dense power of the adjacency; without a source domain
+        # the compressed vector is zero
+        for model in (CROSS, TARGET_ONLY):
+            config = TrainConfig(embedding_dim=4, gate_hidden=4, layers=2, seed=5, model=model)
+            graphs, params, batch, draws = micro_setup(dense_micro_bundle, config)
+            users, items = {}, {}
+            for domain, graph in (("source", graphs.source), ("target", graphs.target)):
+                if graph is None:
+                    continue
+                final = np.linalg.matrix_power(graph.matrix.toarray(), config.layers) @ (
+                    _initial_embeddings(params, graph, domain, config)
+                )
+                users[domain] = final[: graph.user_count]
+                items[domain] = final[graph.user_count : graph.user_count + graph.item_count]
+            users_t = users["target"]
 
-    def test_hand_arithmetic(self):
-        assert score([1.0, 0.0], [0.0, 1.0], [2.0, 3.0]) == 5.0
+            _, cache = forward_losses(params, graphs, batch, draws, config)
+            fused = users_t[batch.users]
+            sides = [("t", "target", batch.pos_target, batch.neg_target)]
+            if model == CROSS:
+                fused = cache.mixed + fused
+                sides.append(("s", "source", batch.pos_source, batch.neg_source))
+            for tag, domain, pos, neg in sides:
+                for kind, picked in (("pos", pos), ("neg", neg)):
+                    by_hand = [fused[r] @ items[domain][item] for r, item in enumerate(picked)]
+                    assert np.allclose(
+                        cache.scores[f"{kind}_{tag}"], by_hand, rtol=1e-10, atol=1e-12
+                    )
 
-    def test_matches_dot_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            h, t, i = rng.normal(size=(3, 7))
-            expected = sum((h[k] + t[k]) * i[k] for k in range(7))
-            assert score(h, t, i) == pytest.approx(expected, rel=1e-12)
-
-    def test_batched_rows(self):
-        rng = np.random.default_rng(1)
-        h, t, i = rng.normal(size=(3, 4, 6))
-        batched = score(h, t, i)
-        assert batched.shape == (4,)
-        for row in range(4):
-            assert batched[row] == pytest.approx(score(h[row], t[row], i[row]))
-
-    def test_bilinear_in_fused_vector(self):
-        rng = np.random.default_rng(2)
-        h, t, i = rng.normal(size=(3, 5))
-        a = 2.75
-        assert score(a * h, a * t, i) == pytest.approx(a * score(h, t, i))
-        j = rng.normal(size=5)
-        assert score(h, t, i + j) == pytest.approx(score(h, t, i) + score(h, t, j))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            score([1.0], [1.0, 2.0], [1.0, 2.0])
+            served = users_t.copy()
+            if model == CROSS:
+                merged = users["source"] + users_t
+                gate = expit(params.gate().forward(merged)[0])[:, None]
+                served += gate * merged + (1.0 - gate) * merged.mean(axis=0)
+            score_fn = build_scorer(params, graphs, config)
+            for user in range(users_t.shape[0]):
+                assert np.allclose(
+                    score_fn(user), items["target"] @ served[user], rtol=1e-10, atol=1e-12
+                )
 
 
 class TestBprLoss:
