@@ -340,14 +340,15 @@ def forward_losses(
         mixed, eps = compression.mix_noise(merged, gate, mu, sigma, draws.noise)
         fused = mixed + eu_t
 
+    compressed = mixed if cross else np.zeros_like(eu_t)
     scores = {
-        "pos_t": np.sum(fused * state_t.items[batch.pos_target], axis=1),
-        "neg_t": np.sum(fused * state_t.items[batch.neg_target], axis=1),
+        "pos_t": transfer.score(compressed, eu_t, state_t.items[batch.pos_target]),
+        "neg_t": transfer.score(compressed, eu_t, state_t.items[batch.neg_target]),
     }
     pred_t = loss_fn(scores["pos_t"], scores["neg_t"])
     if cross:
-        scores["pos_s"] = np.sum(fused * state_s.items[batch.pos_source], axis=1)
-        scores["neg_s"] = np.sum(fused * state_s.items[batch.neg_source], axis=1)
+        scores["pos_s"] = transfer.score(compressed, eu_t, state_s.items[batch.pos_source])
+        scores["neg_s"] = transfer.score(compressed, eu_t, state_s.items[batch.neg_source])
         pred_s = loss_fn(scores["pos_s"], scores["neg_s"])
         kl = compression.kl_upper_bound(gate, merged, mu, sigma, config.m_floor)
         contrastive = compression.info_nce(

@@ -1,10 +1,9 @@
-"""Ranking losses and the combined training objective.
+"""Dual-domain predictors and the combined training objective.
 
-Both domains are scored (in :mod:`crossrec.training`) with the inner product
-of an item and the same fused user vector: the compressed source-conditioned
-representation plus the user's target representation.  Scoring a source item
-with that fused vector is what lets source feedback supervise the
-compression gates.
+Both domains are scored with the same fused user vector: the compressed
+source-conditioned representation plus the user's target representation.
+Scoring a source item with that fused vector is what lets source feedback
+supervise the compression gates.
 """
 
 from __future__ import annotations
@@ -13,6 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
+
+
+def score(h_hat_user, e_target_user, e_item):
+    """Inner product of the fused user vector with an item representation.
+
+    Accepts single vectors or row-aligned batches; the fused vector is the
+    element-wise sum of the two user-side inputs.
+    """
+    h = np.asarray(h_hat_user, dtype=np.float64)
+    t = np.asarray(e_target_user, dtype=np.float64)
+    i = np.asarray(e_item, dtype=np.float64)
+    if h.shape != t.shape or h.shape != i.shape:
+        raise ValueError(f"shape mismatch: {h.shape}, {t.shape}, {i.shape}")
+    result = np.sum((h + t) * i, axis=-1)
+    return float(result) if result.ndim == 0 else result
 
 
 def softplus(x):

@@ -11,6 +11,7 @@ from crossrec.transfer import (
     bpr_loss,
     bpr_loss_backward,
     cross_entropy_loss,
+    score,
     total_loss,
 )
 from crossrec.training import (
@@ -26,6 +27,39 @@ from test_training import micro_setup
 
 
 class TestScore:
+    def test_orthogonal_fusion(self):
+        assert score([0.0, 0.0], [1.0, 1.0], [1.0, -1.0]) == 0.0
+
+    def test_hand_arithmetic(self):
+        assert score([1.0, 0.0], [0.0, 1.0], [2.0, 3.0]) == 5.0
+
+    def test_matches_dot_oracle(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            h, t, i = rng.normal(size=(3, 7))
+            expected = sum((h[k] + t[k]) * i[k] for k in range(7))
+            assert score(h, t, i) == pytest.approx(expected, rel=1e-12)
+
+    def test_batched_rows(self):
+        rng = np.random.default_rng(1)
+        h, t, i = rng.normal(size=(3, 4, 6))
+        batched = score(h, t, i)
+        assert batched.shape == (4,)
+        for row in range(4):
+            assert batched[row] == pytest.approx(score(h[row], t[row], i[row]))
+
+    def test_bilinear_in_fused_vector(self):
+        rng = np.random.default_rng(2)
+        h, t, i = rng.normal(size=(3, 5))
+        a = 2.75
+        assert score(a * h, a * t, i) == pytest.approx(a * score(h, t, i))
+        j = rng.normal(size=5)
+        assert score(h, t, i + j) == pytest.approx(score(h, t, i) + score(h, t, j))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            score([1.0], [1.0, 2.0], [1.0, 2.0])
+
     def test_fused_inner_product_on_training_and_serving_paths(self, dense_micro_bundle):
         # every score is (compressed + e_target) . item, with e_target and the
         # items from a dense power of the adjacency; without a source domain
