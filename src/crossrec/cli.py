@@ -2,14 +2,16 @@
 
 Subcommands: ``train``, ``evaluate``, ``gen-synth``, ``inject-noise``,
 ``ablate``.  Every run resolves its configuration from built-in defaults,
-then an optional ``key = value`` config file, then explicit flags (highest
-precedence), writes a manifest with input digests before doing any work, and
-finalizes it on exit.  All outputs are written atomically (write-then-rename)
-under the ``--out`` directory, and identical inputs plus an identical seed
-reproduce byte-identical outputs apart from the manifest's timestamps.
+then an optional ``key = value`` config file (only the command's own keys),
+then explicit flags (highest precedence), writes a manifest with input
+digests before doing any work, and finalizes it on exit.  All outputs are
+written atomically (write-then-rename) under the ``--out`` directory, and
+identical inputs plus an identical seed reproduce byte-identical outputs
+apart from the manifest's timestamps.
 
-The leave-one-out split is derived from the seed, so ``evaluate`` must be
-given the same seed (or config) as the ``train`` run it scores.
+``evaluate`` takes the model configuration from the checkpoint.  The
+leave-one-out split is derived from the seed: ``--seed``, else the config
+file's ``seed``, else the seed the checkpoint was trained with.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,18 +41,17 @@ from .data import (
     write_flags,
 )
 from .evaluation import inject_source_noise, split_leave_one_out
-from .experiments import VARIANTS, run_ablation
+from .experiments import VARIANTS, evaluate_fit, run_ablation
 from .graph import SOURCE
 from .training import (
     DomainGraphs,
+    FitResult,
     NonFiniteLossError,
     TrainConfig,
     fit,
     load_checkpoint,
     save_checkpoint,
-    build_scorer,
 )
-from .evaluation import evaluate_ranking
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,7 +69,6 @@ _TRAIN_DEFAULTS = {
     **{f"alpha{i}": alpha for i, alpha in enumerate(TrainConfig().alphas, 1)},
     "hop_radius": inspect.signature(load_bundle).parameters["hop_radius"].default,
 }
-_CONFIG_FIELDS = {key: type(value) for key, value in _TRAIN_DEFAULTS.items()}
 
 # gen-synth flag/config name -> SynthSpec field
 _SYNTH_NAMES = {
@@ -78,7 +78,6 @@ _SYNTH_NAMES = {
     "target_interactions": "target_interactions", "rho": "irrelevant_fraction", "seed": "seed",
 }
 _SYNTH_DEFAULTS = {key: getattr(SynthSpec(), name) for key, name in _SYNTH_NAMES.items()}
-_SYNTH_FIELDS = {key: type(value) for key, value in _SYNTH_DEFAULTS.items()}
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -117,10 +116,16 @@ def parse_config_file(path: Path) -> dict[str, str]:
 
 
 class Manifest:
-    """Run manifest: resolved config, input digests, outputs, timings."""
+    """Run manifest: resolved config, input digests, outputs, timings.
 
-    def __init__(self, out_dir: Path, command: str, resolved: dict):
-        self.path = Path(out_dir) / "manifest.json"
+    Creating one makes ``out_dir``, digests the inputs (``FileNotFoundError``
+    if one is missing) and writes the manifest.
+    """
+
+    def __init__(self, out_dir: Path, command: str, resolved: dict, inputs: list[Path] = ()):
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self.path = out_dir / "manifest.json"
         self.payload = {
             "tool": f"crossrec {__version__}",
             "command": command,
@@ -132,14 +137,17 @@ class Manifest:
             "duration_seconds": None,
         }
         self._t0 = time.perf_counter()
-
-    def record_inputs(self, paths: list[Path]) -> None:
-        self.payload["inputs"] = {str(p): sha256_file(p) for p in paths}
+        self.payload["inputs"] = {str(p): sha256_file(p) for p in inputs}
+        self.write()
 
     def record_output(self, path: Path) -> None:
         name = str(path)
         if name not in self.payload["outputs"]:
             self.payload["outputs"].append(name)
+
+    def write_output(self, path: Path, text: str) -> None:
+        atomic_write_text(path, text)
+        self.record_output(path)
 
     def write(self) -> None:
         atomic_write_text(self.path, json.dumps(self.payload, indent=2, sort_keys=True) + "\n")
@@ -150,20 +158,17 @@ class Manifest:
         self.write()
 
 
-def _resolve(args: argparse.Namespace, parser_defaults: dict) -> dict:
-    """Merge defaults, config file, and explicit flags (flags win)."""
-    resolved = dict(parser_defaults)
+def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+    """Merge defaults, config file (only keys of ``defaults``), and flags (flags win)."""
+    resolved = dict(defaults)
     if getattr(args, "config", None):
         config_path = Path(args.config)
         if not config_path.exists():
             raise FileNotFoundError(config_path)
         for key, raw in parse_config_file(config_path).items():
-            if key in _CONFIG_FIELDS:
-                resolved[key] = _CONFIG_FIELDS[key](raw)
-            elif key in _SYNTH_FIELDS:
-                resolved[key] = _SYNTH_FIELDS[key](raw)
-            else:
+            if key not in defaults:
                 raise ValueError(f"unknown config key {key!r} in {config_path}")
+            resolved[key] = type(defaults[key])(raw)
     for key, value in vars(args).items():
         if key in resolved and value is not None:
             resolved[key] = value
@@ -179,6 +184,14 @@ def _train_config(resolved: dict) -> TrainConfig:
 
 def _synth_spec(resolved: dict) -> SynthSpec:
     return SynthSpec(**{name: resolved[key] for key, name in _SYNTH_NAMES.items()})
+
+
+def cutoffs(text: str) -> tuple[int, ...]:
+    """Parse ``--k``: comma-separated positive integers (argparse reports a ValueError)."""
+    ks = tuple(int(k) for k in text.split(","))
+    if min(ks) < 1:
+        raise ValueError(text)
+    return ks
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -229,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="rank held-out items with a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--k", default="10,100", help="comma-separated cutoffs")
+    p_eval.add_argument("--k", type=cutoffs, default=(10, 100), help="comma-separated cutoffs")
     _add_data_flags(p_eval)
     _add_common(p_eval)
 
@@ -252,18 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ablate = sub.add_parser("ablate", help="train and evaluate an ablation variant")
     p_ablate.add_argument("--variant", required=True, choices=VARIANTS)
-    p_ablate.add_argument("--k", default="10,100")
+    p_ablate.add_argument("--k", type=cutoffs, default=(10, 100), help="comma-separated cutoffs")
     _add_data_flags(p_ablate)
     _add_train_flags(p_ablate)
     _add_common(p_ablate)
 
     return parser
-
-
-def _require_files(paths: list[Path]) -> None:
-    for path in paths:
-        if not Path(path).exists():
-            raise FileNotFoundError(path)
 
 
 def _data_paths(args: argparse.Namespace) -> DataPaths:
@@ -306,12 +313,8 @@ def _ranks_lines(per_user, user_ids) -> str:
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _TRAIN_DEFAULTS)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = _data_paths(args)
-    _require_files(paths.all())
-    manifest = Manifest(out_dir, "train", resolved)
-    manifest.record_inputs(paths.all())
-    manifest.write()
+    manifest = Manifest(out_dir, "train", resolved, paths.all())
 
     config = _train_config(resolved)
     bundle, report = load_bundle(paths, hop_radius=resolved["hop_radius"])
@@ -331,9 +334,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     os.replace(tmp, checkpoint)
     manifest.record_output(checkpoint)
 
-    log_path = out_dir / "training_log.tsv"
-    atomic_write_text(log_path, _log_lines(result.log))
-    manifest.record_output(log_path)
+    manifest.write_output(out_dir / "training_log.tsv", _log_lines(result.log))
 
     id_paths = save_bundle(bundle, out_dir / "data")
     for path in id_paths.values():
@@ -348,45 +349,27 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _TRAIN_DEFAULTS)
+    checkpoint = Path(args.checkpoint)
+    params, meta = load_checkpoint(checkpoint)
+    if not {"config", "best_epoch", "best_validation_ndcg"} <= meta.keys():
+        raise ValueError(f"{checkpoint} has no training metadata; was it written by train?")
+    stored = meta["config"]
+    # the config file shares the training keys; only seed and hop_radius apply
+    resolved = _resolve(args, {**_TRAIN_DEFAULTS, "seed": stored["seed"]})
+    config = TrainConfig(**{**stored, "alphas": tuple(stored["alphas"]), "seed": resolved["seed"]})
+    applied = {**stored, "seed": config.seed, "hop_radius": resolved["hop_radius"], "k": args.k}
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = _data_paths(args)
-    _require_files(paths.all() + [Path(args.checkpoint)])
-    manifest = Manifest(out_dir, "evaluate", resolved)
-    manifest.record_inputs(paths.all() + [Path(args.checkpoint)])
-    manifest.write()
-
-    ks = tuple(int(k) for k in str(args.k).split(","))
-    params, meta = load_checkpoint(args.checkpoint)
-    stored = meta.get("config", {})
-    config = _train_config(resolved)
-    if stored:
-        config = replace(
-            config,
-            embedding_dim=stored.get("embedding_dim", config.embedding_dim),
-            layers=stored.get("layers", config.layers),
-            gate_hidden=stored.get("gate_hidden", config.gate_hidden),
-            use_kg=stored.get("use_kg", config.use_kg),
-            model=stored.get("model", config.model),
-            seed=stored.get("seed", config.seed) if args.seed is None else config.seed,
-        )
+    manifest = Manifest(out_dir, "evaluate", applied, paths.all() + [checkpoint])
 
     bundle, _ = load_bundle(paths, hop_radius=resolved["hop_radius"])
     split = split_leave_one_out(bundle, config.seed)
     graphs = DomainGraphs.for_config(config, bundle, split)
-    score_fn = build_scorer(params, graphs, config)
-    excluded = split.train_target_items_by_user(bundle.user_count)
-    per_user, aggregates = evaluate_ranking(
-        score_fn, split.users, split.test_items, excluded, ks
-    )
+    fitted = FitResult(params, meta["best_epoch"], meta["best_validation_ndcg"], [], graphs)
+    per_user, aggregates = evaluate_fit(fitted, split, bundle, config, args.k)
 
-    metrics_path = out_dir / "metrics.tsv"
-    atomic_write_text(metrics_path, _metric_lines(aggregates))
-    manifest.record_output(metrics_path)
-    ranks_path = out_dir / "ranks.tsv"
-    atomic_write_text(ranks_path, _ranks_lines(per_user, bundle.user_ids))
-    manifest.record_output(ranks_path)
+    manifest.write_output(out_dir / "metrics.tsv", _metric_lines(aggregates))
+    manifest.write_output(out_dir / "ranks.tsv", _ranks_lines(per_user, bundle.user_ids))
     manifest.finalize()
     for (metric, k), value in sorted(aggregates.items()):
         print(f"{metric}@{k}: {value:.4f}")
@@ -396,9 +379,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_gen_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _SYNTH_DEFAULTS)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out_dir, "gen-synth", resolved)
-    manifest.write()
 
     spec = _synth_spec(resolved)
     bundle, flags = generate_synthetic(spec)
@@ -420,12 +401,8 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 def cmd_inject_noise(args: argparse.Namespace) -> int:
     resolved = _resolve(args, {"seed": 0, "ratio": args.ratio})
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     source_path = Path(args.source)
-    _require_files([source_path])
-    manifest = Manifest(out_dir, "inject-noise", resolved)
-    manifest.record_inputs([source_path])
-    manifest.write()
+    manifest = Manifest(out_dir, "inject-noise", resolved, [source_path])
 
     graph, user_ids, item_ids = load_interactions(source_path, SOURCE)
     rng = np.random.default_rng(resolved["seed"])
@@ -438,8 +415,7 @@ def cmd_inject_noise(args: argparse.Namespace) -> int:
     )
     lines = [f"# {header}"]
     lines.extend(f"{user_ids[u]}\t{item_ids[i]}" for u, i in noisy.edges)
-    atomic_write_text(out_path, "\n".join(lines) + "\n")
-    manifest.record_output(out_path)
+    manifest.write_output(out_path, "\n".join(lines) + "\n")
     manifest.finalize()
     print(f"added {added.shape[0]} noise edges -> {out_path}")
     return EXIT_OK
@@ -449,25 +425,16 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _TRAIN_DEFAULTS)
     resolved["variant"] = args.variant
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = _data_paths(args)
-    _require_files(paths.all())
-    manifest = Manifest(out_dir, "ablate", resolved)
-    manifest.record_inputs(paths.all())
-    manifest.write()
+    manifest = Manifest(out_dir, "ablate", resolved, paths.all())
 
-    ks = tuple(int(k) for k in str(args.k).split(","))
     config = _train_config(resolved)
     bundle, _ = load_bundle(paths, hop_radius=resolved["hop_radius"])
     split = split_leave_one_out(bundle, config.seed)
-    result = run_ablation(args.variant, config, bundle, split, ks)
+    result = run_ablation(args.variant, config, bundle, split, args.k)
 
-    metrics_path = out_dir / "metrics.tsv"
-    atomic_write_text(metrics_path, _metric_lines(result.aggregates, variant=args.variant))
-    manifest.record_output(metrics_path)
-    log_path = out_dir / "training_log.tsv"
-    atomic_write_text(log_path, _log_lines(result.fit_result.log))
-    manifest.record_output(log_path)
+    manifest.write_output(out_dir / "metrics.tsv", _metric_lines(result.aggregates, args.variant))
+    manifest.write_output(out_dir / "training_log.tsv", _log_lines(result.fit_result.log))
     manifest.finalize()
     for (metric, k), value in sorted(result.aggregates.items()):
         print(f"{args.variant} {metric}@{k}: {value:.4f}")

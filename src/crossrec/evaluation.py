@@ -132,6 +132,17 @@ def rank_of_held_out(scores: np.ndarray, held_item: int, excluded_items: np.ndar
     return int(better.sum() + tied_before.sum() + 1)
 
 
+def held_out_ranks(score_fn, users, held_items, excluded_by_user) -> list[int]:
+    """The rank loop of validation and test: :func:`rank_of_held_out` per user.
+
+    Arguments as for :func:`evaluate_ranking`.
+    """
+    return [
+        rank_of_held_out(score_fn(int(user)), int(held), excluded_by_user[int(user)])
+        for user, held in zip(users, held_items)
+    ]
+
+
 def evaluate_ranking(
     score_fn,
     users: np.ndarray,
@@ -144,11 +155,8 @@ def evaluate_ranking(
     ``score_fn(user)`` must return scores over every target item.  Aggregates
     are means over users multiplied by 100, the usual percentage convention.
     """
-    results = []
-    for user, held in zip(users, held_items):
-        scores = score_fn(int(user))
-        rank = rank_of_held_out(scores, int(held), excluded_by_user[int(user)])
-        results.append(RankingResult(int(user), rank, metrics_at(rank, ks)))
+    ranks = held_out_ranks(score_fn, users, held_items, excluded_by_user)
+    results = [RankingResult(int(u), rank, metrics_at(rank, ks)) for u, rank in zip(users, ranks)]
     aggregates = {
         key: 100.0 * float(np.mean([r.metrics[key] for r in results]))
         for key in results[0].metrics

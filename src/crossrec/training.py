@@ -29,7 +29,7 @@ from . import compression, transfer
 from .compression import GateNetwork
 from .data import DatasetBundle
 from .encoder import EmbeddingState, backprop_propagate, propagate
-from .evaluation import LeaveOneOutSplit, metrics_at, rank_of_held_out
+from .evaluation import LeaveOneOutSplit, held_out_ranks, metrics_at
 from .graph import (
     SOURCE,
     TARGET,
@@ -567,11 +567,11 @@ def _validation_metric(
     excluded_by_user: list[np.ndarray],
 ) -> float:
     score_fn = build_scorer(params, graphs, config)
+    ranks = held_out_ranks(score_fn, split.users, split.validation_items, excluded_by_user)
     k = config.validation_k
+    # summed left to right: np.mean differs in the last bits of best_validation
     total = 0.0
-    for user, held in zip(split.users, split.validation_items):
-        scores = score_fn(int(user))
-        rank = rank_of_held_out(scores, int(held), excluded_by_user[int(user)])
+    for rank in ranks:
         total += metrics_at(rank, (k,))[("ndcg", k)]
     return 100.0 * total / split.users.size
 

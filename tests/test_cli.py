@@ -17,8 +17,10 @@ from crossrec.cli import (
     main,
     parse_config_file,
 )
-from crossrec.data import SynthSpec
-from crossrec.training import TrainConfig
+from crossrec.data import DataPaths, SynthSpec, load_bundle
+from crossrec.evaluation import split_leave_one_out
+from crossrec.experiments import evaluate_fit
+from crossrec.training import DomainGraphs, FitResult, TrainConfig, load_checkpoint, save_checkpoint
 
 FAST_TRAIN = [
     "--embedding-dim", "8", "--gate-hidden", "8", "--epochs", "4",
@@ -60,6 +62,13 @@ class TestGenSynth:
         assert manifest["command"] == "gen-synth"
         assert manifest["finished_at"] is not None
         assert any(name.endswith("flags.tsv") for name in manifest["outputs"])
+
+    def test_training_key_in_config_file_rejected(self, tmp_path, capsys):
+        config = tmp_path / "synth.conf"
+        config.write_text("learning_rate = 0.5\n")
+        code = main(["gen-synth", "--out", str(tmp_path / "synth"), "--config", str(config)])
+        assert code == 1
+        assert "error: unknown config key 'learning_rate'" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -123,6 +132,14 @@ class TestTrain:
         assert resolved["learning_rate"] == 0.05  # from config file
         assert resolved["max_epochs"] == 3
         assert resolved["alpha1"] == 0.111  # flag beats config file
+
+    def test_synthetic_key_in_config_file_rejected(self, synth_dir, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("rho = 0.1\n")
+        code = main(["train", *data_flags(synth_dir), "--out", str(tmp_path / "run"),
+                     "--config", str(config)] + FAST_TRAIN)
+        assert code == 1
+        assert "error: unknown config key 'rho'" in capsys.readouterr().err
 
     def test_divergence_exits_one_with_error_line(self, synth_dir, tmp_path, capsys):
         flags = [*FAST_TRAIN]
@@ -190,6 +207,67 @@ class TestEvaluate:
         ])
         assert code == 2
 
+    def evaluate(self, synth_dir, trained, out, *extra):
+        code = main(["evaluate", "--checkpoint", str(trained / "best.ckpt"),
+                     *data_flags(synth_dir), "--out", str(out), *extra])
+        assert code == 0
+        return (out / "ranks.tsv").read_text()
+
+    def test_config_file_seed_sets_the_split(self, synth_dir, trained, tmp_path):
+        config = tmp_path / "eval.conf"
+        config.write_text("seed = 5\n")
+        from_config = self.evaluate(synth_dir, trained, tmp_path / "a", "--config", str(config))
+        assert from_config == self.evaluate(synth_dir, trained, tmp_path / "b", "--seed", "5")
+        assert from_config != self.evaluate(synth_dir, trained, tmp_path / "c", "--seed", "3")
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 5
+
+    def test_no_seed_uses_the_checkpoint_split(self, synth_dir, trained, tmp_path):
+        # the trained fixture used seed 3
+        assert (self.evaluate(synth_dir, trained, tmp_path / "a")
+                == self.evaluate(synth_dir, trained, tmp_path / "b", "--seed", "3"))
+
+    def test_manifest_records_the_checkpoint_config(self, synth_dir, trained, tmp_path):
+        self.evaluate(synth_dir, trained, tmp_path / "eval", "--k", "5,20")
+        _, meta = load_checkpoint(trained / "best.ckpt")
+        recorded = json.loads((tmp_path / "eval" / "manifest.json").read_text())["config"]
+        assert recorded == {**meta["config"], "seed": 3, "hop_radius": 1, "k": [5, 20]}
+        assert recorded["embedding_dim"] == 8
+
+    def test_ranks_equal_evaluate_fit(self, synth_dir, trained, tmp_path):
+        ranks = self.evaluate(synth_dir, trained, tmp_path / "eval")
+        params, meta = load_checkpoint(trained / "best.ckpt")
+        stored = meta["config"]
+        config = TrainConfig(**{**stored, "alphas": tuple(stored["alphas"])})
+        bundle, _ = load_bundle(DataPaths(*(synth_dir / f"{name}.tsv" for name in
+                                            ("source", "target", "kg", "map_source", "map_target"))))
+        split = split_leave_one_out(bundle, config.seed)
+        fitted = FitResult(params, 0, 0.0, [], DomainGraphs.for_config(config, bundle, split))
+        per_user, _ = evaluate_fit(fitted, split, bundle, config)
+        expected = ["user\trank"] + [f"{bundle.user_ids[r.user]}\t{r.rank}" for r in per_user]
+        assert ranks == "\n".join(expected) + "\n"
+
+    def test_checkpoint_without_metadata_exits_one(self, synth_dir, trained, tmp_path, capsys):
+        params, _ = load_checkpoint(trained / "best.ckpt")
+        bare = tmp_path / "bare.ckpt"
+        save_checkpoint(bare, params, {})
+        code = main(["evaluate", "--checkpoint", str(bare), *data_flags(synth_dir),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert "has no training metadata" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+@pytest.mark.parametrize("k", ["0", "-5", "x", "10,0"])
+def test_k_must_be_positive_integers(synth_dir, tmp_path, command, k):
+    head = {"evaluate": ["evaluate", "--checkpoint", str(tmp_path / "any.ckpt")],
+            "ablate": ["ablate", "--variant", "full"]}[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main([*head, *data_flags(synth_dir), "--out", str(out), f"--k={k}"])
+    assert excinfo.value.code == 2
+    assert not out.exists()
+
 
 class TestInjectNoise:
     def test_exact_ten_percent(self, synth_dir, tmp_path):
@@ -228,6 +306,12 @@ class TestInjectNoise:
         manifest = json.loads((out / "manifest.json").read_text())
         header = (out / "noisy_source.tsv").read_text().split("\n", 1)[0]
         return manifest["config"]["seed"], header.split(" seed=")[1].split()[0]
+
+    def test_missing_source_exit_two(self, synth_dir, tmp_path, capsys):
+        code = main(["inject-noise", "--source", str(tmp_path / "no.tsv"), "--ratio", "0.05",
+                     "--out", str(tmp_path / "noise")])
+        assert code == 2
+        assert "no.tsv" in capsys.readouterr().err
 
     def test_missing_config_exit_two(self, synth_dir, tmp_path):
         code = self.noise_run(synth_dir, tmp_path / "noise", "--config", str(tmp_path / "no.conf"))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crossrec.evaluation import (
+    held_out_ranks,
     inject_source_noise,
     metrics_at,
     rank_of_held_out,
@@ -142,6 +143,22 @@ class TestRankOfHeldOut:
         shuffled_excluded = np.array([7, 3])
         again = [rank_of_held_out(scores, h, shuffled_excluded) for h in range(20) if h not in (3, 7)]
         assert ranks == again
+
+
+class TestHeldOutRanks:
+    def test_equals_per_user_rank_of_held_out(self):
+        # rounded scores force ties; each user excludes a few items
+        rng = np.random.default_rng(13)
+        n_users, n_items = 30, 25
+        scores = np.round(rng.normal(size=(n_users, n_items)), 1)
+        excluded = [rng.choice(n_items, size=int(rng.integers(0, 8)), replace=False)
+                    for _ in range(n_users)]
+        users = np.array([3, 0, 29, 17, 8, 11])
+        held = np.array([int(rng.choice(np.setdiff1d(np.arange(n_items), excluded[u])))
+                         for u in users])
+        expected = [rank_of_held_out(scores[u], h, excluded[u]) for u, h in zip(users, held)]
+        assert held_out_ranks(lambda u: scores[u], users, held, excluded) == expected
+        assert expected == [brute_force_rank(scores[u], h, excluded[u]) for u, h in zip(users, held)]
 
 
 class TestEvaluateRanking:

@@ -378,6 +378,38 @@ class TestFit:
         assert len(result.log) < 50
 
 
+def validation_oracle(params, graphs, config, split, excluded_by_user):
+    """The per-user validation loop from before ranking had one routine."""
+    from crossrec.evaluation import metrics_at, rank_of_held_out
+    from crossrec.training import build_scorer
+
+    score_fn = build_scorer(params, graphs, config)
+    k = config.validation_k
+    total = 0.0
+    for user, held in zip(split.users, split.validation_items):
+        scores = score_fn(int(user))
+        rank = rank_of_held_out(scores, int(held), excluded_by_user[int(user)])
+        total += metrics_at(rank, (k,))[("ndcg", k)]
+    return 100.0 * total / split.users.size
+
+
+class TestValidationOracle:
+    @pytest.mark.parametrize("model", ["cross", TARGET_ONLY])
+    @pytest.mark.parametrize("epochs", [0, 6])
+    def test_bit_identical_to_the_loop(self, tiny_bundle, tiny_split, model, epochs):
+        from crossrec.training import _validation_metric
+
+        bundle, _ = tiny_bundle
+        config = TrainConfig(
+            embedding_dim=8, gate_hidden=8, max_epochs=epochs, seed=5, batch_size=8,
+            learning_rate=0.1, patience=0, model=model,
+        )
+        result = fit(config, bundle, tiny_split)
+        excluded = tiny_split.train_target_items_by_user(bundle.user_count)
+        args = (result.params, result.graphs, config, tiny_split, excluded)
+        assert _validation_metric(*args) == validation_oracle(*args)
+
+
 class TestCheckpoints:
     def test_roundtrip(self, tiny_bundle, tmp_path):
         bundle, _ = tiny_bundle
