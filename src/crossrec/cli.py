@@ -4,10 +4,10 @@ Subcommands: ``train``, ``evaluate``, ``gen-synth``, ``inject-noise``,
 ``ablate``.  Every run resolves its configuration from built-in defaults,
 then an optional ``key = value`` config file (only the command's own keys),
 then explicit flags (highest precedence), writes a manifest with input
-digests before doing any work, and finalizes it on exit.  All outputs are
-written atomically (write-then-rename) under the ``--out`` directory, and
-identical inputs plus an identical seed reproduce byte-identical outputs
-apart from the manifest's timestamps.
+digests before doing any work (``evaluate`` reads its checkpoint first), and
+finalizes it on exit.  All outputs are written atomically (write-then-rename)
+under the ``--out`` directory, and identical inputs plus an identical seed
+reproduce byte-identical outputs apart from the manifest's timestamps.
 
 ``evaluate`` takes the model configuration from the checkpoint.  The
 leave-one-out split is derived from the seed: ``--seed``, else the config
@@ -351,12 +351,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     checkpoint = Path(args.checkpoint)
     params, meta = load_checkpoint(checkpoint)
-    if not {"config", "best_epoch", "best_validation_ndcg"} <= meta.keys():
-        raise ValueError(f"{checkpoint} has no training metadata; was it written by train?")
-    stored = meta["config"]
-    # the config file shares the training keys; only seed and hop_radius apply
-    resolved = _resolve(args, {**_TRAIN_DEFAULTS, "seed": stored["seed"]})
-    config = TrainConfig(**{**stored, "alphas": tuple(stored["alphas"]), "seed": resolved["seed"]})
+    try:
+        stored = {**meta["config"], "alphas": tuple(meta["config"]["alphas"])}
+        # the config file shares the training keys; only seed and hop_radius apply
+        resolved = _resolve(args, {**_TRAIN_DEFAULTS, "seed": stored["seed"]})
+        config = TrainConfig(**{**stored, "seed": resolved["seed"]})
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"{checkpoint} has no usable training config: {error!r}") from None
     applied = {**stored, "seed": config.seed, "hop_radius": resolved["hop_radius"], "k": args.k}
     out_dir = Path(args.out)
     paths = _data_paths(args)
@@ -365,7 +366,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     bundle, _ = load_bundle(paths, hop_radius=resolved["hop_radius"])
     split = split_leave_one_out(bundle, config.seed)
     graphs = DomainGraphs.for_config(config, bundle, split)
-    fitted = FitResult(params, meta["best_epoch"], meta["best_validation_ndcg"], [], graphs)
+    fitted = FitResult(params, 0, 0.0, [], graphs)  # evaluate_fit reads params, graphs only
     per_user, aggregates = evaluate_fit(fitted, split, bundle, config, args.k)
 
     manifest.write_output(out_dir / "metrics.tsv", _metric_lines(aggregates))
@@ -399,7 +400,7 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_inject_noise(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, {"seed": 0, "ratio": args.ratio})
+    resolved = {**_resolve(args, {"seed": 0}), "ratio": args.ratio}
     out_dir = Path(args.out)
     source_path = Path(args.source)
     manifest = Manifest(out_dir, "inject-noise", resolved, [source_path])

@@ -247,14 +247,22 @@ class TestEvaluate:
         expected = ["user\trank"] + [f"{bundle.user_ids[r.user]}\t{r.rank}" for r in per_user]
         assert ranks == "\n".join(expected) + "\n"
 
-    def test_checkpoint_without_metadata_exits_one(self, synth_dir, trained, tmp_path, capsys):
-        params, _ = load_checkpoint(trained / "best.ckpt")
+    @pytest.mark.parametrize("damage", ["no metadata", "no seed", "no alphas", "unknown field"])
+    def test_checkpoint_without_usable_config_exits_one(
+        self, synth_dir, trained, tmp_path, capsys, damage
+    ):
+        params, meta = load_checkpoint(trained / "best.ckpt")
+        config = dict(meta["config"])
+        if damage == "unknown field":
+            config["dropout"] = 0.5
+        elif damage != "no metadata":
+            del config[damage.split()[1]]
         bare = tmp_path / "bare.ckpt"
-        save_checkpoint(bare, params, {})
+        save_checkpoint(bare, params, {} if damage == "no metadata" else {"config": config})
         code = main(["evaluate", "--checkpoint", str(bare), *data_flags(synth_dir),
                      "--out", str(tmp_path / "eval")])
         assert code == 1
-        assert "has no training metadata" in capsys.readouterr().err
+        assert "has no usable training config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "ablate"])
@@ -323,6 +331,12 @@ class TestInjectNoise:
         out = tmp_path / "noise"
         assert self.noise_run(synth_dir, out, "--config", str(config)) == 0
         assert self.seed_used(out) == (5, "5")
+
+    def test_ratio_in_config_file_rejected(self, synth_dir, tmp_path, capsys):
+        config = tmp_path / "noise.conf"
+        config.write_text("ratio = 0.3\n")
+        assert self.noise_run(synth_dir, tmp_path / "noise", "--config", str(config)) == 1
+        assert "unknown config key 'ratio'" in capsys.readouterr().err
 
     def test_seed_flag_beats_config_file(self, synth_dir, tmp_path):
         config = tmp_path / "noise.conf"
