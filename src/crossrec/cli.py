@@ -283,6 +283,14 @@ def _data_paths(args: argparse.Namespace) -> DataPaths:
     )
 
 
+def _load_split(paths: DataPaths, hop_radius: int, seed: int):
+    """Load the dataset, warning about skipped malformed lines, and split it by ``seed``."""
+    bundle, report = load_bundle(paths, hop_radius=hop_radius)
+    if report.malformed:
+        print(f"warning: {len(report.malformed)} malformed lines skipped", file=sys.stderr)
+    return bundle, split_leave_one_out(bundle, seed)
+
+
 def _metric_lines(aggregates: dict, variant: str | None = None) -> str:
     lines = []
     for (metric, k), value in sorted(aggregates.items()):
@@ -317,10 +325,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest = Manifest(out_dir, "train", resolved, paths.all())
 
     config = _train_config(resolved)
-    bundle, report = load_bundle(paths, hop_radius=resolved["hop_radius"])
-    if report.malformed:
-        print(f"warning: {len(report.malformed)} malformed lines skipped", file=sys.stderr)
-    split = split_leave_one_out(bundle, config.seed)
+    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed)
     result = fit(config, bundle, split)
 
     checkpoint = out_dir / "best.ckpt"
@@ -363,8 +368,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     paths = _data_paths(args)
     manifest = Manifest(out_dir, "evaluate", applied, paths.all() + [checkpoint])
 
-    bundle, _ = load_bundle(paths, hop_radius=resolved["hop_radius"])
-    split = split_leave_one_out(bundle, config.seed)
+    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed)
     graphs = DomainGraphs.for_config(config, bundle, split)
     fitted = FitResult(params, 0, 0.0, [], graphs)  # evaluate_fit reads params, graphs only
     per_user, aggregates = evaluate_fit(fitted, split, bundle, config, args.k)
@@ -423,15 +427,13 @@ def cmd_inject_noise(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _TRAIN_DEFAULTS)
-    resolved["variant"] = args.variant
+    resolved = {**_resolve(args, _TRAIN_DEFAULTS), "variant": args.variant, "k": args.k}
     out_dir = Path(args.out)
     paths = _data_paths(args)
     manifest = Manifest(out_dir, "ablate", resolved, paths.all())
 
     config = _train_config(resolved)
-    bundle, _ = load_bundle(paths, hop_radius=resolved["hop_radius"])
-    split = split_leave_one_out(bundle, config.seed)
+    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed)
     result = run_ablation(args.variant, config, bundle, split, args.k)
 
     manifest.write_output(out_dir / "metrics.tsv", _metric_lines(result.aggregates, args.variant))

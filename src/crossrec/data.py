@@ -25,6 +25,7 @@ from .graph import (
     InteractionGraph,
     KnowledgeLinkage,
     scope_entity_edges,
+    unique_edges,
 )
 
 
@@ -136,17 +137,6 @@ def _read_id_map(path: Path) -> _Indexer:
     return _Indexer([raw_id for raw_id, _ in pairs], frozen=True)
 
 
-def _dedupe(edges: list[tuple[int, int]]) -> tuple[np.ndarray, int]:
-    seen: set[tuple[int, int]] = set()
-    unique: list[tuple[int, int]] = []
-    for edge in edges:
-        if edge not in seen:
-            seen.add(edge)
-            unique.append(edge)
-    arr = np.asarray(unique, dtype=np.int64).reshape(len(unique), 2)
-    return arr, len(edges) - len(unique)
-
-
 def load_bundle(
     paths: DataPaths, hop_radius: int = 1, id_dir: Path | None = None
 ) -> tuple[DatasetBundle, LoadReport]:
@@ -218,7 +208,7 @@ def load_bundle(
 
     edges = {}
     for domain in (SOURCE, TARGET):
-        edges[domain], dupes = _dedupe(kept[domain])
+        edges[domain], dupes = unique_edges(kept[domain])
         report.duplicate_edges[domain] = dupes
         report.kept_edges[domain] = edges[domain].shape[0]
 
@@ -248,7 +238,7 @@ def load_interactions(path: Path, domain_tag: str = SOURCE) -> tuple[Interaction
     rows = _read_rows(path, report, 2)
     users, items = _Indexer(), _Indexer()
     edges = [(users.index(u), items.index(i)) for u, i in rows]
-    arr, _ = _dedupe(edges)
+    arr, _ = unique_edges(edges)
     if not len(arr):
         raise ValueError(f"no interactions found in {path}")
     return InteractionGraph(domain_tag, len(users), len(items), arr), users.ids, items.ids

@@ -1,4 +1,5 @@
-"""Leave-one-out splitting, ranking metrics, and source-noise injection.
+"""The per-user item index, leave-one-out splitting, ranking metrics, and
+source-noise injection.
 
 This module is model-agnostic: evaluation consumes a scoring callback that
 maps a user index to scores over the full target catalog, so any trained
@@ -20,6 +21,30 @@ METRICS = ("ndcg", "hit", "mrr")
 
 
 @dataclass(frozen=True)
+class UserItems:
+    """Per-user item index in CSR form: ``index[u]`` is user u's items in edge order.
+
+    ``rows`` holds the (user, item) edges stably sorted by user, so user u's
+    edges are ``rows[indptr[u]:indptr[u + 1]]``.
+    """
+
+    indptr: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def build(cls, edges: np.ndarray, user_count: int) -> UserItems:
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(edges[:, 0], minlength=user_count))))
+        return cls(indptr, edges[np.argsort(edges[:, 0], kind="stable")])
+
+    def __getitem__(self, user: int) -> np.ndarray:
+        return self.rows[self.indptr[user] : self.indptr[user + 1], 1]
+
+    def counts(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+
+@dataclass(frozen=True)
 class LeaveOneOutSplit:
     """Per-user holdout: one validation and one test target item each.
 
@@ -34,18 +59,8 @@ class LeaveOneOutSplit:
     test_items: np.ndarray
     excluded_users: int
 
-    def train_target_items_by_user(self, user_count: int) -> list[np.ndarray]:
-        return _items_by_user(self.train_target, user_count)
-
-    def train_source_items_by_user(self, user_count: int) -> list[np.ndarray]:
-        return _items_by_user(self.train_source, user_count)
-
-
-def _items_by_user(edges: np.ndarray, user_count: int) -> list[np.ndarray]:
-    buckets: list[list[int]] = [[] for _ in range(user_count)]
-    for user, item in edges:
-        buckets[user].append(int(item))
-    return [np.asarray(bucket, dtype=np.int64) for bucket in buckets]
+    def train_target_items_by_user(self, user_count: int) -> UserItems:
+        return UserItems.build(self.train_target, user_count)
 
 
 def split_leave_one_out(bundle: DatasetBundle, rng) -> LeaveOneOutSplit:
@@ -60,37 +75,25 @@ def split_leave_one_out(bundle: DatasetBundle, rng) -> LeaveOneOutSplit:
         rng = np.random.default_rng(rng)
 
     n_users = bundle.user_count
-    source_items = _items_by_user(bundle.source.edges, n_users)
-    target_items = _items_by_user(bundle.target.edges, n_users)
-
-    qualified: list[int] = []
-    validation: list[int] = []
-    test: list[int] = []
-    train_target: list[tuple[int, int]] = []
-    train_source: list[tuple[int, int]] = []
-    excluded = 0
-    for user in range(n_users):
-        if len(source_items[user]) <= 3 or len(target_items[user]) <= 3:
-            excluded += 1
-            continue
-        held = rng.choice(target_items[user], size=2, replace=False)
-        qualified.append(user)
-        validation.append(int(held[0]))
-        test.append(int(held[1]))
-        held_set = {int(held[0]), int(held[1])}
-        train_target.extend((user, int(i)) for i in target_items[user] if int(i) not in held_set)
-        train_source.extend((user, int(i)) for i in source_items[user])
-
-    if not qualified:
+    source = UserItems.build(bundle.source.edges, n_users)
+    target = UserItems.build(bundle.target.edges, n_users)
+    qualified = (source.counts() > 3) & (target.counts() > 3)
+    users = np.flatnonzero(qualified)
+    if not users.size:
         raise ValueError("no users qualify for leave-one-out evaluation")
 
+    held = np.full((n_users, 2), -1, dtype=np.int64)
+    for user in users:
+        held[user] = rng.choice(target[user], size=2, replace=False)
+    owner, item = target.rows[:, 0], target.rows[:, 1]
+    keep = qualified[owner] & (item != held[owner, 0]) & (item != held[owner, 1])
     return LeaveOneOutSplit(
-        users=np.asarray(qualified, dtype=np.int64),
-        train_source=np.asarray(train_source, dtype=np.int64),
-        train_target=np.asarray(train_target, dtype=np.int64),
-        validation_items=np.asarray(validation, dtype=np.int64),
-        test_items=np.asarray(test, dtype=np.int64),
-        excluded_users=excluded,
+        users=users,
+        train_source=source.rows[qualified[source.rows[:, 0]]],
+        train_target=target.rows[keep],
+        validation_items=held[users, 0],
+        test_items=held[users, 1],
+        excluded_users=n_users - users.size,
     )
 
 
@@ -147,7 +150,7 @@ def evaluate_ranking(
     score_fn,
     users: np.ndarray,
     held_items: np.ndarray,
-    excluded_by_user: list[np.ndarray],
+    excluded_by_user: UserItems,
     ks: tuple[int, ...] = (10, 100),
 ) -> tuple[list[RankingResult], dict[tuple[str, int], float]]:
     """Rank each user's held-out item against the full remaining catalog.

@@ -46,6 +46,14 @@ def _check_range(edges: np.ndarray, limits: tuple[int, int], label: str) -> None
             )
 
 
+def unique_edges(edges) -> tuple[np.ndarray, int]:
+    """The first occurrence of each (a, b) pair, in input order, and the count of repeats."""
+    edges = _as_edge_array(edges)
+    key = edges[:, 0] * (int(edges[:, 1].max(initial=0)) + 1) + edges[:, 1]
+    _, first = np.unique(key, return_index=True)
+    return edges[np.sort(first)], edges.shape[0] - first.size
+
+
 @dataclass(frozen=True)
 class InteractionGraph:
     """Implicit-feedback bipartite graph of one domain.
@@ -163,17 +171,13 @@ def assemble_adjacency(graph: InteractionGraph, kg: KnowledgeLinkage) -> SparseG
     n = n_u + n_i + n_e
 
     def dedupe_input(edges: np.ndarray, label: str) -> np.ndarray:
-        if not edges.size:
-            return edges
-        flat = edges[:, 0] * np.int64(n) + edges[:, 1]
-        _, first = np.unique(flat, return_index=True)
-        removed = edges.shape[0] - first.size
+        edges, removed = unique_edges(edges)
         if removed:
             log.warning(
                 "%s adjacency: collapsed %d duplicate %s edges",
                 graph.domain_tag, removed, label,
             )
-        return edges[np.sort(first)]
+        return edges
 
     interactions = dedupe_input(graph.edges, "interaction")
     links = dedupe_input(item_entity, "item-entity")

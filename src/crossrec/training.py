@@ -29,7 +29,7 @@ from . import compression, transfer
 from .compression import GateNetwork
 from .data import DatasetBundle
 from .encoder import EmbeddingState, backprop_propagate, propagate
-from .evaluation import LeaveOneOutSplit, held_out_ranks, metrics_at
+from .evaluation import LeaveOneOutSplit, UserItems, held_out_ranks, metrics_at
 from .graph import (
     SOURCE,
     TARGET,
@@ -525,37 +525,30 @@ def _sample_batches(
     rng: np.random.Generator,
     users: np.ndarray,
     batch_size: int,
-    items_by_user: dict[str, list[np.ndarray]],
-    item_counts: dict[str, int],
-    domains: tuple[str, ...],
+    owned: dict[str, tuple[UserItems, int]],
 ) -> list[Batch]:
-    """Shuffle users and draw one positive and one uniform negative per domain."""
+    """Shuffle users and draw one positive and one uniform negative per domain.
+
+    ``owned`` maps each sampled domain, source first, to its training items
+    by user and its item count.
+    """
     order = rng.permutation(users)
     batches = []
-    sets = {
-        domain: [set(arr.tolist()) for arr in items_by_user[domain]] for domain in domains
-    }
     for start in range(0, order.size, batch_size):
         chunk = order[start : start + batch_size]
-        sampled: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for domain in domains:
+        sampled = {SOURCE: (None, None)}
+        for domain, (index, n_items) in owned.items():
             pos = np.empty(chunk.size, dtype=np.int64)
             neg = np.empty(chunk.size, dtype=np.int64)
-            n_items = item_counts[domain]
             for row, user in enumerate(chunk):
-                owned = items_by_user[domain][user]
-                pos[row] = owned[rng.integers(owned.size)]
+                items = index[user].tolist()
+                pos[row] = items[rng.integers(len(items))]
                 candidate = int(rng.integers(n_items))
-                while candidate in sets[domain][user]:
+                while candidate in items:
                     candidate = int(rng.integers(n_items))
                 neg[row] = candidate
             sampled[domain] = (pos, neg)
-        if SOURCE in domains:
-            batches.append(
-                Batch(chunk, *sampled[SOURCE], *sampled[TARGET])
-            )
-        else:
-            batches.append(Batch(chunk, None, None, *sampled[TARGET]))
+        batches.append(Batch(chunk, *sampled[SOURCE], *sampled[TARGET]))
     return batches
 
 
@@ -564,7 +557,7 @@ def _validation_metric(
     graphs: DomainGraphs,
     config: TrainConfig,
     split: LeaveOneOutSplit,
-    excluded_by_user: list[np.ndarray],
+    excluded_by_user: UserItems,
 ) -> float:
     score_fn = build_scorer(params, graphs, config)
     ranks = held_out_ranks(score_fn, split.users, split.validation_items, excluded_by_user)
@@ -591,12 +584,17 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
     graphs = DomainGraphs.for_config(config, bundle, split)
     params = init_parameters(config, bundle)
     excluded_by_user = split.train_target_items_by_user(bundle.user_count)
-
-    domains = (SOURCE, TARGET) if config.model == CROSS else (TARGET,)
-    items_by_user = {TARGET: excluded_by_user}
+    owned = {TARGET: (excluded_by_user, bundle.target.item_count)}
     if config.model == CROSS:
-        items_by_user[SOURCE] = split.train_source_items_by_user(bundle.user_count)
-    item_counts = {SOURCE: bundle.source.item_count, TARGET: bundle.target.item_count}
+        source = UserItems.build(split.train_source, bundle.user_count)
+        owned = {SOURCE: (source, bundle.source.item_count), **owned}
+    # a user owning a whole catalog would leave the negative draw spinning
+    for domain, (index, n_items) in owned.items():
+        pairs = np.unique(index.rows[:, 0] * n_items + index.rows[:, 1])
+        full = np.bincount(pairs // n_items, minlength=bundle.user_count)[split.users] >= n_items
+        if full.any():
+            user = bundle.user_ids[split.users[full.argmax()]]
+            raise ValueError(f"user {user!r} owns every {domain} item: no negative to sample")
 
     best = params.copy()
     best_metric = -np.inf
@@ -605,9 +603,7 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_EPOCH, epoch]))
-        batches = _sample_batches(
-            rng, split.users, config.batch_size, items_by_user, item_counts, domains
-        )
+        batches = _sample_batches(rng, split.users, config.batch_size, owned)
         sums = np.zeros(5)
         weight = 0
         for step, batch in enumerate(batches):

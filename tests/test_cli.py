@@ -1,6 +1,7 @@
 """Command-line contract: files produced, exit codes, idempotency."""
 
 import json
+import shutil
 from dataclasses import asdict
 from pathlib import Path
 
@@ -164,6 +165,21 @@ class TestTrain:
         assert epochs_run < 50  # early stopping fired
         assert f"trained {epochs_run} epochs;" in capsys.readouterr().out
 
+    def test_user_owning_a_whole_catalog_exits_one(self, tmp_path, capsys):
+        # u0 owns all four source items, so no source negative can be drawn
+        files = {
+            "source": [f"u0\ts{i}" for i in range(4)] + ["u1\ts0", "u2\ts1"],
+            "target": [f"u0\tt{i}" for i in range(6)] + ["u1\tt0", "u2\tt1"],
+            "kg": ["es0\tet0"],
+            "map_source": [f"s{i}\tes{i}" for i in range(4)],
+            "map_target": [f"t{i}\tet{i}" for i in range(8)],
+        }
+        for name, lines in files.items():
+            (tmp_path / f"{name}.tsv").write_text("\n".join(lines) + "\n")
+        code = main(["train", *data_flags(tmp_path), "--out", str(tmp_path / "run")] + FAST_TRAIN)
+        assert code == 1
+        assert "error: user 'u0' owns every source item" in capsys.readouterr().err
+
     def test_unknown_flag_fails_fast(self, synth_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["train", *data_flags(synth_dir), "--out", str(tmp_path), "--bogus", "1"])
@@ -265,6 +281,22 @@ class TestEvaluate:
         assert "has no usable training config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+def test_malformed_lines_warned(synth_dir, trained, tmp_path, capsys, command):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    with open(data / "target.tsv", "a", encoding="utf-8") as handle:
+        handle.write("no tab on this line\n")
+    extra = {
+        "train": FAST_TRAIN,
+        "evaluate": ["--checkpoint", str(trained / "best.ckpt")],
+        "ablate": ["--variant", "target-only", *FAST_TRAIN],
+    }[command]
+    code = main([command, *data_flags(data), "--out", str(tmp_path / "out"), *extra])
+    assert code == 0
+    assert "warning: 1 malformed lines skipped" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "ablate"])
 @pytest.mark.parametrize("k", ["0", "-5", "x", "10,0"])
 def test_k_must_be_positive_integers(synth_dir, tmp_path, command, k):
@@ -357,6 +389,15 @@ class TestAblate:
         rows = (out / "metrics.tsv").read_text().strip().split("\n")
         assert all(row.startswith("no-kl\t") for row in rows)
         assert len(rows) == 3  # three metrics at one cutoff
+
+    def test_manifest_records_the_cutoffs(self, synth_dir, tmp_path):
+        out = tmp_path / "ablation"
+        code = main(["ablate", "--variant", "target-only", *data_flags(synth_dir),
+                     "--out", str(out), "--k", "5,20"] + FAST_TRAIN)
+        assert code == 0
+        recorded = json.loads((out / "manifest.json").read_text())["config"]
+        assert recorded["k"] == [5, 20]
+        assert recorded["variant"] == "target-only"
 
     def test_rejects_unknown_variant(self, synth_dir, tmp_path):
         with pytest.raises(SystemExit):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crossrec.evaluation import (
+    UserItems,
     held_out_ranks,
     inject_source_noise,
     metrics_at,
@@ -15,6 +16,8 @@ from crossrec.evaluation import (
 )
 from crossrec.graph import InteractionGraph, KnowledgeLinkage
 from crossrec.data import DatasetBundle, SynthSpec, generate_synthetic
+from crossrec.experiments import contaminate_split
+from crossrec.training import Batch, _sample_batches
 
 
 def brute_force_rank(scores, held_item, excluded_items):
@@ -37,6 +40,135 @@ def make_bundle(source_edges, target_edges, n_users, n_items):
         target_item_ids=[f"t{i}" for i in range(n_items)],
         entity_ids=[],
     )
+
+
+def items_by_user_oracle(edges, user_count):
+    """Per-edge bucketing: each user's items as an int64 array, in edge order."""
+    buckets = [[] for _ in range(user_count)]
+    for user, item in edges:
+        buckets[user].append(int(item))
+    return [np.asarray(bucket, dtype=np.int64) for bucket in buckets]
+
+
+def split_oracle(bundle, seed):
+    """Per-user loop over the bucketed edges: the leave-one-out split's arrays."""
+    rng = np.random.default_rng(seed)
+    source_items = items_by_user_oracle(bundle.source.edges, bundle.user_count)
+    target_items = items_by_user_oracle(bundle.target.edges, bundle.user_count)
+    users, validation, test, train_target, train_source = [], [], [], [], []
+    for user in range(bundle.user_count):
+        if len(source_items[user]) <= 3 or len(target_items[user]) <= 3:
+            continue
+        held = rng.choice(target_items[user], size=2, replace=False)
+        users.append(user)
+        validation.append(int(held[0]))
+        test.append(int(held[1]))
+        held_set = {int(held[0]), int(held[1])}
+        train_target.extend((user, int(i)) for i in target_items[user] if int(i) not in held_set)
+        train_source.extend((user, int(i)) for i in source_items[user])
+    as_array = lambda values: np.asarray(values, dtype=np.int64)  # noqa: E731
+    return {
+        "users": as_array(users), "train_source": as_array(train_source),
+        "train_target": as_array(train_target), "validation_items": as_array(validation),
+        "test_items": as_array(test),
+    }, bundle.user_count - len(users)
+
+
+def sample_batches_oracle(rng, users, batch_size, items_by_user, item_counts):
+    """Shuffle, then per user a positive and a rejection-sampled negative per domain."""
+    order = rng.permutation(users)
+    sets = {d: [set(a.tolist()) for a in by_user] for d, by_user in items_by_user.items()}
+    batches = []
+    for start in range(0, order.size, batch_size):
+        chunk = order[start : start + batch_size]
+        sampled = {"source": (None, None)}
+        for domain, by_user in items_by_user.items():
+            pos = np.empty(chunk.size, dtype=np.int64)
+            neg = np.empty(chunk.size, dtype=np.int64)
+            for row, user in enumerate(chunk):
+                pos[row] = by_user[user][rng.integers(by_user[user].size)]
+                candidate = int(rng.integers(item_counts[domain]))
+                while candidate in sets[domain][user]:
+                    candidate = int(rng.integers(item_counts[domain]))
+                neg[row] = candidate
+            sampled[domain] = (pos, neg)
+        batches.append(Batch(chunk, *sampled["source"], *sampled["target"]))
+    return batches
+
+
+def assert_same_array(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected)
+
+
+def awkward_bundle():
+    """Shuffled edges; user 5 has none, user 6 too few target ones, user 0 a
+    triplicated target item that the holdout can draw."""
+    rng = np.random.default_rng(4)
+    source = [(u, int(i)) for u in range(5) for i in rng.choice(9, 5, replace=False)]
+    source += [(6, i) for i in range(6)]
+    target = [(0, 3), (0, 3), (0, 3), (0, 4), (0, 5), (0, 6)]
+    target += [(u, int(i)) for u in range(1, 5) for i in rng.choice(9, 6, replace=False)]
+    target += [(6, 0), (6, 1)]
+    source, target = (np.asarray(e)[rng.permutation(len(e))] for e in (source, target))
+    return make_bundle(source, target, 7, 9)
+
+
+class TestUserItems:
+    @pytest.mark.parametrize("domain", ["source", "target"])
+    def test_matches_per_edge_buckets(self, domain):
+        bundle = awkward_bundle()
+        edges = getattr(bundle, domain).edges
+        index = UserItems.build(edges, bundle.user_count)
+        expected = items_by_user_oracle(edges, bundle.user_count)
+        for user in range(bundle.user_count):
+            assert_same_array(np.ascontiguousarray(index[user]), expected[user])
+        assert index.counts().tolist() == [len(items) for items in expected]
+
+    def test_split_matches_per_user_loop(self):
+        bundle = awkward_bundle()
+        held_duplicate = False
+        for seed in range(10):
+            split = split_leave_one_out(bundle, seed)
+            expected, excluded = split_oracle(bundle, seed)
+            for name, array in expected.items():
+                assert_same_array(getattr(split, name), array)
+            assert split.excluded_users == excluded == 2
+            held_duplicate |= 3 in (split.validation_items[0], split.test_items[0])
+        assert held_duplicate  # every copy of a held-out item leaves the training edges
+
+    def test_split_matches_per_user_loop_on_synthetic_data(self, tiny_bundle):
+        bundle, _ = tiny_bundle
+        split = split_leave_one_out(bundle, 3)
+        expected, excluded = split_oracle(bundle, 3)
+        for name, array in expected.items():
+            assert_same_array(getattr(split, name), array)
+        assert split.excluded_users == excluded
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 16])
+    @pytest.mark.parametrize("domains", [("source", "target"), ("target",)])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_sampler_matches_per_user_sets(self, tiny_bundle, tiny_split, batch_size,
+                                           domains, noisy):
+        # the noisy split's source edges are no longer sorted by user
+        bundle, _ = tiny_bundle
+        split = contaminate_split(bundle, tiny_split, 0.3, 5) if noisy else tiny_split
+        edges = {"source": split.train_source, "target": split.train_target}
+        counts = {"source": bundle.source.item_count, "target": bundle.target.item_count}
+        owned = {d: (UserItems.build(edges[d], bundle.user_count), counts[d]) for d in domains}
+        by_user = {d: items_by_user_oracle(edges[d], bundle.user_count) for d in domains}
+        batches = _sample_batches(np.random.default_rng(9), split.users, batch_size, owned)
+        expected = sample_batches_oracle(
+            np.random.default_rng(9), split.users, batch_size, by_user, counts
+        )
+        assert len(batches) == len(expected)
+        for batch, oracle in zip(batches, expected):
+            for name in ("users", "pos_source", "neg_source", "pos_target", "neg_target"):
+                if getattr(oracle, name) is None:
+                    assert getattr(batch, name) is None
+                else:
+                    assert_same_array(getattr(batch, name), getattr(oracle, name))
 
 
 class TestSplit:

@@ -13,6 +13,7 @@ from crossrec.graph import (
     assemble_adjacency,
     normalize_symmetric,
     scope_entity_edges,
+    unique_edges,
 )
 
 
@@ -107,6 +108,20 @@ class TestAssembleAdjacency:
             result = assemble_adjacency(graph, KnowledgeLinkage.empty())
         assert result.nnz == 4
         assert "1 duplicate interaction" in caplog.text
+
+    @pytest.mark.parametrize("count", [0, 1, 50, 400])
+    def test_unique_edges_keep_first_occurrences(self, count):
+        rng = np.random.default_rng(count)
+        edges = [tuple(int(v) for v in rng.integers(0, 6, size=2)) for _ in range(count)]
+        seen, oracle = set(), []
+        for edge in edges:
+            if edge not in seen:
+                seen.add(edge)
+                oracle.append(edge)
+        unique, removed = unique_edges(edges)
+        assert unique.dtype == np.int64 and unique.shape == (len(oracle), 2)
+        assert [tuple(row) for row in unique.tolist()] == oracle
+        assert removed == count - len(oracle)
 
     def test_entity_self_loops_dropped(self, caplog):
         graph = InteractionGraph("source", 1, 1, [(0, 0)])

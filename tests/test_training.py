@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from crossrec.data import DatasetBundle
 from crossrec.encoder import backprop_propagate, propagate
+from crossrec.graph import InteractionGraph, KnowledgeLinkage
 from crossrec.evaluation import split_leave_one_out
 from crossrec.transfer import (
     bpr_loss,
@@ -248,11 +250,9 @@ class TestTargetOnlyOracle:
         )
         graphs = DomainGraphs.for_config(config, bundle, tiny_split)
         params = init_parameters(config, bundle)
-        items_by_user = {"target": tiny_split.train_target_items_by_user(bundle.user_count)}
-        batches = _sample_batches(
-            np.random.default_rng(3), tiny_split.users, batch_size, items_by_user,
-            {"target": bundle.target.item_count}, ("target",),
-        )
+        owned = {"target": (tiny_split.train_target_items_by_user(bundle.user_count),
+                            bundle.target.item_count)}
+        batches = _sample_batches(np.random.default_rng(3), tiny_split.users, batch_size, owned)
         assert batches[0].users.size == min(batch_size, tiny_split.users.size)
         for step, batch in enumerate(batches):
             draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 8)
@@ -367,6 +367,26 @@ class TestFit:
         config = TrainConfig(max_epochs=1, seed=0)
         with pytest.raises(ValueError, match="empty"):
             fit(config, bundle, empty)
+
+    def test_user_owning_a_whole_catalog_rejected(self):
+        # user 0 owns all four source items, so no source negative exists;
+        # users 1 and 2 own too few items to be trained
+        source = [(0, i) for i in range(4)] + [(1, 0), (2, 1)]
+        target = [(0, i) for i in range(6)] + [(1, 0), (2, 1)]
+        bundle = DatasetBundle(
+            source=InteractionGraph("source", 3, 4, source),
+            target=InteractionGraph("target", 3, 8, target),
+            kg=KnowledgeLinkage.empty(),
+            user_ids=["u0", "u1", "u2"],
+            source_item_ids=[f"s{i}" for i in range(4)],
+            target_item_ids=[f"t{i}" for i in range(8)],
+            entity_ids=[],
+        )
+        split = split_leave_one_out(bundle, 0)
+        with pytest.raises(ValueError, match="user 'u0' owns every source item"):
+            fit(TrainConfig(max_epochs=1, seed=0), bundle, split)
+        # the target-only model samples no source items
+        fit(TrainConfig(max_epochs=1, seed=0, model=TARGET_ONLY), bundle, split)
 
     def test_early_stopping_stops(self, tiny_bundle, tiny_split):
         bundle, _ = tiny_bundle
