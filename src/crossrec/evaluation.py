@@ -1,10 +1,12 @@
 """The per-user item index, leave-one-out splitting, ranking metrics, and
 source-noise injection.
 
-This module is model-agnostic: evaluation consumes a scoring callback that
-maps a user index to scores over the full target catalog, so any trained
-model (or a test stub) plugs in.  Ranks are 1-based; ties are broken by
-ascending item index to keep every run reproducible.
+This module is model-agnostic: evaluation ranks with a :class:`Scorer`, a
+user matrix and an item matrix whose products are the scores over the full
+target catalog, so any trained model (or a test stub) plugs in.  Users are
+scored and ranked in blocks of ``RANK_BLOCK`` with one matrix product each.
+Ranks are 1-based; ties are broken by ascending item index to keep every run
+reproducible.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .graph import InteractionGraph
 from .data import DatasetBundle
 
 METRICS = ("ndcg", "hit", "mrr")
+
+# users scored by one matrix product when ranking
+RANK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,14 @@ class UserItems:
 
     def counts(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    def entries(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The given users' items as (position in ``users``, item) index arrays."""
+        starts = self.indptr[users]
+        counts = self.indptr[users + 1] - starts
+        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        positions = np.arange(counts.sum()) + offsets
+        return np.repeat(np.arange(users.size), counts), self.rows[positions, 1]
 
 
 @dataclass(frozen=True)
@@ -117,37 +130,72 @@ def metrics_at(rank: int, ks: tuple[int, ...]) -> dict[tuple[str, int], float]:
     return values
 
 
-def rank_of_held_out(scores: np.ndarray, held_item: int, excluded_items: np.ndarray) -> int:
+def rank_of_held_out(
+    scores: np.ndarray, held_item: int | np.ndarray, excluded_items
+) -> int | np.ndarray:
     """1-based rank of the held-out item among non-excluded candidates.
 
     Ties are resolved in favor of the lower item index, so the rank is the
     count of candidates that strictly beat the held-out item plus the count
     of equal-scored candidates with a smaller index, plus one.
+
+    For one user, ``scores`` is a vector, ``held_item`` an item index,
+    ``excluded_items`` an array of item indices, and the rank an ``int``.  For
+    a block of users, ``scores`` has one row per user, ``held_item`` one item
+    per row, ``excluded_items`` is a (row, item) pair of index arrays, and the
+    ranks come back as an integer array.
     """
-    candidate = np.ones(scores.shape[0], dtype=bool)
-    candidate[excluded_items] = False
-    if not candidate[held_item]:
-        raise ValueError(f"held-out item {held_item} is excluded from candidacy")
-    held_score = scores[held_item]
-    better = (scores > held_score) & candidate
-    tied_before = (scores == held_score) & candidate
-    tied_before[held_item:] = False
-    return int(better.sum() + tied_before.sum() + 1)
+    held = np.asarray(held_item)[..., None]
+    excluded = np.zeros(scores.shape, dtype=bool)
+    excluded[excluded_items] = True
+    held_excluded = np.take_along_axis(excluded, held, -1)
+    if held_excluded.any():
+        item = held[held_excluded][0]
+        raise ValueError(f"held-out item {item} is excluded from candidacy")
+    held_score = np.take_along_axis(scores, held, -1)
+    before = np.arange(scores.shape[-1]) < held
+    beats = (scores > held_score) | ((scores == held_score) & before)
+    beats[excluded_items] = False
+    ranks = beats.sum(axis=-1) + 1
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def held_out_ranks(score_fn, users, held_items, excluded_by_user) -> list[int]:
-    """The rank loop of validation and test: :func:`rank_of_held_out` per user.
+@dataclass(frozen=True)
+class Scorer:
+    """Scores over the full catalog: ``items @ users[u]`` for user u.
 
-    Arguments as for :func:`evaluate_ranking`.
+    ``users`` has one row per user and ``items`` one row per catalog item, in
+    the same embedding space.
     """
-    return [
-        rank_of_held_out(score_fn(int(user)), int(held), excluded_by_user[int(user)])
-        for user, held in zip(users, held_items)
-    ]
+
+    users: np.ndarray
+    items: np.ndarray
+
+    def __call__(self, user: int) -> np.ndarray:
+        return self.items @ self.users[user]
+
+
+def held_out_ranks(
+    scorer: Scorer, users, held_items, excluded_by_user: UserItems
+) -> list[int]:
+    """The rank loop of validation and test, ``RANK_BLOCK`` users at a time.
+
+    Each block is scored with one matrix product and ranked by
+    :func:`rank_of_held_out`.  Arguments as for :func:`evaluate_ranking`.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    held_items = np.asarray(held_items, dtype=np.int64)
+    ranks = np.empty(users.size, dtype=np.int64)
+    for start in range(0, users.size, RANK_BLOCK):
+        block = slice(start, start + RANK_BLOCK)
+        scores = scorer.users[users[block]] @ scorer.items.T
+        excluded = excluded_by_user.entries(users[block])
+        ranks[block] = rank_of_held_out(scores, held_items[block], excluded)
+    return ranks.tolist()
 
 
 def evaluate_ranking(
-    score_fn,
+    scorer: Scorer,
     users: np.ndarray,
     held_items: np.ndarray,
     excluded_by_user: UserItems,
@@ -155,10 +203,10 @@ def evaluate_ranking(
 ) -> tuple[list[RankingResult], dict[tuple[str, int], float]]:
     """Rank each user's held-out item against the full remaining catalog.
 
-    ``score_fn(user)`` must return scores over every target item.  Aggregates
-    are means over users multiplied by 100, the usual percentage convention.
+    Aggregates are means over users multiplied by 100, the usual percentage
+    convention.
     """
-    ranks = held_out_ranks(score_fn, users, held_items, excluded_by_user)
+    ranks = held_out_ranks(scorer, users, held_items, excluded_by_user)
     results = [RankingResult(int(u), rank, metrics_at(rank, ks)) for u, rank in zip(users, ranks)]
     aggregates = {
         key: 100.0 * float(np.mean([r.metrics[key] for r in results]))

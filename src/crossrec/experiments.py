@@ -71,9 +71,9 @@ def evaluate_fit(
     ks: tuple[int, ...] = (10, 100),
 ) -> tuple[list[RankingResult], dict[tuple[str, int], float]]:
     """Rank each test holdout with the trained model's deterministic scorer."""
-    score_fn = build_scorer(fit_result.params, fit_result.graphs, config)
+    scorer = build_scorer(fit_result.params, fit_result.graphs, config)
     excluded = split.train_target_items_by_user(bundle.user_count)
-    return evaluate_ranking(score_fn, split.users, split.test_items, excluded, ks)
+    return evaluate_ranking(scorer, split.users, split.test_items, excluded, ks)
 
 
 def run_ablation(

@@ -29,7 +29,7 @@ from . import compression, transfer
 from .compression import GateNetwork
 from .data import DatasetBundle
 from .encoder import EmbeddingState, backprop_propagate, propagate
-from .evaluation import LeaveOneOutSplit, UserItems, held_out_ranks, metrics_at
+from .evaluation import LeaveOneOutSplit, Scorer, UserItems, held_out_ranks, metrics_at
 from .graph import (
     SOURCE,
     TARGET,
@@ -477,8 +477,8 @@ def train_step(
 # ---------------------------------------------------------------------------
 
 
-def build_scorer(params: ModelParameters, graphs: DomainGraphs, config: TrainConfig):
-    """Return score_fn(user) -> scores over all target items.
+def build_scorer(params: ModelParameters, graphs: DomainGraphs, config: TrainConfig) -> Scorer:
+    """Return the scorer of every user over all target items.
 
     Serving is deterministic: the gate is its expectation sigmoid(logit) and
     the noise collapses to the population mean of the merged representations.
@@ -493,11 +493,7 @@ def build_scorer(params: ModelParameters, graphs: DomainGraphs, config: TrainCon
         mu, _ = compression.batch_statistics(merged, config.sigma_floor)
         mixed = compression.compress_deterministic(merged, logits, mu)
         fused_all = mixed + state_t.users
-
-    def score_fn(user: int) -> np.ndarray:
-        return item_matrix @ fused_all[user]
-
-    return score_fn
+    return Scorer(fused_all, item_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +555,8 @@ def _validation_metric(
     split: LeaveOneOutSplit,
     excluded_by_user: UserItems,
 ) -> float:
-    score_fn = build_scorer(params, graphs, config)
-    ranks = held_out_ranks(score_fn, split.users, split.validation_items, excluded_by_user)
+    scorer = build_scorer(params, graphs, config)
+    ranks = held_out_ranks(scorer, split.users, split.validation_items, excluded_by_user)
     k = config.validation_k
     # summed left to right: np.mean differs in the last bits of best_validation
     total = 0.0
@@ -588,13 +584,18 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
     if config.model == CROSS:
         source = UserItems.build(split.train_source, bundle.user_count)
         owned = {SOURCE: (source, bundle.source.item_count), **owned}
-    # a user owning a whole catalog would leave the negative draw spinning
+    # a user without training items has no positive to draw, and one owning
+    # a whole catalog would leave the negative draw spinning
     for domain, (index, n_items) in owned.items():
         pairs = np.unique(index.rows[:, 0] * n_items + index.rows[:, 1])
-        full = np.bincount(pairs // n_items, minlength=bundle.user_count)[split.users] >= n_items
-        if full.any():
-            user = bundle.user_ids[split.users[full.argmax()]]
-            raise ValueError(f"user {user!r} owns every {domain} item: no negative to sample")
+        distinct = np.bincount(pairs // n_items, minlength=bundle.user_count)[split.users]
+        for unusable, problem in (
+            (distinct == 0, f"has no training {domain} item: no positive to sample"),
+            (distinct >= n_items, f"owns every {domain} item: no negative to sample"),
+        ):
+            if unusable.any():
+                user = bundle.user_ids[split.users[unusable.argmax()]]
+                raise ValueError(f"user {user!r} {problem}")
 
     best = params.copy()
     best_metric = -np.inf

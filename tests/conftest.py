@@ -70,3 +70,24 @@ def dense_micro_bundle():
         target_item_ids=[f"t{i}" for i in range(5)],
         entity_ids=["e0", "e1", "e2"],
     )
+
+
+@pytest.fixture()
+def repeated_item_bundle():
+    """u0's target edges repeat item 3 (3, 3, 3, 5); u1's items are distinct.
+
+    Split seeds 0 and 4 hold out items 3 and 5 of u0, which leaves u0 no
+    training target item.  ``load_bundle`` collapses repeated edges, so only
+    a directly built bundle can hold them.
+    """
+    source = [(u, i) for u in range(2) for i in range(4)]
+    target = [(0, 3), (0, 3), (0, 3), (0, 5), (1, 0), (1, 1), (1, 2), (1, 4)]
+    return DatasetBundle(
+        source=InteractionGraph("source", 2, 6, source),
+        target=InteractionGraph("target", 2, 6, target),
+        kg=KnowledgeLinkage.empty(),
+        user_ids=["u0", "u1"],
+        source_item_ids=[f"s{i}" for i in range(6)],
+        target_item_ids=[f"t{i}" for i in range(6)],
+        entity_ids=[],
+    )

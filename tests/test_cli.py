@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crossrec import cli
 from crossrec.cli import (
     _SYNTH_DEFAULTS,
     _TRAIN_DEFAULTS,
@@ -18,7 +19,7 @@ from crossrec.cli import (
     main,
     parse_config_file,
 )
-from crossrec.data import DataPaths, SynthSpec, load_bundle
+from crossrec.data import DataPaths, LoadReport, SynthSpec, load_bundle
 from crossrec.evaluation import split_leave_one_out
 from crossrec.experiments import evaluate_fit
 from crossrec.training import DomainGraphs, FitResult, TrainConfig, load_checkpoint, save_checkpoint
@@ -179,6 +180,18 @@ class TestTrain:
         code = main(["train", *data_flags(tmp_path), "--out", str(tmp_path / "run")] + FAST_TRAIN)
         assert code == 1
         assert "error: user 'u0' owns every source item" in capsys.readouterr().err
+
+    def test_user_without_training_target_items_exits_one(
+        self, synth_dir, tmp_path, repeated_item_bundle, monkeypatch, capsys
+    ):
+        # the loader collapses repeated edges, so the bundle is handed to the
+        # command directly; split seed 0 leaves u0 no training target item
+        loaded = (repeated_item_bundle, LoadReport())
+        monkeypatch.setattr(cli, "load_bundle", lambda *_, **__: loaded)
+        code = main(["train", *data_flags(synth_dir), "--out", str(tmp_path / "run"),
+                     "--seed", "0"] + FAST_TRAIN)
+        assert code == 1
+        assert "error: user 'u0' has no training target item" in capsys.readouterr().err
 
     def test_unknown_flag_fails_fast(self, synth_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

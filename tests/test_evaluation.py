@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from crossrec.evaluation import (
+    RANK_BLOCK,
+    Scorer,
     UserItems,
     held_out_ranks,
     inject_source_noise,
@@ -94,6 +96,17 @@ def sample_batches_oracle(rng, users, batch_size, items_by_user, item_counts):
             sampled[domain] = (pos, neg)
         batches.append(Batch(chunk, *sampled["source"], *sampled["target"]))
     return batches
+
+
+def identity_scorer(scores):
+    """A scorer whose matrix product reproduces ``scores`` exactly."""
+    return Scorer(np.asarray(scores, dtype=float), np.eye(np.shape(scores)[1]))
+
+
+def index_of(items_by_user):
+    """The UserItems holding ``items_by_user[u]`` for each user u."""
+    edges = [(u, int(i)) for u, items in enumerate(items_by_user) for i in items]
+    return UserItems.build(np.asarray(edges, dtype=np.int64), len(items_by_user))
 
 
 def assert_same_array(actual, expected):
@@ -289,8 +302,41 @@ class TestHeldOutRanks:
         held = np.array([int(rng.choice(np.setdiff1d(np.arange(n_items), excluded[u])))
                          for u in users])
         expected = [rank_of_held_out(scores[u], h, excluded[u]) for u, h in zip(users, held)]
-        assert held_out_ranks(lambda u: scores[u], users, held, excluded) == expected
+        assert held_out_ranks(identity_scorer(scores), users, held, index_of(excluded)) == expected
         assert expected == [brute_force_rank(scores[u], h, excluded[u]) for u, h in zip(users, held)]
+
+    @pytest.mark.parametrize("n_users", [1, RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1])
+    def test_blocks_equal_the_per_user_gemv_loop(self, n_users):
+        # small-integer embeddings give exact, heavily tied scores in both the
+        # block product and the per-user one; users come shuffled, a third
+        # of them exclude nothing and some exclude an item twice
+        rng = np.random.default_rng(n_users)
+        n_pool, n_items, dim = n_users + 7, 30, 3
+        scorer = Scorer(rng.integers(-2, 3, size=(n_pool, dim)).astype(float),
+                        rng.integers(-2, 3, size=(n_items, dim)).astype(float))
+        excluded = [np.repeat(rng.choice(n_items, size=int(rng.integers(0, 8)), replace=False),
+                              int(rng.integers(1, 3))) if u % 3 else np.zeros(0, dtype=np.int64)
+                    for u in range(n_pool)]
+        users = rng.permutation(n_pool)[:n_users]
+        held = np.array([int(rng.choice(np.setdiff1d(np.arange(n_items), excluded[u])))
+                         for u in users])
+        ranks = held_out_ranks(scorer, users, held, index_of(excluded))
+        expected = [rank_of_held_out(scorer(int(u)), int(h), excluded[u])
+                    for u, h in zip(users, held)]
+        assert ranks == expected
+        assert all(type(rank) is int for rank in ranks)
+        assert expected == [brute_force_rank(scorer(int(u)), int(h), excluded[u])
+                            for u, h in zip(users, held)]
+
+    @pytest.mark.parametrize("position", [0, RANK_BLOCK - 1, RANK_BLOCK])
+    def test_excluded_held_out_item_raises(self, position):
+        n_users, n_items = RANK_BLOCK + 1, 6
+        excluded = [np.array([u % n_items]) for u in range(n_users)]
+        held = np.array([(u + 1) % n_items for u in range(n_users)])
+        held[position] = position % n_items
+        scorer = identity_scorer(np.zeros((n_users, n_items)))
+        with pytest.raises(ValueError, match=f"held-out item {position % n_items} is excluded"):
+            held_out_ranks(scorer, np.arange(n_users), held, index_of(excluded))
 
 
 class TestEvaluateRanking:
@@ -300,10 +346,10 @@ class TestEvaluateRanking:
             1: np.array([9.0, 5.0, 1.0]),  # held item 2 -> rank 3
         }
         results, aggregates = evaluate_ranking(
-            lambda u: scores_by_user[u],
+            identity_scorer([scores_by_user[0], scores_by_user[1]]),
             users=np.array([0, 1]),
             held_items=np.array([0, 2]),
-            excluded_by_user=[np.array([], dtype=int), np.array([], dtype=int)],
+            excluded_by_user=index_of([np.array([], dtype=int), np.array([], dtype=int)]),
             ks=(10,),
         )
         assert [r.rank for r in results] == [1, 3]

@@ -388,6 +388,14 @@ class TestFit:
         # the target-only model samples no source items
         fit(TrainConfig(max_epochs=1, seed=0, model=TARGET_ONLY), bundle, split)
 
+    @pytest.mark.parametrize("split_seed", [0, 4])
+    def test_user_without_training_target_items_rejected(self, repeated_item_bundle, split_seed):
+        split = split_leave_one_out(repeated_item_bundle, split_seed)
+        assert {int(split.validation_items[0]), int(split.test_items[0])} == {3, 5}
+        for model in ("cross", TARGET_ONLY):
+            with pytest.raises(ValueError, match="user 'u0' has no training target item"):
+                fit(TrainConfig(max_epochs=1, seed=0, model=model), repeated_item_bundle, split)
+
     def test_early_stopping_stops(self, tiny_bundle, tiny_split):
         bundle, _ = tiny_bundle
         config = TrainConfig(
@@ -428,6 +436,31 @@ class TestValidationOracle:
         excluded = tiny_split.train_target_items_by_user(bundle.user_count)
         args = (result.params, result.graphs, config, tiny_split, excluded)
         assert _validation_metric(*args) == validation_oracle(*args)
+
+
+class TestTestRanksOracle:
+    @pytest.mark.parametrize("model", ["cross", TARGET_ONLY])
+    @pytest.mark.parametrize("epochs", [0, 6])
+    def test_evaluate_fit_equals_the_per_user_loop(self, tiny_bundle, tiny_split, model, epochs):
+        from crossrec.evaluation import rank_of_held_out
+        from crossrec.experiments import evaluate_fit
+        from crossrec.training import build_scorer
+
+        bundle, _ = tiny_bundle
+        config = TrainConfig(
+            embedding_dim=8, gate_hidden=8, max_epochs=epochs, seed=5, batch_size=8,
+            learning_rate=0.1, patience=0, model=model,
+        )
+        result = fit(config, bundle, tiny_split)
+        per_user, _ = evaluate_fit(result, tiny_split, bundle, config)
+        scorer = build_scorer(result.params, result.graphs, config)
+        excluded = tiny_split.train_target_items_by_user(bundle.user_count)
+        expected = [
+            rank_of_held_out(scorer(int(user)), int(held), excluded[int(user)])
+            for user, held in zip(tiny_split.users, tiny_split.test_items)
+        ]
+        assert [r.rank for r in per_user] == expected
+        assert all(type(r.rank) is int for r in per_user)
 
 
 class TestCheckpoints:
