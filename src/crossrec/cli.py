@@ -5,9 +5,11 @@ Subcommands: ``train``, ``evaluate``, ``gen-synth``, ``inject-noise``,
 then an optional ``key = value`` config file (only the command's own keys),
 then explicit flags (highest precedence), writes a manifest with input
 digests before doing any work (``evaluate`` reads its checkpoint first), and
-finalizes it on exit.  All outputs are written atomically (write-then-rename)
-under the ``--out`` directory, and identical inputs plus an identical seed
-reproduce byte-identical outputs apart from the manifest's timestamps.
+finalizes it on exit.  Every output goes under the ``--out`` directory
+through :func:`crossrec.data.write_atomic` (a temporary file renamed into
+place), so each holds its previous or its complete new content, and all get
+one permission mode.  Identical inputs plus an identical seed reproduce
+byte-identical outputs apart from the manifest's timestamps.
 
 ``evaluate`` takes the model configuration from the checkpoint.  The
 leave-one-out split is derived from the seed: ``--seed``, else the config
@@ -20,9 +22,7 @@ import argparse
 import hashlib
 import inspect
 import json
-import os
 import sys
-import tempfile
 import time
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -34,10 +34,12 @@ from . import __version__
 from .data import (
     DataPaths,
     SynthSpec,
+    format_pairs,
     generate_synthetic,
     load_bundle,
     load_interactions,
     save_bundle,
+    write_atomic,
     write_flags,
 )
 from .evaluation import inject_source_noise, split_leave_one_out
@@ -78,19 +80,6 @@ _SYNTH_NAMES = {
     "target_interactions": "target_interactions", "rho": "irrelevant_fraction", "seed": "seed",
 }
 _SYNTH_DEFAULTS = {key: getattr(SynthSpec(), name) for key, name in _SYNTH_NAMES.items()}
-
-
-def atomic_write_text(path: Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def sha256_file(path: Path) -> str:
@@ -146,11 +135,11 @@ class Manifest:
             self.payload["outputs"].append(name)
 
     def write_output(self, path: Path, text: str) -> None:
-        atomic_write_text(path, text)
+        write_atomic(path, text)
         self.record_output(path)
 
     def write(self) -> None:
-        atomic_write_text(self.path, json.dumps(self.payload, indent=2, sort_keys=True) + "\n")
+        write_atomic(self.path, json.dumps(self.payload, indent=2, sort_keys=True) + "\n")
 
     def finalize(self) -> None:
         self.payload["finished_at"] = datetime.now(timezone.utc).isoformat()
@@ -334,9 +323,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "best_epoch": result.best_epoch,
         "best_validation_ndcg": result.best_validation,
     }
-    tmp = out_dir / ".best.ckpt.tmp"
-    save_checkpoint(tmp, result.params, meta)
-    os.replace(tmp, checkpoint)
+    save_checkpoint(checkpoint, result.params, meta)
     manifest.record_output(checkpoint)
 
     manifest.write_output(out_dir / "training_log.tsv", _log_lines(result.log))
@@ -418,9 +405,7 @@ def cmd_inject_noise(args: argparse.Namespace) -> int:
         f"base_edges={graph.edge_count} added={added.shape[0]} "
         f"source_sha256={sha256_file(source_path)}"
     )
-    lines = [f"# {header}"]
-    lines.extend(f"{user_ids[u]}\t{item_ids[i]}" for u, i in noisy.edges)
-    manifest.write_output(out_path, "\n".join(lines) + "\n")
+    manifest.write_output(out_path, f"# {header}\n" + format_pairs(noisy.edges, user_ids, item_ids))
     manifest.finalize()
     print(f"added {added.shape[0]} noise edges -> {out_path}")
     return EXIT_OK

@@ -10,10 +10,15 @@ latent vectors, items cluster around shared entity anchors, and a chosen
 fraction of source interactions is drawn uniformly at random instead of from
 the user's preference ("irrelevant" edges).  Ground-truth per-edge flags are
 emitted for diagnostics only and never reach the model.
+
+Every file the package writes goes through :func:`write_atomic`, and every
+``left_id<TAB>right_id`` table through :func:`format_pairs`.
 """
 
 from __future__ import annotations
 
+import os
+import secrets
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -244,49 +249,53 @@ def load_interactions(path: Path, domain_tag: str = SOURCE) -> tuple[Interaction
     return InteractionGraph(domain_tag, len(users), len(items), arr), users.ids, items.ids
 
 
-def write_interactions(path: Path, edges: np.ndarray, user_ids: list[str], item_ids: list[str], header: str | None = None) -> None:
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    for u, i in edges:
-        lines.append(f"{user_ids[u]}\t{item_ids[i]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_atomic(path: Path, content: str | bytes) -> None:
+    """Write ``content`` (text as UTF-8) to a hidden file next to ``path``, then rename it there.
+
+    A reader sees the previous file or the whole new one, and a failed write
+    leaves the previous file and no temporary one.  The file gets the mode a
+    plain ``open`` gives (0666 minus the umask).
+    """
+    path = Path(path)
+    data = content.encode("utf-8") if isinstance(content, str) else content
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def format_pairs(pairs: np.ndarray, left_ids: list[str], right_ids: list[str]) -> str:
+    """``left_id<TAB>right_id`` lines, one per row of (left, right) indices."""
+    return "".join(f"{left_ids[a]}\t{right_ids[b]}\n" for a, b in pairs.tolist())
 
 
 def save_bundle(bundle: DatasetBundle, out_dir: Path) -> dict[str, Path]:
     """Write a bundle back to the on-disk TSV formats, plus the ID maps."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "source": out_dir / "source.tsv",
-        "target": out_dir / "target.tsv",
-        "kg": out_dir / "kg.tsv",
-        "map_source": out_dir / "map_source.tsv",
-        "map_target": out_dir / "map_target.tsv",
+    users, entities = bundle.user_ids, bundle.entity_ids
+    tables = {
+        "source": format_pairs(bundle.source.edges, users, bundle.source_item_ids),
+        "target": format_pairs(bundle.target.edges, users, bundle.target_item_ids),
+        "kg": format_pairs(bundle.kg.entity_edges, entities, entities),
+        "map_source": format_pairs(bundle.kg.item_entity_source, bundle.source_item_ids, entities),
+        "map_target": format_pairs(bundle.kg.item_entity_target, bundle.target_item_ids, entities),
     }
-    write_interactions(paths["source"], bundle.source.edges, bundle.user_ids, bundle.source_item_ids)
-    write_interactions(paths["target"], bundle.target.edges, bundle.user_ids, bundle.target_item_ids)
-    with open(paths["kg"], "w", encoding="utf-8") as handle:
-        for head, tail in bundle.kg.entity_edges:
-            handle.write(f"{bundle.entity_ids[head]}\t{bundle.entity_ids[tail]}\n")
-    for key, item_ids, mapping in (
-        ("map_source", bundle.source_item_ids, bundle.kg.item_entity_source),
-        ("map_target", bundle.target_item_ids, bundle.kg.item_entity_target),
-    ):
-        with open(paths[key], "w", encoding="utf-8") as handle:
-            for item, entity in mapping:
-                handle.write(f"{item_ids[item]}\t{bundle.entity_ids[entity]}\n")
     for name, ids in (
-        ("users", bundle.user_ids),
+        ("users", users),
         ("items_source", bundle.source_item_ids),
         ("items_target", bundle.target_item_ids),
-        ("entities", bundle.entity_ids),
+        ("entities", entities),
     ):
-        path = out_dir / f"ids_{name}.tsv"
-        with open(path, "w", encoding="utf-8") as handle:
-            for index, raw_id in enumerate(ids):
-                handle.write(f"{raw_id}\t{index}\n")
-        paths[f"ids_{name}"] = path
+        tables[f"ids_{name}"] = "".join(f"{raw_id}\t{index}\n" for index, raw_id in enumerate(ids))
+    paths = {key: out_dir / f"{key}.tsv" for key in tables}
+    for key, text in tables.items():
+        write_atomic(paths[key], text)
     return paths
 
 
@@ -425,9 +434,8 @@ def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
 
 
 def write_flags(path: Path, bundle: DatasetBundle, flags: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for (user, item), irrelevant in zip(bundle.source.edges, flags):
-            label = "irrelevant" if irrelevant else "relevant"
-            handle.write(
-                f"{bundle.user_ids[user]}\t{bundle.source_item_ids[item]}\t{label}\n"
-            )
+    labels = ("irrelevant" if irrelevant else "relevant" for irrelevant in flags.tolist())
+    write_atomic(path, "".join(
+        f"{bundle.user_ids[user]}\t{bundle.source_item_ids[item]}\t{label}\n"
+        for (user, item), label in zip(bundle.source.edges.tolist(), labels)
+    ))

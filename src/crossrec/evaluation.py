@@ -114,7 +114,6 @@ def split_leave_one_out(bundle: DatasetBundle, rng) -> LeaveOneOutSplit:
 class RankingResult:
     user: int
     rank: int
-    metrics: dict[tuple[str, int], float]
 
 
 def metrics_at(rank: int, ks: tuple[int, ...]) -> dict[tuple[str, int], float]:
@@ -204,14 +203,19 @@ def evaluate_ranking(
     """Rank each user's held-out item against the full remaining catalog.
 
     Aggregates are means over users multiplied by 100, the usual percentage
-    convention.
+    convention.  Per-user values equal :func:`metrics_at`'s, so the gains use
+    ``math.log2`` (``np.log2`` differs from it in the last bit at some ranks).
     """
     ranks = held_out_ranks(scorer, users, held_items, excluded_by_user)
-    results = [RankingResult(int(u), rank, metrics_at(rank, ks)) for u, rank in zip(users, ranks)]
-    aggregates = {
-        key: 100.0 * float(np.mean([r.metrics[key] for r in results]))
-        for key in results[0].metrics
-    }
+    results = [RankingResult(int(u), rank) for u, rank in zip(users, ranks)]
+    ranks = np.asarray(ranks)
+    top = min(max(ks), int(ranks.max()))
+    gains = np.array([1.0 / math.log2(rank + 1) for rank in range(1, top + 1)])
+    aggregates = {}
+    for k in ks:
+        hit = ranks <= k
+        for metric, value in zip(METRICS, (gains[np.minimum(ranks, top) - 1], 1.0, 1.0 / ranks)):
+            aggregates[(metric, k)] = 100.0 * float(np.mean(np.where(hit, value, 0.0)))
     return results, aggregates
 
 

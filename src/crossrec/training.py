@@ -19,6 +19,7 @@ stochastic draws of any step can be replayed for gradient checking.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import compression, transfer
 from .compression import GateNetwork
-from .data import DatasetBundle
+from .data import DatasetBundle, write_atomic
 from .encoder import EmbeddingState, backprop_propagate, propagate
 from .evaluation import LeaveOneOutSplit, Scorer, UserItems, held_out_ranks, metrics_at
 from .graph import (
@@ -199,12 +200,9 @@ def _block_rows(graph: SparseGraph | EmbeddingState, block: int) -> slice:
     return slice(start, start + sizes[block])
 
 
-def init_parameters(
-    config: TrainConfig, bundle: DatasetBundle, rng: np.random.Generator | None = None
-) -> ModelParameters:
+def init_parameters(config: TrainConfig, bundle: DatasetBundle) -> ModelParameters:
     """Draw fresh parameters; tables are iid normal with a small std."""
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_INIT]))
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_INIT]))
     d = config.embedding_dim
     arrays: dict[str, np.ndarray] = {}
     for name, (domains, block) in _table_layout(config.model, config.use_kg).items():
@@ -307,13 +305,14 @@ def forward_losses(
 ) -> tuple[transfer.LossBundle, _ForwardCache]:
     """One full forward pass over the fixed compute graph.
 
-    ``frozen_stats`` pins the noise-prior mean/std to externally supplied
-    values (the gradient checker uses this to make the objective a pure
-    function of the parameters).  ``gate_override`` bypasses the gate network
+    Training passes neither hook; the central-difference gradient checker in
+    ``tests/gradcheck.py`` needs both.  ``frozen_stats`` pins the noise-prior
+    mean/std to externally supplied values, which makes the objective a pure
+    function of the parameters.  ``gate_override`` bypasses the gate network
     and fixes every gate to a constant, which turns the graph into the
-    linear-plus-ranking-loss path used by diagnostics.  Without a source
-    domain (target-only) the fused vector is the target user vector and the
-    source-side terms are zero.
+    linear-plus-ranking-loss path whose gradient the checker can verify to
+    machine precision.  Without a source domain (target-only) the fused
+    vector is the target user vector and the source-side terms are zero.
     """
     loss_fn, _ = _pred_loss(config)
     cross = params.kind == CROSS
@@ -633,105 +632,6 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
 
 
 # ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradientCheckResult:
-    max_relative_error: float
-    worst_parameter: str
-    non_smooth: bool
-    reasons: list[str]
-
-    def __str__(self) -> str:
-        status = "non-smooth point" if self.non_smooth else "smooth"
-        return (
-            f"max rel err {self.max_relative_error:.3e} at {self.worst_parameter} ({status})"
-        )
-
-
-def _detect_non_smooth(cache: _ForwardCache, config: TrainConfig) -> list[str]:
-    reasons = []
-    if cache.gate is not None and cache.gate_override is None:
-        m_total = float(np.sum((1.0 - cache.gate) ** 2))
-        if m_total <= 2.0 * config.m_floor:
-            reasons.append(f"KL mass floor active (M={m_total:.2e})")
-        if np.any(cache.gate >= 1.0 - 1e-12) or np.any(cache.gate <= 1e-12):
-            reasons.append("gate saturated to 0/1 at float precision")
-    if cache.mixed is not None:
-        norms = np.linalg.norm(cache.mixed, axis=1)
-        if np.any(norms <= 10.0 * config.norm_floor):
-            reasons.append("cosine norm floor active")
-    return reasons
-
-
-def gradient_check(
-    params: ModelParameters,
-    graphs: DomainGraphs,
-    batch: Batch,
-    draws: StepDraws,
-    config: TrainConfig,
-    epsilon: float = 1e-5,
-    gate_override: float | None = None,
-    order: int = 2,
-) -> GradientCheckResult:
-    """Compare the analytic gradient of the total loss with central differences.
-
-    The stochastic draws and the noise-prior statistics are held fixed across
-    all evaluations, so the objective is a deterministic function of the
-    parameters.  Points where a floor or saturation is active are reported as
-    non-smooth instead of trusted.  ``order`` selects the central stencil:
-    2 is the classic two-point difference, 4 the five-point fourth-order one
-    (same roundoff behavior, curvature error ~epsilon^4 instead of ^2).
-    """
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    base_bundle, base_cache = forward_losses(
-        params, graphs, batch, draws, config, gate_override=gate_override
-    )
-    frozen = (base_cache.mu, base_cache.sigma) if params.kind == CROSS else None
-    reasons = _detect_non_smooth(base_cache, config)
-
-    _, cache = forward_losses(
-        params, graphs, batch, draws, config, frozen_stats=frozen, gate_override=gate_override
-    )
-    analytic = backward_losses(cache)
-
-    def objective() -> float:
-        bundle, _ = forward_losses(
-            params, graphs, batch, draws, config, frozen_stats=frozen, gate_override=gate_override
-        )
-        return bundle.total
-
-    def central_difference(flat: np.ndarray, index: int) -> float:
-        saved = flat[index]
-        values = {}
-        steps = (-1, 1) if order == 2 else (-2, -1, 1, 2)
-        for step in steps:
-            flat[index] = saved + step * epsilon
-            values[step] = objective()
-        flat[index] = saved
-        if order == 2:
-            return (values[1] - values[-1]) / (2.0 * epsilon)
-        return (values[-2] - 8 * values[-1] + 8 * values[1] - values[2]) / (12.0 * epsilon)
-
-    worst = 0.0
-    worst_name = "(none)"
-    for name, grad in analytic.items():
-        flat_param = params.arrays[name].reshape(-1)
-        flat_grad = grad.reshape(-1)
-        for index in range(flat_param.size):
-            numeric = central_difference(flat_param, index)
-            denom = max(abs(flat_grad[index]), abs(numeric), 1e-8)
-            rel = abs(flat_grad[index] - numeric) / denom
-            if rel > worst:
-                worst = rel
-                worst_name = f"{name}[{index}]"
-    return GradientCheckResult(worst, worst_name, bool(reasons), reasons)
-
-
-# ---------------------------------------------------------------------------
 # Checkpoints: versioned binary container of named float64 matrices
 # ---------------------------------------------------------------------------
 
@@ -746,19 +646,20 @@ def save_checkpoint(path, params: ModelParameters, meta: dict | None = None) -> 
     meta = dict(meta or {})
     meta["kind"] = params.kind
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
-        handle.write(meta_bytes)
-        handle.write(struct.pack("<I", len(params.arrays)))
-        for name, array in params.arrays.items():
-            data = np.asarray(array, dtype="<f8")
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<H", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<B", data.ndim))
-            handle.write(struct.pack(f"<{max(data.ndim, 1)}Q", *(data.shape or (1,))))
-            handle.write(data.tobytes(order="C"))
+    handle = io.BytesIO()
+    handle.write(CHECKPOINT_MAGIC)
+    handle.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
+    handle.write(meta_bytes)
+    handle.write(struct.pack("<I", len(params.arrays)))
+    for name, array in params.arrays.items():
+        data = np.asarray(array, dtype="<f8")
+        encoded = name.encode("utf-8")
+        handle.write(struct.pack("<H", len(encoded)))
+        handle.write(encoded)
+        handle.write(struct.pack("<B", data.ndim))
+        handle.write(struct.pack(f"<{max(data.ndim, 1)}Q", *(data.shape or (1,))))
+        handle.write(data.tobytes(order="C"))
+    write_atomic(path, handle.getvalue())
 
 
 def _read_exact(handle, size: int) -> bytes:

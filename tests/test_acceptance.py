@@ -29,9 +29,10 @@ from crossrec.training import (
     DomainGraphs,
     StepDraws,
     TrainConfig,
-    gradient_check,
     init_parameters,
 )
+
+from gradcheck import gradient_check
 
 # configuration of the desk-scale benchmark used by criteria 6 and 7; the
 # dataset shape (500 users, 300+300 items, k=8, rho=0.3) is fixed by the

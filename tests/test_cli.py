@@ -1,8 +1,9 @@
 """Command-line contract: files produced, exit codes, idempotency."""
 
 import json
+import os
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +20,25 @@ from crossrec.cli import (
     main,
     parse_config_file,
 )
-from crossrec.data import DataPaths, LoadReport, SynthSpec, load_bundle
+from crossrec.data import (
+    DataPaths,
+    LoadReport,
+    SynthSpec,
+    generate_synthetic,
+    load_bundle,
+    save_bundle,
+    write_flags,
+)
 from crossrec.evaluation import split_leave_one_out
 from crossrec.experiments import evaluate_fit
-from crossrec.training import DomainGraphs, FitResult, TrainConfig, load_checkpoint, save_checkpoint
+from crossrec.training import (
+    DomainGraphs,
+    FitResult,
+    TrainConfig,
+    init_parameters,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 FAST_TRAIN = [
     "--embedding-dim", "8", "--gate-hidden", "8", "--epochs", "4",
@@ -30,15 +46,17 @@ FAST_TRAIN = [
 ]
 
 
+SYNTH_FLAGS = [
+    "--users", "14", "--source-items", "16", "--target-items", "16", "--latent-dim", "4",
+    "--clusters", "5", "--source-interactions", "8", "--target-interactions", "6",
+    "--entity-neighbors", "3", "--seed", "3",
+]
+
+
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
-    code = main([
-        "gen-synth", "--out", str(out), "--users", "14", "--source-items", "16",
-        "--target-items", "16", "--latent-dim", "4", "--clusters", "5",
-        "--source-interactions", "8", "--target-interactions", "6",
-        "--entity-neighbors", "3", "--seed", "3",
-    ])
+    code = main(["gen-synth", "--out", str(out), *SYNTH_FLAGS])
     assert code == 0
     return out
 
@@ -442,3 +460,91 @@ class TestDefaults:
         assert asdict(_train_config(_resolve(args, _TRAIN_DEFAULTS))) == asdict(TrainConfig())
         args = parser.parse_args(["gen-synth", "--out", str(tmp_path)])
         assert asdict(_synth_spec(_resolve(args, _SYNTH_DEFAULTS))) == asdict(SynthSpec())
+
+
+@pytest.fixture(scope="module")
+def every_command(tmp_path_factory):
+    """Run all five commands, recording each rename: (output dirs, renames)."""
+    root = tmp_path_factory.mktemp("commands")
+    dirs = [root / name for name in ("data", "run", "eval", "noisy", "ablation")]
+    data, run, evaluated, noisy, ablation = (str(d) for d in dirs)
+    files = data_flags(dirs[0])
+    renames = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        renames.append((Path(src), Path(dst)))
+        real_replace(src, dst)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "replace", recording_replace)
+        for argv in (
+            ["gen-synth", "--out", data, *SYNTH_FLAGS],
+            ["train", *files, "--out", run, "--seed", "3", *FAST_TRAIN],
+            ["evaluate", "--checkpoint", f"{run}/best.ckpt", *files, "--out", evaluated],
+            ["inject-noise", "--source", f"{data}/source.tsv", "--ratio", "0.1", "--out", noisy],
+            ["ablate", "--variant", "no-kl", *files, "--out", ablation, *FAST_TRAIN],
+        ):
+            assert main(argv) == 0, argv[0]
+    return dirs, renames
+
+
+class TestWritePath:
+    def test_every_output_is_renamed_into_place(self, every_command):
+        dirs, renames = every_command
+        for src, dst in renames:
+            assert src.parent == dst.parent and src.name.startswith(f".{dst.name}.")
+            assert not src.exists()
+        destinations = {dst for _, dst in renames}
+        for out_dir in dirs:
+            on_disk = {path for path in out_dir.rglob("*") if path.is_file()}
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert on_disk == {Path(name) for name in manifest["outputs"]} | {
+                out_dir / "manifest.json"
+            }
+            assert on_disk <= destinations
+
+    def test_outputs_share_the_plain_open_mode(self, every_command, tmp_path):
+        dirs, _ = every_command
+        probe = tmp_path / "probe"
+        with open(probe, "w"):
+            pass
+        modes = {path.stat().st_mode & 0o777 for d in dirs for path in d.rglob("*") if path.is_file()}
+        assert modes == {probe.stat().st_mode & 0o777}
+
+    @pytest.mark.parametrize(
+        "writer", ["save_bundle", "write_flags", "save_checkpoint", "Manifest.write_output"]
+    )
+    def test_failed_rename_keeps_the_previous_file(
+        self, writer, tiny_spec, tmp_path, monkeypatch
+    ):
+        manifest = cli.Manifest(tmp_path, "test", {})
+
+        def write(seed):
+            bundle, flags = generate_synthetic(replace(tiny_spec, seed=seed))
+            if writer == "save_bundle":
+                save_bundle(bundle, tmp_path)
+            elif writer == "write_flags":
+                write_flags(tmp_path / "flags.tsv", bundle, flags)
+            elif writer == "save_checkpoint":
+                config = TrainConfig(embedding_dim=4, gate_hidden=4, seed=seed)
+                save_checkpoint(tmp_path / "best.ckpt", init_parameters(config, bundle))
+            else:
+                manifest.write_output(tmp_path / "metrics.tsv", f"seed\t{seed}\n")
+
+        def contents():
+            return {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+        write(1)
+        before = contents()
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write(2)
+        assert contents() == before  # same bytes, no temporary file left
+        monkeypatch.undo()
+        write(2)
+        assert contents().keys() == before.keys() and contents() != before

@@ -357,6 +357,32 @@ class TestEvaluateRanking:
         assert aggregates[("ndcg", 10)] == pytest.approx(100.0 * (1.0 + 0.5) / 2)
         assert aggregates[("mrr", 10)] == pytest.approx(100.0 * (1.0 + 1.0 / 3.0) / 2)
 
+    @pytest.mark.parametrize("ranks", [
+        np.random.default_rng(0).permutation(3300) + 1,
+        # one user each at ranks whose gain np.log2 rounds one bit away from
+        # math.log2's, a difference the x100 keeps (seen with numpy 2.4 on
+        # AVX-512); a mean over many users can hide it
+        np.array([7956]),
+        np.array([15913]),
+    ])
+    def test_aggregates_equal_the_per_user_metric_dicts(self, ranks):
+        # one-dimensional embeddings rank item i at i + 1 for every user, so
+        # the held-out items set the ranks
+        n = ranks.size
+        scorer = Scorer(np.ones((n, 1)), -np.arange(ranks.max(), dtype=float)[:, None])
+        ks = (1, 10, 1000, 16_000)
+        excluded = index_of([np.zeros(0, dtype=np.int64)] * n)
+        results, aggregates = evaluate_ranking(scorer, np.arange(n), ranks - 1, excluded, ks)
+        assert [r.rank for r in results] == ranks.tolist()
+        assert all(type(r.rank) is int for r in results)
+        per_user = [metrics_at(r.rank, ks) for r in results]
+        expected = {
+            key: 100.0 * float(np.mean([values[key] for values in per_user]))
+            for key in per_user[0]
+        }
+        assert list(aggregates) == list(expected)
+        assert aggregates == expected
+
 
 class TestInjectNoise:
     def test_ratio_zero_is_identity(self):
@@ -375,6 +401,25 @@ class TestInjectNoise:
         assert noisy.edge_count == 1100
         flat = set(map(tuple, noisy.edges.tolist()))
         assert len(flat) == 1100  # no duplicates anywhere
+
+    def test_large_catalog_rejection_path(self):
+        # above 5,000,000 user-item pairs the free pairs are drawn by
+        # rejection against a set instead of from the explicit complement
+        n_users, n_items = 2500, 2001
+        assert n_users * n_items > 5_000_000
+        rng = np.random.default_rng(4)
+        flat = rng.choice(n_users * n_items, size=3000, replace=False)
+        graph = InteractionGraph("source", n_users, n_items, np.stack(np.divmod(flat, n_items), 1))
+        noisy, added = inject_source_noise(graph, 0.37, 11)
+        assert added.shape == (math.ceil(0.37 * 3000), 2)
+        assert np.array_equal(noisy.edges[: graph.edge_count], graph.edges)
+        assert np.array_equal(noisy.edges[graph.edge_count :], added)
+        assert (added >= 0).all() and (added < [n_users, n_items]).all()
+        pairs = set(map(tuple, added.tolist()))
+        assert len(pairs) == added.shape[0]
+        assert pairs.isdisjoint(map(tuple, graph.edges.tolist()))
+        _, again = inject_source_noise(graph, 0.37, 11)
+        assert np.array_equal(added, again)
 
     def test_rejects_when_no_free_pairs(self):
         full = [(u, i) for u in range(2) for i in range(2)]

@@ -27,13 +27,14 @@ from crossrec.training import (
     backward_losses,
     fit,
     forward_losses,
-    gradient_check,
     init_parameters,
     load_checkpoint,
     save_checkpoint,
     _sample_batches,
     train_step,
 )
+
+from gradcheck import gradient_check
 
 
 def micro_setup(bundle, config, seed=7):
