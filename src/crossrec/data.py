@@ -337,6 +337,11 @@ class SynthSpec:
             )
 
 
+# entities whose similarity rows the entity kNN computes with one matrix
+# product; a block holds KNN_BLOCK x (source + target items) float64 values
+KNN_BLOCK = 256
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max()
     exp = np.exp(shifted)
@@ -355,6 +360,11 @@ def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
     the returned boolean array marks those edges, aligned with
     ``bundle.source.edges``.  Target-domain edges are always preference
     driven, so any leave-one-out holdout is a genuine signal.
+
+    Time and memory grow with the output, not with the catalog squared: the
+    uniform draws take their pool from a boolean mask over the catalog, and
+    the entity kNN holds ``KNN_BLOCK`` similarity rows at a time, never the
+    entities x entities matrix.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     k, n_clusters = spec.latent_dim, spec.entity_clusters
@@ -386,7 +396,9 @@ def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
                 rng.choice(latents.shape[0], size=n_preferred, replace=False, p=probabilities)
             )
             if n_per - n_preferred:
-                pool = np.setdiff1d(np.arange(latents.shape[0]), np.asarray(chosen, dtype=np.int64))
+                free = np.ones(latents.shape[0], dtype=bool)
+                free[chosen] = False
+                pool = np.flatnonzero(free)
                 chosen.extend(rng.choice(pool, size=n_per - n_preferred, replace=False))
             for position, item in enumerate(chosen):
                 edges[domain].append((user, int(item)))
@@ -398,14 +410,17 @@ def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
     # within and across domains
     all_latents = np.concatenate([item_latents[SOURCE], item_latents[TARGET]], axis=0)
     unit = all_latents / np.linalg.norm(all_latents, axis=1, keepdims=True)
-    similarity = unit @ unit.T
-    np.fill_diagonal(similarity, -np.inf)
     n_entities = all_latents.shape[0]
     neighbor_count = min(spec.entity_neighbors, n_entities - 1)
     kg_edges = []
-    for entity in range(n_entities):
-        nearest = np.argpartition(-similarity[entity], neighbor_count)[:neighbor_count]
-        kg_edges.extend((entity, int(other)) for other in nearest)
+    for start in range(0, n_entities, KNN_BLOCK):
+        rows = np.arange(start, min(start + KNN_BLOCK, n_entities))
+        # negated cosine similarity, each entity infinitely far from itself
+        distance = unit[rows] @ unit.T
+        distance[rows - start, rows] = -np.inf
+        np.negative(distance, out=distance)
+        nearest = np.argpartition(distance, neighbor_count, axis=1)[:, :neighbor_count]
+        kg_edges.append(np.stack([np.repeat(rows, neighbor_count), nearest.ravel()], axis=1))
 
     map_source = np.stack(
         [np.arange(spec.source_items), np.arange(spec.source_items)], axis=1
@@ -420,7 +435,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
         target=InteractionGraph(TARGET, spec.user_count, spec.target_items, edges[TARGET]),
         kg=KnowledgeLinkage(
             entity_count=n_entities,
-            entity_edges=np.asarray(kg_edges, dtype=np.int64),
+            entity_edges=np.concatenate(kg_edges),
             item_entity_source=map_source,
             item_entity_target=map_target,
         ),

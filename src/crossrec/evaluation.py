@@ -129,6 +129,11 @@ def metrics_at(rank: int, ks: tuple[int, ...]) -> dict[tuple[str, int], float]:
     return values
 
 
+def ndcg_gains(top: int) -> list[float]:
+    """NDCG gains of ranks 1..top, each equal to :func:`metrics_at`'s."""
+    return [1.0 / math.log2(rank + 1) for rank in range(1, top + 1)]
+
+
 def rank_of_held_out(
     scores: np.ndarray, held_item: int | np.ndarray, excluded_items
 ) -> int | np.ndarray:
@@ -210,7 +215,7 @@ def evaluate_ranking(
     results = [RankingResult(int(u), rank) for u, rank in zip(users, ranks)]
     ranks = np.asarray(ranks)
     top = min(max(ks), int(ranks.max()))
-    gains = np.array([1.0 / math.log2(rank + 1) for rank in range(1, top + 1)])
+    gains = np.array(ndcg_gains(top))
     aggregates = {}
     for k in ks:
         hit = ranks <= k
@@ -245,8 +250,9 @@ def inject_source_noise(
 
     total = n_u * n_i
     if total <= 5_000_000:
-        complement = np.setdiff1d(np.arange(total, dtype=np.int64), existing)
-        flat = rng.choice(complement, size=count, replace=False)
+        free_pairs = np.ones(total, dtype=bool)
+        free_pairs[existing] = False
+        flat = rng.choice(np.flatnonzero(free_pairs), size=count, replace=False)
     else:
         taken = set(existing.tolist())
         picks: list[int] = []

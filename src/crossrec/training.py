@@ -30,7 +30,7 @@ from . import compression, transfer
 from .compression import GateNetwork
 from .data import DatasetBundle, write_atomic
 from .encoder import EmbeddingState, backprop_propagate, propagate
-from .evaluation import LeaveOneOutSplit, Scorer, UserItems, held_out_ranks, metrics_at
+from .evaluation import LeaveOneOutSplit, Scorer, UserItems, held_out_ranks, ndcg_gains
 from .graph import (
     SOURCE,
     TARGET,
@@ -557,10 +557,13 @@ def _validation_metric(
     scorer = build_scorer(params, graphs, config)
     ranks = held_out_ranks(scorer, split.users, split.validation_items, excluded_by_user)
     k = config.validation_k
-    # summed left to right: np.mean differs in the last bits of best_validation
+    gains = ndcg_gains(k)
+    # summed left to right: np.mean differs in the last bits of best_validation;
+    # a miss would add 0.0, which leaves the sum as it is
     total = 0.0
     for rank in ranks:
-        total += metrics_at(rank, (k,))[("ndcg", k)]
+        if rank <= k:
+            total += gains[rank - 1]
     return 100.0 * total / split.users.size
 
 

@@ -4,14 +4,101 @@ import numpy as np
 import pytest
 
 from crossrec.data import (
+    KNN_BLOCK,
     DataPaths,
     SynthSpec,
+    _softmax,
     generate_synthetic,
     load_bundle,
     load_interactions,
     save_bundle,
     write_flags,
 )
+
+
+def generate_synthetic_oracle(spec):
+    """Reference generator: each uniform draw's pool from ``np.setdiff1d``,
+    and the entity kNN from the dense similarity matrix with one
+    ``argpartition`` per row.  Returns (source edges, target edges, entity
+    edges, flags)."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    k, n_clusters = spec.latent_dim, spec.entity_clusters
+    centers = rng.normal(size=(n_clusters, k))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    item_latents = {}
+    for domain, n_items in (("source", spec.source_items), ("target", spec.target_items)):
+        clusters = rng.integers(0, n_clusters, size=n_items)
+        item_latents[domain] = centers[clusters] + 0.3 * rng.normal(size=(n_items, k))
+    user_latents = rng.normal(size=(spec.user_count, k))
+
+    edges = {"source": [], "target": []}
+    flags = []
+    per_domain = {"source": spec.source_interactions, "target": spec.target_interactions}
+    for user in range(spec.user_count):
+        for domain in ("source", "target"):
+            n_per = per_domain[domain]
+            latents = item_latents[domain]
+            probabilities = _softmax(latents @ user_latents[user])
+            if domain == "source":
+                uniform = rng.random(n_per) < spec.irrelevant_fraction
+            else:
+                uniform = np.zeros(n_per, dtype=bool)
+            n_preferred = int((~uniform).sum())
+            chosen = list(
+                rng.choice(latents.shape[0], size=n_preferred, replace=False, p=probabilities)
+            )
+            if n_per - n_preferred:
+                pool = np.setdiff1d(np.arange(latents.shape[0]), np.asarray(chosen, dtype=np.int64))
+                chosen.extend(rng.choice(pool, size=n_per - n_preferred, replace=False))
+            for position, item in enumerate(chosen):
+                edges[domain].append((user, int(item)))
+                if domain == "source":
+                    flags.append(position >= n_preferred)
+
+    all_latents = np.concatenate([item_latents["source"], item_latents["target"]], axis=0)
+    unit = all_latents / np.linalg.norm(all_latents, axis=1, keepdims=True)
+    similarity = unit @ unit.T
+    np.fill_diagonal(similarity, -np.inf)
+    n_entities = all_latents.shape[0]
+    neighbor_count = min(spec.entity_neighbors, n_entities - 1)
+    kg_edges = []
+    for entity in range(n_entities):
+        nearest = np.argpartition(-similarity[entity], neighbor_count)[:neighbor_count]
+        kg_edges.extend((entity, int(other)) for other in nearest)
+    as_edges = lambda pairs: np.asarray(pairs, dtype=np.int64)  # noqa: E731
+    return (as_edges(edges["source"]), as_edges(edges["target"]), as_edges(kg_edges),
+            np.asarray(flags, dtype=bool))
+
+
+DESK_SHAPE = dict(
+    user_count=500, source_items=300, target_items=300, latent_dim=8,
+    irrelevant_fraction=0.3, source_interactions=12, target_interactions=6,
+    entity_neighbors=4,
+)
+SMALL_SHAPE = dict(user_count=40, source_interactions=6, target_interactions=5)
+HALF_BLOCK = KNN_BLOCK // 2
+
+# SynthSpec arguments by name; entity count = source_items + target_items
+ORACLE_SHAPES = {
+    **{f"desk-seed{seed}": dict(DESK_SHAPE, seed=seed) for seed in (1, 2, 3)},
+    "below-one-block": dict(SMALL_SHAPE, source_items=HALF_BLOCK, target_items=HALF_BLOCK - 20),
+    "one-block": dict(SMALL_SHAPE, source_items=HALF_BLOCK, target_items=HALF_BLOCK, seed=4),
+    "one-block-plus-one":
+        dict(SMALL_SHAPE, source_items=HALF_BLOCK + 1, target_items=HALF_BLOCK, seed=5),
+    # several blocks, and an entity count that is not a multiple of 8
+    "1100-entities": dict(SMALL_SHAPE, source_items=600, target_items=500, latent_dim=16,
+                          entity_neighbors=7, seed=6),
+    "neighbors-clamped": dict(user_count=10, source_items=6, target_items=5,
+                              source_interactions=4, target_interactions=3,
+                              entity_neighbors=10, seed=7),
+    "all-relevant": dict(SMALL_SHAPE, source_items=50, target_items=40,
+                         irrelevant_fraction=0.0, seed=8),
+    "all-irrelevant": dict(SMALL_SHAPE, source_items=50, target_items=40,
+                           irrelevant_fraction=1.0, seed=9),
+    "whole-source-catalog": dict(user_count=30, source_items=12, target_items=20,
+                                 source_interactions=12, target_interactions=4,
+                                 irrelevant_fraction=0.5, seed=10),
+}
 
 
 def write(path, text):
@@ -191,6 +278,27 @@ class TestGenerateSynthetic:
         )
         assert bundle.kg.item_entity_source.shape[0] == len(bundle.source_item_ids)
         assert bundle.kg.item_entity_target.shape[0] == len(bundle.target_item_ids)
+
+    @pytest.mark.parametrize("shape", ["tiny", *ORACLE_SHAPES])
+    def test_matches_the_dense_oracle(self, tiny_spec, shape):
+        spec = tiny_spec if shape == "tiny" else SynthSpec(**ORACLE_SHAPES[shape])
+        bundle, flags = generate_synthetic(spec)
+        source, target, kg, expected_flags = generate_synthetic_oracle(spec)
+        n_entities = spec.source_items + spec.target_items
+        for actual, expected in (
+            (bundle.source.edges, source),
+            (bundle.target.edges, target),
+            (bundle.kg.entity_edges, kg),
+            (flags, expected_flags),
+            (bundle.kg.item_entity_source,
+             np.stack([np.arange(spec.source_items)] * 2, axis=1)),
+            (bundle.kg.item_entity_target,
+             np.stack([np.arange(spec.target_items),
+                       spec.source_items + np.arange(spec.target_items)], axis=1)),
+        ):
+            assert actual.dtype == expected.dtype
+            assert np.array_equal(actual, expected)
+        assert bundle.kg.entity_count == n_entities == len(bundle.entity_ids)
 
     def test_user_counts_support_leave_one_out(self, tiny_bundle):
         bundle, _ = tiny_bundle

@@ -421,6 +421,22 @@ class TestInjectNoise:
         _, again = inject_source_noise(graph, 0.37, 11)
         assert np.array_equal(added, again)
 
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("ratio", [0.05, 0.6])
+    def test_small_catalog_draws_from_the_complement(self, seed, ratio):
+        # oracle: the free pairs as the sorted set difference, drawn from with
+        # the same generator calls
+        rng = np.random.default_rng(seed)
+        n_users, n_items = 60, 45
+        flat = rng.choice(n_users * n_items, size=900, replace=False)
+        graph = InteractionGraph("source", n_users, n_items, np.stack(np.divmod(flat, n_items), 1))
+        complement = np.setdiff1d(np.arange(n_users * n_items, dtype=np.int64), flat)
+        count = math.ceil(ratio * graph.edge_count)
+        drawn = np.random.default_rng(seed + 100).choice(complement, size=count, replace=False)
+        expected = np.stack(np.divmod(drawn, n_items), axis=1)
+        _, added = inject_source_noise(graph, ratio, seed + 100)
+        assert_same_array(added, expected)
+
     def test_rejects_when_no_free_pairs(self):
         full = [(u, i) for u in range(2) for i in range(2)]
         graph = InteractionGraph("source", 2, 2, full)
