@@ -52,14 +52,10 @@ class LoadReport:
 
     malformed: list[tuple[str, int, str]] = field(default_factory=list)
     raw_edges: dict[str, int] = field(default_factory=dict)
-    kept_edges: dict[str, int] = field(default_factory=dict)
     duplicate_edges: dict[str, int] = field(default_factory=dict)
     single_domain_users: int = 0
     single_domain_edges: dict[str, int] = field(default_factory=dict)
     scoped_out_kg_edges: int = 0
-
-    def dropped(self, domain: str) -> int:
-        return self.duplicate_edges.get(domain, 0) + self.single_domain_edges.get(domain, 0)
 
 
 @dataclass
@@ -104,149 +100,82 @@ def _read_rows(
     return rows
 
 
-class _Indexer:
-    """First-seen-order string-to-dense-index assignment.
-
-    A frozen indexer (loaded from a persisted ID map) hands out only the
-    indices it was built with; unknown IDs come back as None and the caller
-    accounts for the dropped row.
-    """
-
-    def __init__(self, ids: list[str] | None = None, frozen: bool = False) -> None:
-        self.ids: list[str] = list(ids or [])
-        self.to_index: dict[str, int] = {key: i for i, key in enumerate(self.ids)}
-        self.frozen = frozen
-
-    def index(self, key: str) -> int | None:
-        idx = self.to_index.get(key)
-        if idx is None and not self.frozen:
-            idx = len(self.ids)
-            self.to_index[key] = idx
-            self.ids.append(key)
-        return idx
-
-    def __len__(self) -> int:
-        return len(self.ids)
+def _index(ids: dict[str, int], key: str) -> int:
+    """Dense index of ``key``; a new key gets the next one (first-seen order)."""
+    return ids.setdefault(key, len(ids))
 
 
-def _read_id_map(path: Path) -> _Indexer:
-    pairs: list[tuple[str, int]] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line or line.startswith("#"):
-            continue
-        raw_id, index = line.split("\t")
-        pairs.append((raw_id, int(index)))
-    pairs.sort(key=lambda pair: pair[1])
-    if [index for _, index in pairs] != list(range(len(pairs))):
-        raise ValueError(f"{path}: indices must be a dense 0..n-1 range")
-    return _Indexer([raw_id for raw_id, _ in pairs], frozen=True)
-
-
-def load_bundle(
-    paths: DataPaths, hop_radius: int = 1, id_dir: Path | None = None
-) -> tuple[DatasetBundle, LoadReport]:
+def load_bundle(paths: DataPaths, hop_radius: int = 1) -> tuple[DatasetBundle, LoadReport]:
     """Load and index a full cross-domain dataset.
 
     Users present in only one domain are dropped (counted in the report);
     no well-formed line disappears without being counted.  Entity edges
     beyond ``hop_radius`` hops from any item-linked entity are trimmed.
 
-    By default IDs are indexed in first-seen order.  Passing ``id_dir`` (a
-    directory holding the ``ids_*.tsv`` maps that :func:`save_bundle` writes)
-    pins the index assignment to the persisted mapping instead, which makes a
-    save/load round trip the identity.
+    IDs are indexed in first-seen order: users and items over the shared
+    users' interactions (source first), then the item-entity maps (source
+    first), then the KG.  Each ID list is its dict's insertion order.
     """
     report = LoadReport()
-    raw_source = _read_rows(paths.source, report, 2)
-    raw_target = _read_rows(paths.target, report, 2)
-    report.raw_edges[SOURCE] = len(raw_source)
-    report.raw_edges[TARGET] = len(raw_target)
-
-    users_source = {u for u, _ in raw_source}
-    users_target = {u for u, _ in raw_target}
+    raw = {
+        SOURCE: _read_rows(paths.source, report, 2),
+        TARGET: _read_rows(paths.target, report, 2),
+    }
+    users_source, users_target = ({user for user, _ in rows} for rows in raw.values())
     shared = users_source & users_target
     report.single_domain_users = len((users_source | users_target) - shared)
 
-    if id_dir is not None:
-        id_dir = Path(id_dir)
-        users = _read_id_map(id_dir / "ids_users.tsv")
-        items = {
-            SOURCE: _read_id_map(id_dir / "ids_items_source.tsv"),
-            TARGET: _read_id_map(id_dir / "ids_items_target.tsv"),
-        }
-        entities = _read_id_map(id_dir / "ids_entities.tsv")
-    else:
-        users = _Indexer()
-        items = {SOURCE: _Indexer(), TARGET: _Indexer()}
-        entities = _Indexer()
+    users: dict[str, int] = {}
+    items: dict[str, dict[str, int]] = {SOURCE: {}, TARGET: {}}
+    entities: dict[str, int] = {}
+    edges = {}
+    for domain, rows in raw.items():
+        kept = [(_index(users, u), _index(items[domain], i)) for u, i in rows if u in shared]
+        report.raw_edges[domain] = len(rows)
+        report.single_domain_edges[domain] = len(rows) - len(kept)
+        edges[domain], report.duplicate_edges[domain] = unique_edges(kept)
 
-    kept: dict[str, list[tuple[int, int]]] = {SOURCE: [], TARGET: []}
-    for domain, raw in ((SOURCE, raw_source), (TARGET, raw_target)):
-        dropped = 0
-        for user_id, item_id in raw:
-            user = users.index(user_id) if user_id in shared else None
-            item = items[domain].index(item_id) if user is not None else None
-            if user is None or item is None:
-                dropped += 1
-                continue
-            kept[domain].append((user, item))
-        report.single_domain_edges[domain] = dropped
-
-    if not kept[SOURCE] or not kept[TARGET]:
+    if not edges[SOURCE].size or not edges[TARGET].size:
         raise ValueError(
             "no interactions left after requiring users to appear in both domains"
         )
 
-    maps: dict[str, list[tuple[int, int]]] = {SOURCE: [], TARGET: []}
-    for domain, path in ((SOURCE, paths.map_source), (TARGET, paths.map_target)):
-        for item_id, entity_id in _read_rows(path, report, 2):
-            item = items[domain].index(item_id)
-            entity = entities.index(entity_id)
-            if item is not None and entity is not None:
-                maps[domain].append((item, entity))
-
-    kg_edges = []
-    for head, tail in _read_rows(paths.kg, report, 2, middle_optional=True):
-        head_idx, tail_idx = entities.index(head), entities.index(tail)
-        if head_idx is not None and tail_idx is not None:
-            kg_edges.append((head_idx, tail_idx))
-
-    edges = {}
-    for domain in (SOURCE, TARGET):
-        edges[domain], dupes = unique_edges(kept[domain])
-        report.duplicate_edges[domain] = dupes
-        report.kept_edges[domain] = edges[domain].shape[0]
-
-    linkage = KnowledgeLinkage(
-        entity_count=len(entities),
-        entity_edges=np.asarray(kg_edges, dtype=np.int64).reshape(len(kg_edges), 2),
-        item_entity_source=np.asarray(maps[SOURCE], dtype=np.int64).reshape(len(maps[SOURCE]), 2),
-        item_entity_target=np.asarray(maps[TARGET], dtype=np.int64).reshape(len(maps[TARGET]), 2),
+    maps = {
+        domain: [
+            (_index(items[domain], item), _index(entities, entity))
+            for item, entity in _read_rows(path, report, 2)
+        ]
+        for domain, path in ((SOURCE, paths.map_source), (TARGET, paths.map_target))
+    }
+    kg_edges = [
+        (_index(entities, head), _index(entities, tail))
+        for head, tail in _read_rows(paths.kg, report, 2, middle_optional=True)
+    ]
+    linkage, report.scoped_out_kg_edges = scope_entity_edges(
+        KnowledgeLinkage(len(entities), kg_edges, maps[SOURCE], maps[TARGET]), hop_radius
     )
-    linkage, report.scoped_out_kg_edges = scope_entity_edges(linkage, hop_radius)
 
     bundle = DatasetBundle(
         source=InteractionGraph(SOURCE, len(users), len(items[SOURCE]), edges[SOURCE]),
         target=InteractionGraph(TARGET, len(users), len(items[TARGET]), edges[TARGET]),
         kg=linkage,
-        user_ids=users.ids,
-        source_item_ids=items[SOURCE].ids,
-        target_item_ids=items[TARGET].ids,
-        entity_ids=entities.ids,
+        user_ids=list(users),
+        source_item_ids=list(items[SOURCE]),
+        target_item_ids=list(items[TARGET]),
+        entity_ids=list(entities),
     )
     return bundle, report
 
 
 def load_interactions(path: Path, domain_tag: str = SOURCE) -> tuple[InteractionGraph, list[str], list[str]]:
     """Load a single interactions file on its own (used by noise injection)."""
-    report = LoadReport()
-    rows = _read_rows(path, report, 2)
-    users, items = _Indexer(), _Indexer()
-    edges = [(users.index(u), items.index(i)) for u, i in rows]
-    arr, _ = unique_edges(edges)
-    if not len(arr):
+    users: dict[str, int] = {}
+    items: dict[str, int] = {}
+    rows = _read_rows(path, LoadReport(), 2)
+    edges, _ = unique_edges([(_index(users, u), _index(items, i)) for u, i in rows])
+    if not len(edges):
         raise ValueError(f"no interactions found in {path}")
-    return InteractionGraph(domain_tag, len(users), len(items), arr), users.ids, items.ids
+    return InteractionGraph(domain_tag, len(users), len(items), edges), list(users), list(items)
 
 
 def write_atomic(path: Path, content: str | bytes) -> None:

@@ -116,21 +116,9 @@ class RankingResult:
     rank: int
 
 
-def metrics_at(rank: int, ks: tuple[int, ...]) -> dict[tuple[str, int], float]:
-    """Exact single-relevant-item metrics as a function of the 1-based rank."""
-    if rank < 1:
-        raise ValueError(f"rank must be 1-based, got {rank}")
-    values: dict[tuple[str, int], float] = {}
-    for k in ks:
-        hit = rank <= k
-        values[("ndcg", k)] = 1.0 / math.log2(rank + 1) if hit else 0.0
-        values[("hit", k)] = 1.0 if hit else 0.0
-        values[("mrr", k)] = 1.0 / rank if hit else 0.0
-    return values
-
-
 def ndcg_gains(top: int) -> list[float]:
-    """NDCG gains of ranks 1..top, each equal to :func:`metrics_at`'s."""
+    """NDCG gains ``1 / math.log2(rank + 1)`` of ranks 1..top (not ``np.log2``,
+    which differs in the last bit at some ranks)."""
     return [1.0 / math.log2(rank + 1) for rank in range(1, top + 1)]
 
 
@@ -208,8 +196,10 @@ def evaluate_ranking(
     """Rank each user's held-out item against the full remaining catalog.
 
     Aggregates are means over users multiplied by 100, the usual percentage
-    convention.  Per-user values equal :func:`metrics_at`'s, so the gains use
-    ``math.log2`` (``np.log2`` differs from it in the last bit at some ranks).
+    convention.  With the held-out item at 1-based rank r, a user counts
+    ``1 / math.log2(r + 1)`` toward NDCG@k, 1 toward HIT@k and ``1 / r``
+    toward MRR@k when r <= k, and 0 otherwise; the gains come from
+    :func:`ndcg_gains`.
     """
     ranks = held_out_ranks(scorer, users, held_items, excluded_by_user)
     results = [RankingResult(int(u), rank) for u, rank in zip(users, ranks)]
@@ -241,7 +231,8 @@ def inject_source_noise(
         return graph, np.zeros((0, 2), dtype=np.int64)
 
     n_u, n_i = graph.user_count, graph.item_count
-    existing = graph.edges[:, 0].astype(np.int64) * n_i + graph.edges[:, 1]
+    # repeated edges take one pair
+    existing = np.unique(graph.edges[:, 0].astype(np.int64) * n_i + graph.edges[:, 1])
     free = n_u * n_i - existing.size
     if count > free:
         raise ValueError(

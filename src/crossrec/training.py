@@ -253,7 +253,11 @@ def _initial_embeddings(
     e0 = np.zeros((graph.node_count, config.embedding_dim))
     for name, (domains, block) in _table_layout(params.kind, config.use_kg).items():
         if domain in domains:
-            e0[_block_rows(graph, block)] = params.arrays[name]
+            rows, table = _block_rows(graph, block), params.arrays[name]
+            if table.shape[0] != rows.stop - rows.start:  # a checkpoint of other data
+                raise ValueError(f"parameter table {name!r} has {table.shape[0]} rows, but the "
+                                 f"{domain} graph block it fills has {rows.stop - rows.start}")
+            e0[rows] = table
     return e0
 
 

@@ -311,6 +311,24 @@ class TestEvaluate:
         assert code == 1
         assert "has no usable training config" in capsys.readouterr().err
 
+    def test_checkpoint_for_other_data_names_the_table(self, tmp_path, capsys):
+        # two KG lines linked to no item: hop scoping drops their edges, so
+        # the copy of the data that train saves has 3 entities fewer
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-synth", "--out", str(data), "--seed", "7"]) == 0
+        with open(data / "kg.tsv", "a", encoding="utf-8") as handle:
+            handle.write("xa\txb\nxb\txc\n")
+        assert main(["train", *data_flags(data), "--epochs", "3", "--out", str(run),
+                     "--seed", "7"]) == 0
+        capsys.readouterr()
+        code = main(["evaluate", "--checkpoint", str(run / "best.ckpt"),
+                     *data_flags(run / "data"), "--out", str(tmp_path / "eval"), "--seed", "7"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: parameter table 'entity' has 603 rows, but the target graph block "
+            "it fills has 600\n"
+        )
+
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
 def test_malformed_lines_warned(synth_dir, trained, tmp_path, capsys, command):

@@ -135,7 +135,8 @@ class TestLoadBundle:
     def test_drop_accounting_balances(self, small_files):
         bundle, report = load_bundle(small_files)
         for domain, graph in (("source", bundle.source), ("target", bundle.target)):
-            assert report.raw_edges[domain] == graph.edge_count + report.dropped(domain)
+            dropped = report.duplicate_edges[domain] + report.single_domain_edges[domain]
+            assert report.raw_edges[domain] == graph.edge_count + dropped
 
     def test_malformed_lines_reported_with_numbers(self, tmp_path, small_files):
         write(
@@ -196,8 +197,24 @@ class TestLoadBundle:
         assert bundle.source.item_count == 47_377
 
 
+def id_pairs(bundle):
+    """Every table of a bundle as (left ID, right ID) pairs in edge order."""
+    def named(edges, left_ids, right_ids):
+        return [(left_ids[a], right_ids[b]) for a, b in edges.tolist()]
+
+    users, entities, kg = bundle.user_ids, bundle.entity_ids, bundle.kg
+    return {
+        "source": named(bundle.source.edges, users, bundle.source_item_ids),
+        "target": named(bundle.target.edges, users, bundle.target_item_ids),
+        "map_source": named(kg.item_entity_source, bundle.source_item_ids, entities),
+        "map_target": named(kg.item_entity_target, bundle.target_item_ids, entities),
+        "kg": named(kg.entity_edges, entities, entities),
+    }
+
+
 class TestRoundTrip:
     def test_save_then_reload_is_identical(self, tiny_bundle, tmp_path):
+        # the reload assigns indices in first-seen order, so compare through the IDs
         bundle, _ = tiny_bundle
         written = save_bundle(bundle, tmp_path / "out")
         reloaded, report = load_bundle(
@@ -207,18 +224,11 @@ class TestRoundTrip:
                 kg=written["kg"],
                 map_source=written["map_source"],
                 map_target=written["map_target"],
-            ),
-            id_dir=tmp_path / "out",
+            )
         )
-        assert reloaded.user_ids == bundle.user_ids
-        assert reloaded.source_item_ids == bundle.source_item_ids
-        assert reloaded.target_item_ids == bundle.target_item_ids
-        assert reloaded.entity_ids == bundle.entity_ids
-        assert np.array_equal(reloaded.source.edges, bundle.source.edges)
-        assert np.array_equal(reloaded.target.edges, bundle.target.edges)
-        assert np.array_equal(
-            np.sort(reloaded.kg.entity_edges, axis=0), np.sort(bundle.kg.entity_edges, axis=0)
-        )
+        for ids in ("user_ids", "source_item_ids", "target_item_ids", "entity_ids"):
+            assert set(getattr(reloaded, ids)) == set(getattr(bundle, ids))
+        assert id_pairs(reloaded) == id_pairs(bundle)
 
     def test_single_file_loader(self, tmp_path):
         path = write(tmp_path / "inter.tsv", "u1\ti1\nu2\ti2\nu1\ti2\n")

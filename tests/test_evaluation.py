@@ -11,7 +11,6 @@ from crossrec.evaluation import (
     UserItems,
     held_out_ranks,
     inject_source_noise,
-    metrics_at,
     rank_of_held_out,
     split_leave_one_out,
     evaluate_ranking,
@@ -20,6 +19,8 @@ from crossrec.graph import InteractionGraph, KnowledgeLinkage
 from crossrec.data import DatasetBundle, SynthSpec, generate_synthetic
 from crossrec.experiments import contaminate_split
 from crossrec.training import Batch, _sample_batches
+
+from metric_oracle import metrics_at
 
 
 def brute_force_rank(scores, held_item, excluded_items):
@@ -442,6 +443,15 @@ class TestInjectNoise:
         graph = InteractionGraph("source", 2, 2, full)
         with pytest.raises(ValueError):
             inject_source_noise(graph, 0.5, 0)
+
+    def test_repeated_edges_take_one_pair(self):
+        # (0, 0) three times leaves 3 of the 4 pairs free for ceil(0.5 * 3) = 2 edges
+        graph = InteractionGraph("source", 2, 2, [(0, 0)] * 3)
+        noisy, added = inject_source_noise(graph, 0.5, 0)
+        assert added.shape == (2, 2)
+        pairs = set(map(tuple, added.tolist()))
+        assert len(pairs) == 2 and (0, 0) not in pairs
+        assert np.array_equal(noisy.edges[:3], graph.edges)
 
     def test_injected_edges_disjoint_from_holdouts(self):
         # source noise lives in the source item space; the target-domain

@@ -1,0 +1,323 @@
+"""The dict-based loader against the indexer-class loader it replaced.
+
+``oracle_load_bundle`` and ``oracle_load_interactions`` are the earlier
+first-seen-order loader, kept here as an oracle: an ``_Indexer`` object per
+ID space and explicit ``np.asarray`` edge arrays.  On randomized TSV sets
+(malformed lines, CRLF endings, ``#`` headers, duplicate edges,
+single-domain users, map-only items, KG-only entities, three-column KG
+lines, KG edges out of hop range) and on the error cases, both loaders must
+give the same IDs, edge arrays, report and exceptions.
+"""
+
+import random
+from dataclasses import dataclass, field, fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from crossrec.data import DataPaths, LoadReport, load_bundle, load_interactions
+from crossrec.graph import (
+    SOURCE,
+    TARGET,
+    InteractionGraph,
+    KnowledgeLinkage,
+    scope_entity_edges,
+    unique_edges,
+)
+
+HOP_RADII = (0, 1, 2)
+SEEDS = range(60)
+FILES = ("source", "target", "kg", "map_source", "map_target")
+
+
+@dataclass
+class OracleReport:
+    malformed: list = field(default_factory=list)
+    raw_edges: dict = field(default_factory=dict)
+    kept_edges: dict = field(default_factory=dict)
+    duplicate_edges: dict = field(default_factory=dict)
+    single_domain_users: int = 0
+    single_domain_edges: dict = field(default_factory=dict)
+    scoped_out_kg_edges: int = 0
+
+
+def oracle_read_rows(path, report, columns, middle_optional=False):
+    rows = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line or line.startswith("#"):
+                continue
+            fields_ = line.split("\t")
+            if len(fields_) == columns and all(fields_):
+                rows.append(tuple(fields_))
+            elif middle_optional and len(fields_) == columns + 1 and all(fields_):
+                rows.append((fields_[0], fields_[-1]))
+            else:
+                report.malformed.append((str(path), line_no, line))
+    return rows
+
+
+class _Indexer:
+    def __init__(self):
+        self.ids = []
+        self.to_index = {}
+
+    def index(self, key):
+        idx = self.to_index.get(key)
+        if idx is None:
+            idx = len(self.ids)
+            self.to_index[key] = idx
+            self.ids.append(key)
+        return idx
+
+    def __len__(self):
+        return len(self.ids)
+
+
+def oracle_load_bundle(paths, hop_radius=1):
+    report = OracleReport()
+    raw_source = oracle_read_rows(paths.source, report, 2)
+    raw_target = oracle_read_rows(paths.target, report, 2)
+    report.raw_edges[SOURCE] = len(raw_source)
+    report.raw_edges[TARGET] = len(raw_target)
+
+    users_source = {u for u, _ in raw_source}
+    users_target = {u for u, _ in raw_target}
+    shared = users_source & users_target
+    report.single_domain_users = len((users_source | users_target) - shared)
+
+    users = _Indexer()
+    items = {SOURCE: _Indexer(), TARGET: _Indexer()}
+    entities = _Indexer()
+
+    kept = {SOURCE: [], TARGET: []}
+    for domain, raw in ((SOURCE, raw_source), (TARGET, raw_target)):
+        dropped = 0
+        for user_id, item_id in raw:
+            user = users.index(user_id) if user_id in shared else None
+            item = items[domain].index(item_id) if user is not None else None
+            if user is None or item is None:
+                dropped += 1
+                continue
+            kept[domain].append((user, item))
+        report.single_domain_edges[domain] = dropped
+
+    if not kept[SOURCE] or not kept[TARGET]:
+        raise ValueError(
+            "no interactions left after requiring users to appear in both domains"
+        )
+
+    maps = {SOURCE: [], TARGET: []}
+    for domain, path in ((SOURCE, paths.map_source), (TARGET, paths.map_target)):
+        for item_id, entity_id in oracle_read_rows(path, report, 2):
+            maps[domain].append((items[domain].index(item_id), entities.index(entity_id)))
+
+    kg_edges = []
+    for head, tail in oracle_read_rows(paths.kg, report, 2, middle_optional=True):
+        kg_edges.append((entities.index(head), entities.index(tail)))
+
+    edges = {}
+    for domain in (SOURCE, TARGET):
+        edges[domain], dupes = unique_edges(kept[domain])
+        report.duplicate_edges[domain] = dupes
+        report.kept_edges[domain] = edges[domain].shape[0]
+
+    as_edges = lambda pairs: np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)  # noqa: E731
+    linkage = KnowledgeLinkage(
+        entity_count=len(entities),
+        entity_edges=as_edges(kg_edges),
+        item_entity_source=as_edges(maps[SOURCE]),
+        item_entity_target=as_edges(maps[TARGET]),
+    )
+    linkage, report.scoped_out_kg_edges = scope_entity_edges(linkage, hop_radius)
+    graphs = {
+        domain: InteractionGraph(domain, len(users), len(items[domain]), edges[domain])
+        for domain in (SOURCE, TARGET)
+    }
+    ids = (users.ids, items[SOURCE].ids, items[TARGET].ids, entities.ids)
+    return (graphs[SOURCE], graphs[TARGET], linkage, *ids), report
+
+
+def oracle_load_interactions(path, domain_tag=SOURCE):
+    report = OracleReport()
+    rows = oracle_read_rows(path, report, 2)
+    users, items = _Indexer(), _Indexer()
+    edges = [(users.index(u), items.index(i)) for u, i in rows]
+    arr, _ = unique_edges(edges)
+    if not len(arr):
+        raise ValueError(f"no interactions found in {path}")
+    return InteractionGraph(domain_tag, len(users), len(items), arr), users.ids, items.ids
+
+
+def array_view(array):
+    return array.dtype.str, array.shape, array.tolist()
+
+
+def bundle_outcome(loader, paths, hop_radius):
+    """Everything a load returns, in comparable form, or its exception."""
+    try:
+        loaded, report = loader(paths, hop_radius)
+    except (OSError, ValueError) as error:  # the exception is the outcome
+        return type(error), str(error)
+    if loader is load_bundle:
+        loaded = (loaded.source, loaded.target, loaded.kg, loaded.user_ids,
+                  loaded.source_item_ids, loaded.target_item_ids, loaded.entity_ids)
+    source, target, kg, *ids = loaded
+    return {
+        "ids": ids,
+        "counts": (source.user_count, target.user_count, source.item_count,
+                   target.item_count, kg.entity_count),
+        "edges": [array_view(a) for a in (source.edges, target.edges, kg.entity_edges,
+                                          kg.item_entity_source, kg.item_entity_target)],
+        "report": {f.name: getattr(report, f.name) for f in fields(LoadReport)},
+    }
+
+
+def interactions_outcome(loader, path):
+    try:
+        graph, users, items = loader(path)
+    except (OSError, ValueError) as error:
+        return type(error), str(error)
+    return graph.user_count, graph.item_count, array_view(graph.edges), users, items
+
+
+MALFORMED = ["broken-line", "a\t", "\tb", "a\t\tb", "\t", "x\ty\tz\tw"]
+# a well-formed KG line, but malformed in the two-column files
+THREE_COLUMNS = "x\ty\tz"
+
+
+def tsv(rng, rows, malformed):
+    """``rows`` as TSV text with headers, blank and malformed lines mixed in."""
+    lines = ["# provenance header"] if rng.random() < 0.5 else []
+    for row in rows:
+        if rng.random() < 0.1:
+            lines.append(rng.choice(malformed))
+        if rng.random() < 0.05:
+            lines.append("")
+        if rng.random() < 0.05:
+            lines.append("# comment")
+        lines.append("\t".join(row))
+    text = "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
+    return text.rstrip("\r\n") if rng.random() < 0.3 else text
+
+
+def write_random_tsvs(directory: Path, seed: int) -> DataPaths:
+    """Five TSVs whose IDs collide across spaces, some users one-domain,
+    some items only in a map, and KG chains 1-3 hops past the linked entities."""
+    rng = random.Random(seed)
+    users = [f"{rng.choice(('u', 'ü', 'x'))}{i}" for i in range(rng.randint(2, 12))]
+    catalogs = {SOURCE: [f"x{i}" for i in range(rng.randint(2, 15))],
+                TARGET: [f"t{i}" for i in range(rng.randint(2, 15))]}
+    linked = [f"e{i}" for i in range(rng.randint(1, 8))] + ["x0"]
+
+    text = {}
+    for domain in (SOURCE, TARGET):
+        rows = [
+            (user, rng.choice(catalogs[domain]))
+            for user in users if rng.random() < 0.8
+            for _ in range(rng.randint(1, 5))
+        ]
+        rows += rng.sample(rows, k=min(len(rows), rng.randint(0, 3)))  # duplicate edges
+        rng.shuffle(rows)
+        text[domain] = tsv(rng, rows, MALFORMED + [THREE_COLUMNS])
+        mapped = [item for item in catalogs[domain] if rng.random() < 0.7]
+        mapped += [f"m{domain[0]}{i}" for i in range(rng.randint(0, 3))]  # map-only items
+        map_rows = [(item, rng.choice(linked)) for item in mapped]
+        rng.shuffle(map_rows)
+        text[f"map_{domain}"] = tsv(rng, map_rows, MALFORMED + [THREE_COLUMNS])
+
+    kg_rows = [tuple(rng.sample(linked, 2)) for _ in range(rng.randint(0, 6))]
+    for chain in range(rng.randint(0, 3)):
+        nodes = [rng.choice(linked)] + [f"c{chain}_{hop}" for hop in range(rng.randint(1, 4))]
+        kg_rows += [pair if rng.random() < 0.5 else pair[::-1] for pair in zip(nodes, nodes[1:])]
+    if rng.random() < 0.5:
+        kg_rows += [("island_a", "island_b"), ("island_b", "island_c")]
+    kg_rows += rng.sample(kg_rows, k=min(len(kg_rows), rng.randint(0, 2)))
+    rng.shuffle(kg_rows)
+    kg_rows = [(head, "related_to", tail) if rng.random() < 0.3 else (head, tail)
+               for head, tail in kg_rows]
+    text["kg"] = tsv(rng, kg_rows, MALFORMED)
+
+    for name in FILES:
+        (directory / f"{name}.tsv").write_text(text[name], encoding="utf-8", newline="")
+    return DataPaths(*(directory / f"{name}.tsv" for name in FILES))
+
+
+def assert_same_loads(paths):
+    for radius in HOP_RADII:
+        expected = bundle_outcome(oracle_load_bundle, paths, radius)
+        actual = bundle_outcome(load_bundle, paths, radius)
+        assert actual == expected, f"hop radius {radius}"
+    for path in (paths.source, paths.target):
+        assert interactions_outcome(load_interactions, path) == interactions_outcome(
+            oracle_load_interactions, path
+        )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_randomized_tsv_sets(tmp_path, seed):
+    assert_same_loads(write_random_tsvs(tmp_path, seed))
+
+
+def test_randomized_sets_reach_every_case(tmp_path):
+    """The seeds above produce every line kind and drop the module docstring names."""
+    totals = {"malformed": 0, "duplicates": 0, "single-domain": 0, "three-column": 0,
+              "crlf": 0, "map-only": 0, "kg-only": 0}
+    scoped = {radius: 0 for radius in HOP_RADII}
+    for seed in SEEDS:
+        paths = write_random_tsvs(tmp_path, seed)
+        kg_text = paths.kg.read_text(encoding="utf-8")
+        totals["three-column"] += "\trelated_to\t" in kg_text
+        totals["kg-only"] += "c0_0" in kg_text
+        totals["crlf"] += "\r\n" in paths.source.read_bytes().decode("utf-8")
+        totals["map-only"] += "ms0\t" in paths.map_source.read_text(encoding="utf-8")
+        for radius in HOP_RADII:
+            _, report = load_bundle(paths, radius)
+            totals["malformed"] += len(report.malformed)
+            totals["duplicates"] += sum(report.duplicate_edges.values())
+            totals["single-domain"] += report.single_domain_users
+            scoped[radius] += report.scoped_out_kg_edges
+    assert all(totals.values()), totals
+    assert scoped[0] > scoped[1] > scoped[2] > 0, scoped
+
+
+def write_files(directory, **texts):
+    for name in FILES:
+        (directory / f"{name}.tsv").write_text(texts.get(name, ""), encoding="utf-8")
+    return DataPaths(*(directory / f"{name}.tsv" for name in FILES))
+
+
+VALID = {"source": "a\ts1\nb\ts2\n", "target": "a\tt1\nb\tt2\n", "kg": "e1\te2\n",
+         "map_source": "s1\te1\n", "map_target": "t1\te2\n"}
+
+
+@pytest.mark.parametrize("case", [
+    "no-shared-users", "all-empty", "empty-source", "empty-target", "empty-kg-and-maps",
+    "only-malformed-target",
+])
+def test_error_and_empty_cases(tmp_path, case):
+    texts = {
+        "no-shared-users": dict(VALID, target="c\tt1\nd\tt2\n"),
+        "all-empty": {},
+        "empty-source": dict(VALID, source=""),
+        "empty-target": dict(VALID, target="# header only\n"),
+        "empty-kg-and-maps": dict(VALID, kg="", map_source="", map_target=""),
+        "only-malformed-target": dict(VALID, target="a\n\tt1\n"),
+    }[case]
+    assert_same_loads(write_files(tmp_path, **texts))
+
+
+@pytest.mark.parametrize("missing", FILES)
+def test_missing_file(tmp_path, missing):
+    paths = write_files(tmp_path, **VALID)
+    getattr(paths, missing).unlink()
+    assert_same_loads(paths)
+
+
+def test_missing_map_after_no_shared_users(tmp_path):
+    # the shared-user check runs before the maps are read
+    paths = write_files(tmp_path, **dict(VALID, target="c\tt1\n"))
+    paths.map_source.unlink()
+    assert_same_loads(paths)

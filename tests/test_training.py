@@ -1,5 +1,6 @@
 """Optimizer behavior, exact gradients, determinism, checkpoints."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from crossrec.transfer import (
     cross_entropy_loss_backward,
 )
 from crossrec.training import (
+    CROSS,
     TARGET_ONLY,
     Batch,
     DomainGraphs,
@@ -35,6 +37,7 @@ from crossrec.training import (
 )
 
 from gradcheck import gradient_check
+from metric_oracle import metrics_at
 
 
 def micro_setup(bundle, config, seed=7):
@@ -169,6 +172,25 @@ class TestTrainStep:
             draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 4)
             train_step(params, graphs, batch, draws, config)
         assert params.all_finite()
+
+    @pytest.mark.parametrize("model", [CROSS, TARGET_ONLY])
+    def test_weight_decay_adds_the_scaled_parameters(self, dense_micro_bundle, model):
+        config = TrainConfig(embedding_dim=4, gate_hidden=4, layers=2, seed=5, batch_size=16,
+                             weight_decay=0.01, model=model)
+        graphs, params, batch, draws = micro_setup(dense_micro_bundle, config)
+        expected, undecayed = params.copy(), params.copy()
+        _, cache = forward_losses(expected, graphs, batch, draws, config)
+        grads = backward_losses(cache)
+        decayed = {name: grad + 0.01 * expected.arrays[name] for name, grad in grads.items()}
+        adagrad_update(expected, decayed, config.learning_rate)
+        train_step(params, graphs, batch, draws, config)
+        train_step(undecayed, graphs, batch, draws, replace(config, weight_decay=0.0))
+        for name in params.arrays:
+            assert np.array_equal(params.arrays[name], expected.arrays[name])
+            assert np.array_equal(params.accumulators[name], expected.accumulators[name])
+        assert not all(
+            np.array_equal(params.arrays[name], undecayed.arrays[name]) for name in params.arrays
+        )
 
 
 class TestForwardCache:
@@ -409,7 +431,7 @@ class TestFit:
 
 def validation_oracle(params, graphs, config, split, excluded_by_user):
     """The per-user validation loop from before ranking had one routine."""
-    from crossrec.evaluation import metrics_at, rank_of_held_out
+    from crossrec.evaluation import rank_of_held_out
     from crossrec.training import build_scorer
 
     score_fn = build_scorer(params, graphs, config)
