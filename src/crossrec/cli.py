@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__
 from .data import (
     DataPaths,
+    LoadReport,
     SynthSpec,
     format_pairs,
     generate_synthetic,
@@ -44,7 +45,6 @@ from .data import (
 )
 from .evaluation import inject_source_noise, split_leave_one_out
 from .experiments import VARIANTS, evaluate_fit, run_ablation
-from .graph import SOURCE
 from .training import (
     DomainGraphs,
     FitResult,
@@ -272,11 +272,15 @@ def _data_paths(args: argparse.Namespace) -> DataPaths:
     )
 
 
+def _warn_malformed(report: LoadReport) -> None:
+    if report.malformed:
+        print(f"warning: {len(report.malformed)} malformed lines skipped", file=sys.stderr)
+
+
 def _load_split(paths: DataPaths, hop_radius: int, seed: int):
     """Load the dataset, warning about skipped malformed lines, and split it by ``seed``."""
     bundle, report = load_bundle(paths, hop_radius=hop_radius)
-    if report.malformed:
-        print(f"warning: {len(report.malformed)} malformed lines skipped", file=sys.stderr)
+    _warn_malformed(report)
     return bundle, split_leave_one_out(bundle, seed)
 
 
@@ -396,7 +400,9 @@ def cmd_inject_noise(args: argparse.Namespace) -> int:
     source_path = Path(args.source)
     manifest = Manifest(out_dir, "inject-noise", resolved, [source_path])
 
-    graph, user_ids, item_ids = load_interactions(source_path, SOURCE)
+    report = LoadReport()
+    graph, user_ids, item_ids = load_interactions(source_path, report)
+    _warn_malformed(report)
     rng = np.random.default_rng(resolved["seed"])
     noisy, added = inject_source_noise(graph, args.ratio, rng)
     out_path = out_dir / "noisy_source.tsv"
@@ -421,6 +427,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     bundle, split = _load_split(paths, resolved["hop_radius"], config.seed)
     result = run_ablation(args.variant, config, bundle, split, args.k)
 
+    manifest.payload["best_epoch"] = result.fit_result.best_epoch
+    manifest.payload["best_validation_ndcg"] = result.fit_result.best_validation
     manifest.write_output(out_dir / "metrics.tsv", _metric_lines(result.aggregates, args.variant))
     manifest.write_output(out_dir / "training_log.tsv", _log_lines(result.fit_result.log))
     manifest.finalize()

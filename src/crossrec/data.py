@@ -167,15 +167,15 @@ def load_bundle(paths: DataPaths, hop_radius: int = 1) -> tuple[DatasetBundle, L
     return bundle, report
 
 
-def load_interactions(path: Path, domain_tag: str = SOURCE) -> tuple[InteractionGraph, list[str], list[str]]:
-    """Load a single interactions file on its own (used by noise injection)."""
+def load_interactions(path: Path, report: LoadReport | None = None) -> tuple[InteractionGraph, list[str], list[str]]:
+    """Load one source interactions file on its own; ``report`` records malformed lines."""
     users: dict[str, int] = {}
     items: dict[str, int] = {}
-    rows = _read_rows(path, LoadReport(), 2)
+    rows = _read_rows(path, LoadReport() if report is None else report, 2)
     edges, _ = unique_edges([(_index(users, u), _index(items, i)) for u, i in rows])
     if not len(edges):
         raise ValueError(f"no interactions found in {path}")
-    return InteractionGraph(domain_tag, len(users), len(items), edges), list(users), list(items)
+    return InteractionGraph(SOURCE, len(users), len(items), edges), list(users), list(items)
 
 
 def write_atomic(path: Path, content: str | bytes) -> None:

@@ -22,8 +22,7 @@ class EmbeddingState:
     """The final layer of one propagation run and the number of layers.
 
     The map is linear and the adjacency symmetric, so the backward pass needs
-    no intermediate layer.  ``z`` restricts the final layer to the user and
-    item rows, which is what downstream scoring consumes.
+    no intermediate layer.  Downstream scoring reads the user and item rows.
     """
 
     user_count: int
@@ -31,10 +30,6 @@ class EmbeddingState:
     entity_count: int
     final: np.ndarray = field(repr=False)
     layers: int
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.final[: self.user_count + self.item_count]
 
     @property
     def users(self) -> np.ndarray:

@@ -84,8 +84,7 @@ def split_leave_one_out(bundle: DatasetBundle, rng) -> LeaveOneOutSplit:
     in either domain are excluded (with a count), matching the more-than-
     three-interactions filtering rule.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
 
     n_users = bundle.user_count
     source = UserItems.build(bundle.source.edges, n_users)
@@ -221,11 +220,14 @@ def inject_source_noise(
 
     Adds ``ceil(ratio * |E|)`` user-item pairs not already present; existing
     edges are untouched.  Raises when the graph has too few free pairs left.
+    One exact draw picks the ranks of the new pairs among the free pairs in
+    key order (``user * items + item``), so memory grows with the edges, not
+    with the catalog; it draws what ``rng.choice`` over the explicit list of
+    free pairs would.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"noise ratio must lie in [0, 1], got {ratio}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     count = math.ceil(ratio * graph.edge_count)
     if count == 0:
         return graph, np.zeros((0, 2), dtype=np.int64)
@@ -239,25 +241,10 @@ def inject_source_noise(
             f"cannot add {count} noise edges: only {free} free user-item pairs remain"
         )
 
-    total = n_u * n_i
-    if total <= 5_000_000:
-        free_pairs = np.ones(total, dtype=bool)
-        free_pairs[existing] = False
-        flat = rng.choice(np.flatnonzero(free_pairs), size=count, replace=False)
-    else:
-        taken = set(existing.tolist())
-        picks: list[int] = []
-        while len(picks) < count:
-            draw = rng.integers(0, total, size=2 * (count - len(picks)))
-            for value in draw:
-                value = int(value)
-                if value not in taken:
-                    taken.add(value)
-                    picks.append(value)
-                    if len(picks) == count:
-                        break
-        flat = np.asarray(picks, dtype=np.int64)
-
+    rank = rng.choice(free, size=count, replace=False)
+    # existing[j] - j free pairs precede the j-th taken one, so the free pair
+    # of a rank is that rank plus the taken pairs at or below it
+    flat = rank + np.searchsorted(existing - np.arange(existing.size), rank, side="right")
     new_edges = np.stack(np.divmod(flat, n_i), axis=1)
     combined = np.concatenate([graph.edges, new_edges], axis=0)
     noisy = InteractionGraph(graph.domain_tag, n_u, n_i, combined)

@@ -145,10 +145,6 @@ class SparseGraph:
     def nnz(self) -> int:
         return self.matrix.nnz
 
-    def degrees(self) -> np.ndarray:
-        """Structural nonzero count per row."""
-        return np.diff(self.matrix.indptr)
-
     def is_structurally_symmetric(self) -> bool:
         pattern = self.matrix.copy()
         pattern.data = np.ones_like(pattern.data)
@@ -230,11 +226,11 @@ def normalize_symmetric(graph: SparseGraph) -> SparseGraph:
     if not graph.is_structurally_symmetric():
         raise GraphBuildError("normalization requires a structurally symmetric matrix")
     m = graph.matrix
-    deg = np.diff(m.indptr).astype(np.float64)
-    inv_sqrt = np.zeros_like(deg)
-    nonzero = deg > 0
-    inv_sqrt[nonzero] = 1.0 / np.sqrt(deg[nonzero])
-    row_of_entry = np.repeat(np.arange(graph.node_count), np.diff(m.indptr))
+    counts = np.diff(m.indptr)
+    inv_sqrt = np.zeros(graph.node_count)
+    nonzero = counts > 0
+    inv_sqrt[nonzero] = 1.0 / np.sqrt(counts[nonzero])
+    row_of_entry = np.repeat(np.arange(graph.node_count), counts)
     values = inv_sqrt[row_of_entry] * inv_sqrt[m.indices]
     normalized = sp.csr_matrix(
         (values, m.indices.copy(), m.indptr.copy()), shape=m.shape

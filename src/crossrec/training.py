@@ -266,17 +266,14 @@ class _ForwardCache:
     """Forward intermediates; the source-side ones are None for target-only."""
 
     batch: Batch
-    drawn: StepDraws
     config: TrainConfig
     params: ModelParameters
     graphs: DomainGraphs
     state_s: EmbeddingState | None
     state_t: EmbeddingState
-    eu_s: np.ndarray | None
     eu_t: np.ndarray
     merged: np.ndarray | None
     hidden: np.ndarray | None
-    logits: np.ndarray | None
     gate: np.ndarray | None
     eps: np.ndarray | None
     mixed: np.ndarray | None
@@ -285,7 +282,6 @@ class _ForwardCache:
     contrastive: compression.InfoNceForward | None
     fused: np.ndarray
     scores: dict[str, np.ndarray]
-    gate_override: float | None
 
 
 def _pred_loss(config: TrainConfig):
@@ -304,18 +300,13 @@ def forward_losses(
     batch: Batch,
     draws: StepDraws,
     config: TrainConfig,
-    frozen_stats: tuple[np.ndarray, np.ndarray] | None = None,
-    gate_override: float | None = None,
 ) -> tuple[transfer.LossBundle, _ForwardCache]:
     """One full forward pass over the fixed compute graph.
 
-    Training passes neither hook; the central-difference gradient checker in
-    ``tests/gradcheck.py`` needs both.  ``frozen_stats`` pins the noise-prior
-    mean/std to externally supplied values, which makes the objective a pure
-    function of the parameters.  ``gate_override`` bypasses the gate network
-    and fixes every gate to a constant, which turns the graph into the
-    linear-plus-ranking-loss path whose gradient the checker can verify to
-    machine precision.  Without a source domain (target-only) the fused
+    The noise-prior statistics and the relaxed gates come from
+    ``compression.batch_statistics`` and ``compression.gumbel_sigmoid``,
+    looked up at call time, so a caller can substitute either (the gradient
+    checker pins both).  Without a source domain (target-only) the fused
     vector is the target user vector and the source-side terms are zero.
     """
     loss_fn, _ = _pred_loss(config)
@@ -323,23 +314,16 @@ def forward_losses(
     state_t = _propagate(params, graphs.target, TARGET, config)
     eu_t = state_t.users[batch.users]
     fused = eu_t
-    state_s = eu_s = merged = hidden = logits = gate = eps = mixed = mu = sigma = None
+    state_s = merged = hidden = gate = eps = mixed = mu = sigma = None
     contrastive = None
     pred_s = kl = contrastive_loss = 0.0
 
     if cross:
         state_s = _propagate(params, graphs.source, SOURCE, config)
-        eu_s = state_s.users[batch.users]
-        merged = compression.merge_representations(eu_s, eu_t)
-        if gate_override is None:
-            logits, hidden = params.gate().forward(merged)
-            gate = compression.gumbel_sigmoid(logits, draws.uniform, config.gumbel_temperature)
-        else:
-            gate = np.full(merged.shape[0], float(gate_override))
-        if frozen_stats is None:
-            mu, sigma = compression.batch_statistics(merged, config.sigma_floor)
-        else:
-            mu, sigma = frozen_stats
+        merged = compression.merge_representations(state_s.users[batch.users], eu_t)
+        logits, hidden = params.gate().forward(merged)
+        gate = compression.gumbel_sigmoid(logits, draws.uniform, config.gumbel_temperature)
+        mu, sigma = compression.batch_statistics(merged, config.sigma_floor)
         mixed, eps = compression.mix_noise(merged, gate, mu, sigma, draws.noise)
         fused = mixed + eu_t
 
@@ -360,9 +344,8 @@ def forward_losses(
         contrastive_loss = contrastive.loss
     bundle = transfer.total_loss(pred_t, pred_s, kl, contrastive_loss, config.alphas)
     cache = _ForwardCache(
-        batch, draws, config, params, graphs, state_s, state_t, eu_s, eu_t,
-        merged, hidden, logits, gate, eps, mixed, mu, sigma, contrastive, fused,
-        scores, gate_override,
+        batch, config, params, graphs, state_s, state_t, eu_t, merged, hidden,
+        gate, eps, mixed, mu, sigma, contrastive, fused, scores,
     )
     return bundle, cache
 
@@ -414,15 +397,11 @@ def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
             g_gate += a2 * g_gate_kl
             g_merged += a2 * g_merged_kl
 
-        if cache.gate_override is None:
-            g_logits = g_gate * cache.gate * (1.0 - cache.gate) / config.gumbel_temperature
-            gate_grads, g_merged_net = params.gate().backward(cache.merged, cache.hidden, g_logits)
-            g_merged += g_merged_net
-            for key, value in gate_grads.items():
-                grads[f"gate_{key}"] = value
-        else:
-            for key in ("gate_w1", "gate_b1", "gate_w2", "gate_b2"):
-                grads[key] = np.zeros_like(params.arrays[key])
+        g_logits = g_gate * cache.gate * (1.0 - cache.gate) / config.gumbel_temperature
+        gate_grads, g_merged_net = params.gate().backward(cache.merged, cache.hidden, g_logits)
+        g_merged += g_merged_net
+        for key, value in gate_grads.items():
+            grads[f"gate_{key}"] = value
         np.add.at(g_z[SOURCE], batch.users, g_merged)
         g_eu_t = g_eu_t + g_merged
     np.add.at(g_z[TARGET], batch.users, g_eu_t)

@@ -1,17 +1,22 @@
 """Central-difference gradient checker for the training objective.
 
 Compares the exact adjoints of :func:`crossrec.training.backward_losses`
-with finite differences of :func:`crossrec.training.forward_losses`, using
-its ``frozen_stats`` and ``gate_override`` hooks.  Criterion 1 of the
-acceptance suite and ``test_training.py`` call it.
+with finite differences of :func:`crossrec.training.forward_losses`.  The
+forward looks up ``crossrec.compression.batch_statistics`` and
+``gumbel_sigmoid`` at call time; :func:`pinned` substitutes fakes for them,
+so the noise-prior statistics stay fixed across evaluations and the gates
+can be held open.  Criterion 1 of the acceptance suite and
+``test_training.py`` call it.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from crossrec import compression
 from crossrec.training import (
     CROSS,
     Batch,
@@ -23,6 +28,25 @@ from crossrec.training import (
     backward_losses,
     forward_losses,
 )
+
+
+@contextmanager
+def pinned(stats: tuple[np.ndarray, np.ndarray] | None = None, open_gates: bool = False):
+    """Within the block, the forward uses ``stats`` as the noise-prior
+    ``(mu, sigma)`` and, with ``open_gates``, a gate of 1 for every user.
+
+    At gate 1 the backward's ``gate * (1 - gate)`` factor is 0, so the gate
+    network's gradient is exactly 0, as the objective no longer depends on it.
+    """
+    saved = compression.batch_statistics, compression.gumbel_sigmoid
+    if stats is not None:
+        compression.batch_statistics = lambda merged, floor: stats
+    if open_gates:
+        compression.gumbel_sigmoid = lambda logits, uniform, temperature: np.ones_like(logits)
+    try:
+        yield
+    finally:
+        compression.batch_statistics, compression.gumbel_sigmoid = saved
 
 
 @dataclass
@@ -39,9 +63,9 @@ class GradientCheckResult:
         )
 
 
-def _detect_non_smooth(cache: _ForwardCache, config: TrainConfig) -> list[str]:
+def _detect_non_smooth(cache: _ForwardCache, config: TrainConfig, open_gates: bool) -> list[str]:
     reasons = []
-    if cache.gate is not None and cache.gate_override is None:
+    if cache.gate is not None and not open_gates:
         m_total = float(np.sum((1.0 - cache.gate) ** 2))
         if m_total <= 2.0 * config.m_floor:
             reasons.append(f"KL mass floor active (M={m_total:.2e})")
@@ -61,35 +85,33 @@ def gradient_check(
     draws: StepDraws,
     config: TrainConfig,
     epsilon: float = 1e-5,
-    gate_override: float | None = None,
+    open_gates: bool = False,
     order: int = 2,
 ) -> GradientCheckResult:
     """Compare the analytic gradient of the total loss with central differences.
 
     The stochastic draws and the noise-prior statistics are held fixed across
     all evaluations, so the objective is a deterministic function of the
-    parameters.  Points where a floor or saturation is active are reported as
-    non-smooth instead of trusted.  ``order`` selects the central stencil:
-    2 is the classic two-point difference, 4 the five-point fourth-order one
-    (same roundoff behavior, curvature error ~epsilon^4 instead of ^2).
+    parameters; ``open_gates`` pins every gate to 1 as well.  Points where a
+    floor or saturation is active are reported as non-smooth instead of
+    trusted.  ``order`` selects the central stencil: 2 is the classic
+    two-point difference, 4 the five-point fourth-order one (same roundoff
+    behavior, curvature error ~epsilon^4 instead of ^2).
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
-    base_bundle, base_cache = forward_losses(
-        params, graphs, batch, draws, config, gate_override=gate_override
-    )
+    with pinned(open_gates=open_gates):
+        _, base_cache = forward_losses(params, graphs, batch, draws, config)
     frozen = (base_cache.mu, base_cache.sigma) if params.kind == CROSS else None
-    reasons = _detect_non_smooth(base_cache, config)
+    reasons = _detect_non_smooth(base_cache, config, open_gates)
 
-    _, cache = forward_losses(
-        params, graphs, batch, draws, config, frozen_stats=frozen, gate_override=gate_override
-    )
+    with pinned(frozen, open_gates):
+        _, cache = forward_losses(params, graphs, batch, draws, config)
     analytic = backward_losses(cache)
 
     def objective() -> float:
-        bundle, _ = forward_losses(
-            params, graphs, batch, draws, config, frozen_stats=frozen, gate_override=gate_override
-        )
+        with pinned(frozen, open_gates):
+            bundle, _ = forward_losses(params, graphs, batch, draws, config)
         return bundle.total
 
     def central_difference(flat: np.ndarray, index: int) -> float:

@@ -298,12 +298,25 @@ class TestCriterion6SyntheticGain:
             and med["full"] > med["no-kl"]
             and max(durations) < 300.0
         )
+        per_seed = ", ".join(
+            f"seed {seed} {full:.3f}/{no_kl:.3f}/{target:.3f}"
+            for seed, full, no_kl, target in zip(
+                BENCHMARK_SEEDS, clean["full"], clean["no-kl"], clean["target-only"]
+            )
+        )
+        wins = {
+            other: sum(f > o for f, o in zip(clean["full"], clean[other]))
+            for other in ("no-kl", "target-only")
+        }
         report(
             "criterion 6 (synthetic end-to-end gain)",
             passed,
             f"median NDCG@10: full={med['full']:.3f}, "
             f"target-only={med['target-only']:.3f}, no-kl={med['no-kl']:.3f}, "
-            f"slowest run {max(durations):.0f}s",
+            f"slowest run {max(durations):.0f}s; "
+            f"per seed full/no-kl/target-only: {per_seed}; "
+            f"full > no-kl on {wins['no-kl']} of {len(BENCHMARK_SEEDS)} seeds, "
+            f"full > target-only on {wins['target-only']} of {len(BENCHMARK_SEEDS)}",
         )
 
 

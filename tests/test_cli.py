@@ -330,18 +330,19 @@ class TestEvaluate:
         )
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "inject-noise"])
 def test_malformed_lines_warned(synth_dir, trained, tmp_path, capsys, command):
     data = tmp_path / "data"
     shutil.copytree(synth_dir, data)
     with open(data / "target.tsv", "a", encoding="utf-8") as handle:
         handle.write("no tab on this line\n")
     extra = {
-        "train": FAST_TRAIN,
-        "evaluate": ["--checkpoint", str(trained / "best.ckpt")],
-        "ablate": ["--variant", "target-only", *FAST_TRAIN],
+        "train": [*data_flags(data), *FAST_TRAIN],
+        "evaluate": [*data_flags(data), "--checkpoint", str(trained / "best.ckpt")],
+        "ablate": [*data_flags(data), "--variant", "target-only", *FAST_TRAIN],
+        "inject-noise": ["--source", str(data / "target.tsv"), "--ratio", "0.1"],
     }[command]
-    code = main([command, *data_flags(data), "--out", str(tmp_path / "out"), *extra])
+    code = main([command, "--out", str(tmp_path / "out"), *extra])
     assert code == 0
     assert "warning: 1 malformed lines skipped" in capsys.readouterr().err
 
@@ -447,6 +448,19 @@ class TestAblate:
         recorded = json.loads((out / "manifest.json").read_text())["config"]
         assert recorded["k"] == [5, 20]
         assert recorded["variant"] == "target-only"
+
+    def test_manifest_records_the_best_epoch(self, synth_dir, tmp_path):
+        out = tmp_path / "ablation"
+        code = main(["ablate", "--variant", "full", *data_flags(synth_dir),
+                     "--out", str(out), "--seed", "3"] + FAST_TRAIN)
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        rows = [line.split("\t") for line in (out / "training_log.tsv").read_text().splitlines()]
+        assert rows[0][-1] == "val_ndcg100"
+        validation = [float(row[-1]) for row in rows[1:]]
+        assert manifest["best_epoch"] == 1 + int(np.argmax(validation))
+        best_row = rows[manifest["best_epoch"]]
+        assert f"{manifest['best_validation_ndcg']:.10g}" == best_row[-1]
 
     def test_rejects_unknown_variant(self, synth_dir, tmp_path):
         with pytest.raises(SystemExit):

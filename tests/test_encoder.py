@@ -15,6 +15,11 @@ def build_normalized(rng):
     return normalize_symmetric(raw), raw.matrix.toarray()
 
 
+def visible_rows(state):
+    """The user and item rows of the final layer, the rows scoring reads."""
+    return state.final[: state.user_count + state.item_count]
+
+
 class TestPropagate:
     def test_zero_layers_is_identity(self):
         rng = np.random.default_rng(0)
@@ -22,7 +27,7 @@ class TestPropagate:
         e0 = rng.normal(size=(normalized.node_count, 3))
         state = propagate(normalized, e0, 0)
         assert np.array_equal(state.final, e0)
-        assert state.z.shape[0] == normalized.user_count + normalized.item_count
+        assert visible_rows(state).shape[0] == normalized.user_count + normalized.item_count
 
     def test_zero_input_stays_zero(self):
         rng = np.random.default_rng(1)
@@ -81,7 +86,7 @@ class TestBackpropPropagate:
         normalized, _ = build_normalized(rng)
         e0 = rng.normal(size=(normalized.node_count, 3))
         state = propagate(normalized, e0, 0)
-        grad = rng.normal(size=state.z.shape)
+        grad = rng.normal(size=visible_rows(state).shape)
         pulled = backprop_propagate(grad, state, normalized)
         visible = normalized.user_count + normalized.item_count
         assert np.array_equal(pulled[:visible], grad)
@@ -94,13 +99,13 @@ class TestBackpropPropagate:
             normalized, _ = build_normalized(rng)
             x = rng.normal(size=(normalized.node_count, 4))
             state = propagate(normalized, x, 2)
-            y = rng.normal(size=state.z.shape)
-            lhs = float(np.sum(state.z * y))
+            y = rng.normal(size=visible_rows(state).shape)
+            lhs = float(np.sum(visible_rows(state) * y))
             rhs = float(np.sum(x * backprop_propagate(y, state, normalized)))
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_matches_finite_differences(self):
-        # 10-node graph: d f(e0)/d e0 for f = sum(propagate(e0).z * W)
+        # 10-node graph: d f(e0)/d e0 for f = sum(visible_rows(propagate(e0)) * W)
         rng = np.random.default_rng(4)
         graph = InteractionGraph("source", 3, 4, [(0, 0), (0, 1), (1, 1), (2, 2), (2, 3)])
         kg = KnowledgeLinkage(3, [(0, 1), (1, 2)], [(0, 0), (1, 1), (3, 2)], np.zeros((0, 2)))
@@ -118,9 +123,9 @@ class TestBackpropPropagate:
             for j in range(3):
                 bumped = e0.copy()
                 bumped[i, j] += eps
-                upper = float(np.sum(propagate(normalized, bumped, 2).z * weights))
+                upper = float(np.sum(visible_rows(propagate(normalized, bumped, 2)) * weights))
                 bumped[i, j] -= 2 * eps
-                lower = float(np.sum(propagate(normalized, bumped, 2).z * weights))
+                lower = float(np.sum(visible_rows(propagate(normalized, bumped, 2)) * weights))
                 numeric = (upper - lower) / (2 * eps)
                 denom = max(abs(numeric), abs(analytic[i, j]), 1e-10)
                 worst = max(worst, abs(numeric - analytic[i, j]) / denom)

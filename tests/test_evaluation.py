@@ -404,8 +404,8 @@ class TestInjectNoise:
         assert len(flat) == 1100  # no duplicates anywhere
 
     def test_large_catalog_rejection_path(self):
-        # above 5,000,000 user-item pairs the free pairs are drawn by
-        # rejection against a set instead of from the explicit complement
+        # a catalog of more than 5,000,000 user-item pairs, whose free pairs
+        # are never listed: the draw maps ranks among them to pair keys
         n_users, n_items = 2500, 2001
         assert n_users * n_items > 5_000_000
         rng = np.random.default_rng(4)
@@ -426,17 +426,17 @@ class TestInjectNoise:
     @pytest.mark.parametrize("ratio", [0.05, 0.6])
     def test_small_catalog_draws_from_the_complement(self, seed, ratio):
         # oracle: the free pairs as the sorted set difference, drawn from with
-        # the same generator calls
-        rng = np.random.default_rng(seed)
-        n_users, n_items = 60, 45
-        flat = rng.choice(n_users * n_items, size=900, replace=False)
-        graph = InteractionGraph("source", n_users, n_items, np.stack(np.divmod(flat, n_items), 1))
-        complement = np.setdiff1d(np.arange(n_users * n_items, dtype=np.int64), flat)
-        count = math.ceil(ratio * graph.edge_count)
-        drawn = np.random.default_rng(seed + 100).choice(complement, size=count, replace=False)
-        expected = np.stack(np.divmod(drawn, n_items), axis=1)
-        _, added = inject_source_noise(graph, ratio, seed + 100)
-        assert_same_array(added, expected)
+        # the same generator calls; the second catalog has over 5,000,000 pairs
+        for n_users, n_items in ((60, 45), (2500, 2001)):
+            rng = np.random.default_rng(seed)
+            flat = rng.choice(n_users * n_items, size=900, replace=False)
+            graph = InteractionGraph("source", n_users, n_items, np.stack(np.divmod(flat, n_items), 1))
+            complement = np.setdiff1d(np.arange(n_users * n_items, dtype=np.int64), flat)
+            count = math.ceil(ratio * graph.edge_count)
+            drawn = np.random.default_rng(seed + 100).choice(complement, size=count, replace=False)
+            expected = np.stack(np.divmod(drawn, n_items), axis=1)
+            _, added = inject_source_noise(graph, ratio, seed + 100)
+            assert_same_array(added, expected)
 
     def test_rejects_when_no_free_pairs(self):
         full = [(u, i) for u in range(2) for i in range(2)]

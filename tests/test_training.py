@@ -36,7 +36,7 @@ from crossrec.training import (
     train_step,
 )
 
-from gradcheck import gradient_check
+from gradcheck import gradient_check, pinned
 from metric_oracle import metrics_at
 
 
@@ -116,7 +116,8 @@ class TestTrainStep:
         frozen = (cache.mu, cache.sigma)
 
         def objective():
-            value, _ = forward_losses(params, graphs, batch, draws, config, frozen_stats=frozen)
+            with pinned(stats=frozen):
+                value, _ = forward_losses(params, graphs, batch, draws, config)
             return value.total
 
         eps = 1e-5
@@ -292,7 +293,7 @@ class TestGradientCheck:
         )
         graphs, params, batch, draws = micro_setup(dense_micro_bundle, config)
         result = gradient_check(
-            params, graphs, batch, draws, config, epsilon=3e-4, gate_override=1.0
+            params, graphs, batch, draws, config, epsilon=3e-4, open_gates=True
         )
         assert not result.non_smooth
         assert result.max_relative_error <= 1e-7
