@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    HOP_RADIUS,
     DataPaths,
     LoadReport,
     SynthSpec,
@@ -43,9 +43,10 @@ from .data import (
     write_atomic,
     write_flags,
 )
-from .evaluation import inject_source_noise, split_leave_one_out
+from .evaluation import CUTOFFS, inject_source_noise, split_leave_one_out
 from .experiments import VARIANTS, evaluate_fit, run_ablation
 from .training import (
+    PREDICTION_LOSSES,
     DomainGraphs,
     FitResult,
     NonFiniteLossError,
@@ -59,27 +60,47 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MISSING_FILE = 2
 
-# TrainConfig fields settable by flag or config file; ``alphas`` is set as
-# alpha1..alpha3 and ``hop_radius`` goes to load_bundle
-_TRAIN_FIELDS = (
-    "embedding_dim", "batch_size", "max_epochs", "learning_rate", "layers", "gate_hidden",
-    "gumbel_temperature", "contrastive_temperature", "patience", "prediction_loss",
-    "weight_decay", "init_std", "seed",
-)
+# Flag tables: flag -> config-file key (and manifest ``config`` key).  Each
+# key's default sets its flag's type; ``--seed`` (key ``seed``) is common to
+# every command.  Training keys name TrainConfig fields, but alpha1..alpha3
+# are the entries of ``alphas`` and ``hop_radius`` (a data flag) goes to
+# load_bundle.
+_ALPHAS = ("alpha1", "alpha2", "alpha3")
+_TRAIN_FLAGS = {
+    "--embedding-dim": "embedding_dim", "--batch-size": "batch_size", "--epochs": "max_epochs",
+    "--lr": "learning_rate", "--layers": "layers", "--gate-hidden": "gate_hidden",
+    "--gumbel-t": "gumbel_temperature", "--tau": "contrastive_temperature",
+    **{f"--{key}": key for key in _ALPHAS},
+    "--patience": "patience", "--loss": "prediction_loss",
+    "--weight-decay": "weight_decay", "--init-std": "init_std",
+}
 _TRAIN_DEFAULTS = {
-    **{name: getattr(TrainConfig(), name) for name in _TRAIN_FIELDS},
-    **{f"alpha{i}": alpha for i, alpha in enumerate(TrainConfig().alphas, 1)},
-    "hop_radius": inspect.signature(load_bundle).parameters["hop_radius"].default,
+    **{key: getattr(TrainConfig(), key) for key in _TRAIN_FLAGS.values() if key not in _ALPHAS},
+    **dict(zip(_ALPHAS, TrainConfig().alphas)),
+    "seed": TrainConfig().seed,
+    "hop_radius": HOP_RADIUS,
 }
 
-# gen-synth flag/config name -> SynthSpec field
-_SYNTH_NAMES = {
-    "users": "user_count", "source_items": "source_items", "target_items": "target_items",
-    "latent_dim": "latent_dim", "entity_clusters": "entity_clusters",
-    "entity_neighbors": "entity_neighbors", "source_interactions": "source_interactions",
-    "target_interactions": "target_interactions", "rho": "irrelevant_fraction", "seed": "seed",
+# gen-synth keys name SynthSpec fields, apart from the two in _SYNTH_RENAMED
+_SYNTH_FLAGS = {
+    "--users": "users", "--source-items": "source_items", "--target-items": "target_items",
+    "--latent-dim": "latent_dim", "--clusters": "entity_clusters",
+    "--entity-neighbors": "entity_neighbors", "--source-interactions": "source_interactions",
+    "--target-interactions": "target_interactions", "--rho": "rho",
 }
-_SYNTH_DEFAULTS = {key: getattr(SynthSpec(), name) for key, name in _SYNTH_NAMES.items()}
+_SYNTH_RENAMED = {"users": "user_count", "rho": "irrelevant_fraction"}
+_SYNTH_DEFAULTS = {
+    key: getattr(SynthSpec(), _SYNTH_RENAMED.get(key, key))
+    for key in (*_SYNTH_FLAGS.values(), "seed")
+}
+
+# help text by config key or DataPaths field; the other settings have none
+_HELP = {
+    "source": "source-domain interactions TSV",
+    "target": "target-domain interactions TSV",
+    "kg": "entity-edge TSV",
+    "rho": "irrelevant source-edge fraction",
+}
 
 
 def sha256_file(path: Path) -> str:
@@ -165,14 +186,13 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _train_config(resolved: dict) -> TrainConfig:
-    return TrainConfig(
-        alphas=(resolved["alpha1"], resolved["alpha2"], resolved["alpha3"]),
-        **{name: resolved[name] for name in _TRAIN_FIELDS},
-    )
+    not_fields = (*_ALPHAS, "hop_radius")
+    settings = {key: resolved[key] for key in _TRAIN_DEFAULTS if key not in not_fields}
+    return TrainConfig(alphas=tuple(resolved[key] for key in _ALPHAS), **settings)
 
 
 def _synth_spec(resolved: dict) -> SynthSpec:
-    return SynthSpec(**{name: resolved[key] for key, name in _SYNTH_NAMES.items()})
+    return SynthSpec(**{_SYNTH_RENAMED.get(key, key): resolved[key] for key in _SYNTH_DEFAULTS})
 
 
 def cutoffs(text: str) -> tuple[int, ...]:
@@ -183,37 +203,21 @@ def cutoffs(text: str) -> tuple[int, ...]:
     return ks
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
-    parser.add_argument("--config", type=str, default=None, help="key = value config file")
-    parser.add_argument("--out", type=str, required=True, help="output directory")
+def _add_flags(parser: argparse.ArgumentParser, flags: dict, defaults: dict) -> None:
+    """Add each table flag; an unset flag is None, so config file and defaults apply."""
+    for flag, key in flags.items():
+        kind = type(defaults[key])
+        parser.add_argument(
+            flag, dest=key, default=None, type=None if kind is str else kind, help=_HELP.get(key),
+            choices=PREDICTION_LOSSES if key == "prediction_loss" else None,
+        )
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--source", required=True, help="source-domain interactions TSV")
-    parser.add_argument("--target", required=True, help="target-domain interactions TSV")
-    parser.add_argument("--kg", required=True, help="entity-edge TSV")
-    parser.add_argument("--map-source", required=True, dest="map_source")
-    parser.add_argument("--map-target", required=True, dest="map_target")
-    parser.add_argument("--hop-radius", type=int, default=None, dest="hop_radius")
-
-
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--embedding-dim", type=int, default=None, dest="embedding_dim")
-    parser.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    parser.add_argument("--epochs", type=int, default=None, dest="max_epochs")
-    parser.add_argument("--lr", type=float, default=None, dest="learning_rate")
-    parser.add_argument("--layers", type=int, default=None)
-    parser.add_argument("--gate-hidden", type=int, default=None, dest="gate_hidden")
-    parser.add_argument("--gumbel-t", type=float, default=None, dest="gumbel_temperature")
-    parser.add_argument("--tau", type=float, default=None, dest="contrastive_temperature")
-    parser.add_argument("--alpha1", type=float, default=None)
-    parser.add_argument("--alpha2", type=float, default=None)
-    parser.add_argument("--alpha3", type=float, default=None)
-    parser.add_argument("--patience", type=int, default=None)
-    parser.add_argument("--loss", choices=("bpr", "ce"), default=None, dest="prediction_loss")
-    parser.add_argument("--weight-decay", type=float, default=None, dest="weight_decay")
-    parser.add_argument("--init-std", type=float, default=None, dest="init_std")
+    for entry in fields(DataPaths):
+        flag = "--" + entry.name.replace("_", "-")
+        parser.add_argument(flag, required=True, dest=entry.name, help=_HELP.get(entry.name))
+    _add_flags(parser, {"--hop-radius": "hop_radius"}, _TRAIN_DEFAULTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,50 +230,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model and write a checkpoint")
     _add_data_flags(p_train)
-    _add_train_flags(p_train)
-    _add_common(p_train)
+    _add_flags(p_train, _TRAIN_FLAGS, _TRAIN_DEFAULTS)
 
     p_eval = sub.add_parser("evaluate", help="rank held-out items with a checkpoint")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--k", type=cutoffs, default=(10, 100), help="comma-separated cutoffs")
+    p_eval.add_argument("--k", type=cutoffs, default=CUTOFFS, help="comma-separated cutoffs")
     _add_data_flags(p_eval)
-    _add_common(p_eval)
 
     p_synth = sub.add_parser("gen-synth", help="generate a synthetic cross-domain dataset")
-    p_synth.add_argument("--users", type=int, default=None)
-    p_synth.add_argument("--source-items", type=int, default=None, dest="source_items")
-    p_synth.add_argument("--target-items", type=int, default=None, dest="target_items")
-    p_synth.add_argument("--latent-dim", type=int, default=None, dest="latent_dim")
-    p_synth.add_argument("--clusters", type=int, default=None, dest="entity_clusters")
-    p_synth.add_argument("--entity-neighbors", type=int, default=None, dest="entity_neighbors")
-    p_synth.add_argument("--source-interactions", type=int, default=None, dest="source_interactions")
-    p_synth.add_argument("--target-interactions", type=int, default=None, dest="target_interactions")
-    p_synth.add_argument("--rho", type=float, default=None, help="irrelevant source-edge fraction")
-    _add_common(p_synth)
+    _add_flags(p_synth, _SYNTH_FLAGS, _SYNTH_DEFAULTS)
 
     p_noise = sub.add_parser("inject-noise", help="contaminate an interactions file")
     p_noise.add_argument("--source", required=True, help="interactions TSV to contaminate")
     p_noise.add_argument("--ratio", type=float, required=True)
-    _add_common(p_noise)
 
     p_ablate = sub.add_parser("ablate", help="train and evaluate an ablation variant")
     p_ablate.add_argument("--variant", required=True, choices=VARIANTS)
-    p_ablate.add_argument("--k", type=cutoffs, default=(10, 100), help="comma-separated cutoffs")
+    p_ablate.add_argument("--k", type=cutoffs, default=CUTOFFS, help="comma-separated cutoffs")
     _add_data_flags(p_ablate)
-    _add_train_flags(p_ablate)
-    _add_common(p_ablate)
+    _add_flags(p_ablate, _TRAIN_FLAGS, _TRAIN_DEFAULTS)
 
+    for name, command in sub.choices.items():
+        seed_help = "run seed (default 0)"
+        if name == "evaluate":
+            seed_help = "split seed (default: the checkpoint's seed)"
+        command.add_argument("--seed", type=int, default=None, help=seed_help)
+        command.add_argument("--config", type=str, default=None, help="key = value config file")
+        command.add_argument("--out", type=str, required=True, help="output directory")
     return parser
 
 
 def _data_paths(args: argparse.Namespace) -> DataPaths:
-    return DataPaths(
-        source=Path(args.source),
-        target=Path(args.target),
-        kg=Path(args.kg),
-        map_source=Path(args.map_source),
-        map_target=Path(args.map_target),
-    )
+    return DataPaths(**{entry.name: Path(getattr(args, entry.name)) for entry in fields(DataPaths)})
 
 
 def _warn_malformed(report: LoadReport) -> None:
@@ -292,8 +284,8 @@ def _metric_lines(aggregates: dict, variant: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _log_lines(log) -> str:
-    header = "epoch\tpred_target\tpred_source\tkl\tcontrastive\ttotal\tval_ndcg100"
+def _log_lines(log, validation_k: int) -> str:
+    header = f"epoch\tpred_target\tpred_source\tkl\tcontrastive\ttotal\tval_ndcg{validation_k}"
     rows = [header]
     for record in log:
         losses = record.losses
@@ -323,14 +315,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     checkpoint = out_dir / "best.ckpt"
     meta = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in asdict(config).items()},
+        "config": asdict(config),
         "best_epoch": result.best_epoch,
         "best_validation_ndcg": result.best_validation,
     }
     save_checkpoint(checkpoint, result.params, meta)
     manifest.record_output(checkpoint)
 
-    manifest.write_output(out_dir / "training_log.tsv", _log_lines(result.log))
+    manifest.write_output(out_dir / "training_log.tsv", _log_lines(result.log, config.validation_k))
 
     id_paths = save_bundle(bundle, out_dir / "data")
     for path in id_paths.values():
@@ -339,7 +331,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest.finalize()
     print(
         f"trained {len(result.log)} epochs; best epoch {result.best_epoch} "
-        f"(validation NDCG@100 = {result.best_validation:.4f}); checkpoint at {checkpoint}"
+        f"(validation NDCG@{config.validation_k} = {result.best_validation:.4f}); "
+        f"checkpoint at {checkpoint}"
     )
     return EXIT_OK
 
@@ -430,7 +423,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     manifest.payload["best_epoch"] = result.fit_result.best_epoch
     manifest.payload["best_validation_ndcg"] = result.fit_result.best_validation
     manifest.write_output(out_dir / "metrics.tsv", _metric_lines(result.aggregates, args.variant))
-    manifest.write_output(out_dir / "training_log.tsv", _log_lines(result.fit_result.log))
+    log = _log_lines(result.fit_result.log, result.config.validation_k)
+    manifest.write_output(out_dir / "training_log.tsv", log)
     manifest.finalize()
     for (metric, k), value in sorted(result.aggregates.items()):
         print(f"{args.variant} {metric}@{k}: {value:.4f}")

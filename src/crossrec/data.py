@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,9 @@ from .graph import (
     unique_edges,
 )
 
+# entity edges further than this many hops from every item-linked entity are trimmed
+HOP_RADIUS = 1
+
 
 @dataclass(frozen=True)
 class DataPaths:
@@ -43,7 +46,7 @@ class DataPaths:
     map_target: Path
 
     def all(self) -> list[Path]:
-        return [self.source, self.target, self.kg, self.map_source, self.map_target]
+        return list(astuple(self))
 
 
 @dataclass
@@ -105,7 +108,7 @@ def _index(ids: dict[str, int], key: str) -> int:
     return ids.setdefault(key, len(ids))
 
 
-def load_bundle(paths: DataPaths, hop_radius: int = 1) -> tuple[DatasetBundle, LoadReport]:
+def load_bundle(paths: DataPaths, hop_radius: int = HOP_RADIUS) -> tuple[DatasetBundle, LoadReport]:
     """Load and index a full cross-domain dataset.
 
     Users present in only one domain are dropped (counted in the report);

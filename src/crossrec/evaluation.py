@@ -20,6 +20,8 @@ from .graph import InteractionGraph
 from .data import DatasetBundle
 
 METRICS = ("ndcg", "hit", "mrr")
+# cutoffs k that ranking reports when none are asked for
+CUTOFFS = (10, 100)
 
 # users scored by one matrix product when ranking
 RANK_BLOCK = 256
@@ -190,7 +192,7 @@ def evaluate_ranking(
     users: np.ndarray,
     held_items: np.ndarray,
     excluded_by_user: UserItems,
-    ks: tuple[int, ...] = (10, 100),
+    ks: tuple[int, ...] = CUTOFFS,
 ) -> tuple[list[RankingResult], dict[tuple[str, int], float]]:
     """Rank each user's held-out item against the full remaining catalog.
 

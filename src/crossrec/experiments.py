@@ -22,6 +22,7 @@ import numpy as np
 
 from .data import DatasetBundle
 from .evaluation import (
+    CUTOFFS,
     LeaveOneOutSplit,
     RankingResult,
     evaluate_ranking,
@@ -68,7 +69,7 @@ def evaluate_fit(
     split: LeaveOneOutSplit,
     bundle: DatasetBundle,
     config: TrainConfig,
-    ks: tuple[int, ...] = (10, 100),
+    ks: tuple[int, ...] = CUTOFFS,
 ) -> tuple[list[RankingResult], dict[tuple[str, int], float]]:
     """Rank each test holdout with the trained model's deterministic scorer."""
     scorer = build_scorer(fit_result.params, fit_result.graphs, config)
@@ -81,7 +82,7 @@ def run_ablation(
     config: TrainConfig,
     bundle: DatasetBundle,
     split: LeaveOneOutSplit,
-    ks: tuple[int, ...] = (10, 100),
+    ks: tuple[int, ...] = CUTOFFS,
 ) -> ExperimentResult:
     """Train one variant and evaluate it on the test holdout."""
     variant_config = config_for_variant(variant, config)

@@ -240,7 +240,7 @@ def normalize_symmetric(graph: SparseGraph) -> SparseGraph:
     )
 
 
-def scope_entity_edges(kg: KnowledgeLinkage, hop_radius: int = 1) -> tuple[KnowledgeLinkage, int]:
+def scope_entity_edges(kg: KnowledgeLinkage, hop_radius: int) -> tuple[KnowledgeLinkage, int]:
     """Restrict entity edges to the neighborhood of item-linked entities.
 
     Entities linked by items of either domain act as seeds; entities further
@@ -250,9 +250,7 @@ def scope_entity_edges(kg: KnowledgeLinkage, hop_radius: int = 1) -> tuple[Knowl
     """
     if hop_radius < 0:
         raise GraphBuildError("hop_radius must be non-negative")
-    seeds = np.unique(
-        np.concatenate([kg.item_entity_source[:, 1], kg.item_entity_target[:, 1]])
-    ) if (kg.item_entity_source.size or kg.item_entity_target.size) else np.zeros(0, np.int64)
+    seeds = np.unique(np.concatenate([kg.item_entity_source[:, 1], kg.item_entity_target[:, 1]]))
 
     reachable = np.zeros(kg.entity_count, dtype=bool)
     reachable[seeds] = True
@@ -269,8 +267,6 @@ def scope_entity_edges(kg: KnowledgeLinkage, hop_radius: int = 1) -> tuple[Knowl
         frontier = touched & ~reachable
         reachable |= touched
 
-    if not ee.size:
-        return kg, 0
     keep = reachable[ee[:, 0]] & reachable[ee[:, 1]]
     dropped = int((~keep).sum())
     if dropped == 0:

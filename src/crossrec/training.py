@@ -50,6 +50,7 @@ _STREAM_DRAWS = 2
 
 CROSS = "cross"
 TARGET_ONLY = "target_only"
+PREDICTION_LOSSES = ("bpr", "ce")
 
 CHECKPOINT_MAGIC = b"XRCK"
 CHECKPOINT_VERSION = 1
@@ -93,7 +94,7 @@ class TrainConfig:
             raise ValueError("temperatures must be positive")
         if min(self.alphas) < 0:
             raise ValueError(f"loss weights must be non-negative: {self.alphas}")
-        if self.prediction_loss not in ("bpr", "ce"):
+        if self.prediction_loss not in PREDICTION_LOSSES:
             raise ValueError(f"unknown prediction loss {self.prediction_loss!r}")
         if self.model not in (CROSS, TARGET_ONLY):
             raise ValueError(f"unknown model kind {self.model!r}")

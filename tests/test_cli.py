@@ -1,5 +1,6 @@
 """Command-line contract: files produced, exit codes, idempotency."""
 
+import argparse
 import json
 import os
 import shutil
@@ -492,6 +493,152 @@ class TestDefaults:
         assert asdict(_train_config(_resolve(args, _TRAIN_DEFAULTS))) == asdict(TrainConfig())
         args = parser.parse_args(["gen-synth", "--out", str(tmp_path)])
         assert asdict(_synth_spec(_resolve(args, _SYNTH_DEFAULTS))) == asdict(SynthSpec())
+
+
+# Every subcommand's options, written out by hand: (option string, dest, type,
+# default, choices, required, help).  Training and gen-synth dests are the
+# config-file keys.
+_DATA_OPTIONS = [
+    ("--source", "source", None, None, None, True, "source-domain interactions TSV"),
+    ("--target", "target", None, None, None, True, "target-domain interactions TSV"),
+    ("--kg", "kg", None, None, None, True, "entity-edge TSV"),
+    ("--map-source", "map_source", None, None, None, True, None),
+    ("--map-target", "map_target", None, None, None, True, None),
+    ("--hop-radius", "hop_radius", int, None, None, False, None),
+]
+_TRAIN_OPTIONS = [
+    ("--embedding-dim", "embedding_dim", int, None, None, False, None),
+    ("--batch-size", "batch_size", int, None, None, False, None),
+    ("--epochs", "max_epochs", int, None, None, False, None),
+    ("--lr", "learning_rate", float, None, None, False, None),
+    ("--layers", "layers", int, None, None, False, None),
+    ("--gate-hidden", "gate_hidden", int, None, None, False, None),
+    ("--gumbel-t", "gumbel_temperature", float, None, None, False, None),
+    ("--tau", "contrastive_temperature", float, None, None, False, None),
+    ("--alpha1", "alpha1", float, None, None, False, None),
+    ("--alpha2", "alpha2", float, None, None, False, None),
+    ("--alpha3", "alpha3", float, None, None, False, None),
+    ("--patience", "patience", int, None, None, False, None),
+    ("--loss", "prediction_loss", None, None, ("bpr", "ce"), False, None),
+    ("--weight-decay", "weight_decay", float, None, None, False, None),
+    ("--init-std", "init_std", float, None, None, False, None),
+]
+_SYNTH_OPTIONS = [
+    ("--users", "users", int, None, None, False, None),
+    ("--source-items", "source_items", int, None, None, False, None),
+    ("--target-items", "target_items", int, None, None, False, None),
+    ("--latent-dim", "latent_dim", int, None, None, False, None),
+    ("--clusters", "entity_clusters", int, None, None, False, None),
+    ("--entity-neighbors", "entity_neighbors", int, None, None, False, None),
+    ("--source-interactions", "source_interactions", int, None, None, False, None),
+    ("--target-interactions", "target_interactions", int, None, None, False, None),
+    ("--rho", "rho", float, None, None, False, "irrelevant source-edge fraction"),
+]
+_K_OPTION = ("--k", "k", cli.cutoffs, (10, 100), None, False, "comma-separated cutoffs")
+
+
+def _common_options(seed_help="run seed (default 0)"):
+    return [
+        ("--seed", "seed", int, None, None, False, seed_help),
+        ("--config", "config", str, None, None, False, "key = value config file"),
+        ("--out", "out", str, None, None, True, "output directory"),
+    ]
+
+
+PARSER_OPTIONS = {
+    "train": [*_DATA_OPTIONS, *_TRAIN_OPTIONS, *_common_options()],
+    "evaluate": [
+        ("--checkpoint", "checkpoint", None, None, None, True, None),
+        _K_OPTION,
+        *_DATA_OPTIONS,
+        *_common_options("split seed (default: the checkpoint's seed)"),
+    ],
+    "gen-synth": [*_SYNTH_OPTIONS, *_common_options()],
+    "inject-noise": [
+        ("--source", "source", None, None, None, True, "interactions TSV to contaminate"),
+        ("--ratio", "ratio", float, None, None, True, None),
+        *_common_options(),
+    ],
+    "ablate": [
+        ("--variant", "variant", None, None,
+         ("full", "no-pred-s", "no-kl", "no-cl", "no-kg", "target-only"), True, None),
+        _K_OPTION,
+        *_DATA_OPTIONS,
+        *_TRAIN_OPTIONS,
+        *_common_options(),
+    ],
+}
+
+# a valid non-default value for each training and gen-synth config key
+SETTING_VALUES = {
+    "train": {
+        "embedding_dim": "6", "batch_size": "8", "max_epochs": "2", "learning_rate": "0.05",
+        "layers": "1", "gate_hidden": "6", "gumbel_temperature": "0.7",
+        "contrastive_temperature": "0.3", "alpha1": "0.5", "alpha2": "0.6", "alpha3": "0.7",
+        "patience": "1", "prediction_loss": "ce", "weight_decay": "0.001", "init_std": "0.05",
+        "hop_radius": "2", "seed": "5",
+    },
+    "gen-synth": {
+        "users": "13", "source_items": "17", "target_items": "15", "latent_dim": "3",
+        "entity_clusters": "4", "entity_neighbors": "2", "source_interactions": "7",
+        "target_interactions": "5", "rho": "0.2", "seed": "4",
+    },
+}
+
+
+def _setting_cases():
+    for command, values in SETTING_VALUES.items():
+        for option in PARSER_OPTIONS[command]:
+            if option[1] in values:
+                yield pytest.param(command, option[0], option[1], id=f"{command}{option[0]}")
+
+
+class TestFlagTables:
+    @pytest.mark.parametrize("command", sorted(PARSER_OPTIONS))
+    def test_parser_options_are_pinned(self, command):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert list(subparsers.choices) == list(PARSER_OPTIONS)
+        live = [
+            (*action.option_strings, action.dest, action.type, action.default,
+             action.choices if action.choices is None else tuple(action.choices),
+             action.required, action.help)
+            for action in subparsers.choices[command]._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        assert live == PARSER_OPTIONS[command]
+
+    def test_every_setting_has_a_value(self):
+        assert set(SETTING_VALUES["train"]) == set(_TRAIN_DEFAULTS)
+        assert set(SETTING_VALUES["gen-synth"]) == set(_SYNTH_DEFAULTS)
+
+    @pytest.mark.parametrize("command, flag, key", list(_setting_cases()))
+    def test_config_file_key_equals_its_flag(self, synth_dir, tmp_path, command, flag, key):
+        value = SETTING_VALUES[command][key]
+        if command == "train":
+            fast = {"--embedding-dim": "8", "--gate-hidden": "8", "--epochs": "1",
+                    "--batch-size": "16"}
+            base = [*data_flags(synth_dir)]
+        else:
+            fast = dict(zip(SYNTH_FLAGS[::2], SYNTH_FLAGS[1::2]))
+            base = []
+        base += [part for item in fast.items() if item[0] != flag for part in item]
+        by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {value}\n")
+        assert main([command, *base, flag, value, "--out", str(by_flag)]) == 0
+        assert main([command, *base, "--config", str(config), "--out", str(by_file)]) == 0
+
+        resolved = [json.loads((out / "manifest.json").read_text())["config"]
+                    for out in (by_flag, by_file)]
+        assert resolved[0] == resolved[1]
+        default = (_TRAIN_DEFAULTS if command == "train" else _SYNTH_DEFAULTS)[key]
+        assert resolved[0][key] == type(default)(value) != default
+        outputs = {"train": ["best.ckpt", "training_log.tsv"], "gen-synth": ["source.tsv", "kg.tsv"]}
+        for name in outputs[command]:
+            assert (by_flag / name).read_bytes() == (by_file / name).read_bytes()
 
 
 @pytest.fixture(scope="module")
