@@ -160,7 +160,8 @@ class Manifest:
         self.record_output(path)
 
     def write(self) -> None:
-        write_atomic(self.path, json.dumps(self.payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(self.payload, indent=2, sort_keys=True, allow_nan=False)
+        write_atomic(self.path, text + "\n")
 
     def finalize(self) -> None:
         self.payload["finished_at"] = datetime.now(timezone.utc).isoformat()
@@ -269,11 +270,17 @@ def _warn_malformed(report: LoadReport) -> None:
         print(f"warning: {len(report.malformed)} malformed lines skipped", file=sys.stderr)
 
 
-def _load_split(paths: DataPaths, hop_radius: int, seed: int):
-    """Load the dataset, warning about skipped malformed lines, and split it by ``seed``."""
+def _load_split(paths: DataPaths, hop_radius: int, seed: int, manifest: Manifest):
+    """Load the dataset, warning about skipped malformed lines, and split it by ``seed``.
+
+    The manifest's ``load_report`` records what the loader and the split dropped.
+    """
     bundle, report = load_bundle(paths, hop_radius=hop_radius)
     _warn_malformed(report)
-    return bundle, split_leave_one_out(bundle, seed)
+    split = split_leave_one_out(bundle, seed)
+    counts = {**asdict(report), "malformed": len(report.malformed)}
+    manifest.payload["load_report"] = {**counts, "excluded_users": split.excluded_users}
+    return bundle, split
 
 
 def _metric_lines(aggregates: dict, variant: str | None = None) -> str:
@@ -305,12 +312,12 @@ def _ranks_lines(per_user, user_ids) -> str:
 
 def cmd_train(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _TRAIN_DEFAULTS)
+    config = _train_config(resolved)
     out_dir = Path(args.out)
     paths = _data_paths(args)
     manifest = Manifest(out_dir, "train", resolved, paths.all())
 
-    config = _train_config(resolved)
-    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed)
+    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
     result = fit(config, bundle, split)
 
     checkpoint = out_dir / "best.ckpt"
@@ -329,11 +336,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         manifest.record_output(path)
 
     manifest.finalize()
-    print(
-        f"trained {len(result.log)} epochs; best epoch {result.best_epoch} "
-        f"(validation NDCG@{config.validation_k} = {result.best_validation:.4f}); "
-        f"checkpoint at {checkpoint}"
-    )
+    summary = "no epoch ran, so the parameters are the initial ones"
+    if result.log:
+        summary = (f"best epoch {result.best_epoch} "
+                   f"(validation NDCG@{config.validation_k} = {result.best_validation:.4f})")
+    print(f"trained {len(result.log)} epochs; {summary}; checkpoint at {checkpoint}")
     return EXIT_OK
 
 
@@ -352,7 +359,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     paths = _data_paths(args)
     manifest = Manifest(out_dir, "evaluate", applied, paths.all() + [checkpoint])
 
-    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed)
+    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
     graphs = DomainGraphs.for_config(config, bundle, split)
     fitted = FitResult(params, 0, 0.0, [], graphs)  # evaluate_fit reads params, graphs only
     per_user, aggregates = evaluate_fit(fitted, split, bundle, config, args.k)
@@ -367,10 +374,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_gen_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _SYNTH_DEFAULTS)
+    spec = _synth_spec(resolved)
     out_dir = Path(args.out)
     manifest = Manifest(out_dir, "gen-synth", resolved)
 
-    spec = _synth_spec(resolved)
     bundle, flags = generate_synthetic(spec)
     written = save_bundle(bundle, out_dir)
     flags_path = out_dir / "flags.tsv"
@@ -389,6 +396,8 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
 
 def cmd_inject_noise(args: argparse.Namespace) -> int:
     resolved = {**_resolve(args, {"seed": 0}), "ratio": args.ratio}
+    if not 0.0 <= args.ratio <= 1.0:  # before the strict-JSON manifest fails on a NaN
+        raise ValueError(f"noise ratio must lie in [0, 1], got {args.ratio}")
     out_dir = Path(args.out)
     source_path = Path(args.source)
     manifest = Manifest(out_dir, "inject-noise", resolved, [source_path])
@@ -412,12 +421,12 @@ def cmd_inject_noise(args: argparse.Namespace) -> int:
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     resolved = {**_resolve(args, _TRAIN_DEFAULTS), "variant": args.variant, "k": args.k}
+    config = _train_config(resolved)
     out_dir = Path(args.out)
     paths = _data_paths(args)
     manifest = Manifest(out_dir, "ablate", resolved, paths.all())
 
-    config = _train_config(resolved)
-    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed)
+    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
     result = run_ablation(args.variant, config, bundle, split, args.k)
 
     manifest.payload["best_epoch"] = result.fit_result.best_epoch
@@ -426,6 +435,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     log = _log_lines(result.fit_result.log, result.config.validation_k)
     manifest.write_output(out_dir / "training_log.tsv", log)
     manifest.finalize()
+    if not result.fit_result.log:
+        print(f"{args.variant}: no epoch ran, so the metrics are of the initial parameters")
     for (metric, k), value in sorted(result.aggregates.items()):
         print(f"{args.variant} {metric}@{k}: {value:.4f}")
     return EXIT_OK

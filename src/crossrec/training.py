@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -84,6 +84,9 @@ class TrainConfig:
     validation_k: int = 100
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if isinstance(value, (float, tuple)) and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.embedding_dim <= 0 or self.batch_size <= 0:
             raise ValueError("embedding_dim and batch_size must be positive")
         if self.max_epochs < 0 or self.layers < 0 or self.patience < 0:
@@ -221,11 +224,10 @@ def init_parameters(config: TrainConfig, bundle: DatasetBundle) -> ModelParamete
 
 @dataclass(frozen=True)
 class Batch:
+    """Sampled users and, for each ranked domain, one (positive, negative) item per user."""
+
     users: np.ndarray
-    pos_source: np.ndarray | None
-    neg_source: np.ndarray | None
-    pos_target: np.ndarray
-    neg_target: np.ndarray
+    pairs: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -270,8 +272,7 @@ class _ForwardCache:
     config: TrainConfig
     params: ModelParameters
     graphs: DomainGraphs
-    state_s: EmbeddingState | None
-    state_t: EmbeddingState
+    states: dict[str, EmbeddingState]
     eu_t: np.ndarray
     merged: np.ndarray | None
     hidden: np.ndarray | None
@@ -282,7 +283,7 @@ class _ForwardCache:
     sigma: np.ndarray | None
     contrastive: compression.InfoNceForward | None
     fused: np.ndarray
-    scores: dict[str, np.ndarray]
+    scores: dict[str, tuple[np.ndarray, np.ndarray]]
 
 
 def _pred_loss(config: TrainConfig):
@@ -309,43 +310,41 @@ def forward_losses(
     looked up at call time, so a caller can substitute either (the gradient
     checker pins both).  Without a source domain (target-only) the fused
     vector is the target user vector and the source-side terms are zero.
+    Every domain in ``batch.pairs`` is ranked with the fused vector.
     """
     loss_fn, _ = _pred_loss(config)
-    cross = params.kind == CROSS
-    state_t = _propagate(params, graphs.target, TARGET, config)
-    eu_t = state_t.users[batch.users]
+    states = {
+        domain: _propagate(params, getattr(graphs, domain), domain, config)
+        for domain in batch.pairs
+    }
+    eu_t = states[TARGET].users[batch.users]
     fused = eu_t
-    state_s = merged = hidden = gate = eps = mixed = mu = sigma = None
-    contrastive = None
-    pred_s = kl = contrastive_loss = 0.0
+    merged = hidden = gate = eps = mixed = mu = sigma = contrastive = None
+    kl = contrastive_loss = 0.0
 
-    if cross:
-        state_s = _propagate(params, graphs.source, SOURCE, config)
-        merged = compression.merge_representations(state_s.users[batch.users], eu_t)
+    if params.kind == CROSS:
+        merged = compression.merge_representations(states[SOURCE].users[batch.users], eu_t)
         logits, hidden = params.gate().forward(merged)
         gate = compression.gumbel_sigmoid(logits, draws.uniform, config.gumbel_temperature)
         mu, sigma = compression.batch_statistics(merged, config.sigma_floor)
         mixed, eps = compression.mix_noise(merged, gate, mu, sigma, draws.noise)
         fused = mixed + eu_t
-
-    compressed = mixed if cross else np.zeros_like(eu_t)
-    scores = {
-        "pos_t": transfer.score(compressed, eu_t, state_t.items[batch.pos_target]),
-        "neg_t": transfer.score(compressed, eu_t, state_t.items[batch.neg_target]),
-    }
-    pred_t = loss_fn(scores["pos_t"], scores["neg_t"])
-    if cross:
-        scores["pos_s"] = transfer.score(compressed, eu_t, state_s.items[batch.pos_source])
-        scores["neg_s"] = transfer.score(compressed, eu_t, state_s.items[batch.neg_source])
-        pred_s = loss_fn(scores["pos_s"], scores["neg_s"])
         kl = compression.kl_upper_bound(gate, merged, mu, sigma, config.m_floor)
         contrastive = compression.info_nce(
             eu_t, mixed, config.contrastive_temperature, config.norm_floor
         )
         contrastive_loss = contrastive.loss
-    bundle = transfer.total_loss(pred_t, pred_s, kl, contrastive_loss, config.alphas)
+
+    scores = {
+        domain: tuple(transfer.score(fused, states[domain].items[picked]) for picked in pair)
+        for domain, pair in batch.pairs.items()
+    }
+    pred = {domain: loss_fn(*pair) for domain, pair in scores.items()}
+    bundle = transfer.total_loss(
+        pred[TARGET], pred.get(SOURCE, 0.0), kl, contrastive_loss, config.alphas
+    )
     cache = _ForwardCache(
-        batch, config, params, graphs, state_s, state_t, eu_t, merged, hidden,
+        batch, config, params, graphs, states, eu_t, merged, hidden,
         gate, eps, mixed, mu, sigma, contrastive, fused, scores,
     )
     return bundle, cache
@@ -356,31 +355,24 @@ def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
     config, batch, params = cache.config, cache.batch, cache.params
     _, loss_backward = _pred_loss(config)
     a1, a2, a3 = config.alphas
-    cross = params.kind == CROSS
-    states = {TARGET: cache.state_t, SOURCE: cache.state_s}
-    graphs = {TARGET: cache.graphs.target, SOURCE: cache.graphs.source}
-    ranked = [(TARGET, "t", 1.0, batch.pos_target, batch.neg_target)]
-    if cross:
-        ranked.append((SOURCE, "s", a1, batch.pos_source, batch.neg_source))
+    states = cache.states
+    weights = {TARGET: 1.0, SOURCE: a1}
 
     g_fused = np.zeros_like(cache.fused)
     g_z: dict[str, np.ndarray] = {}
-    for domain, tag, weight, pos_idx, neg_idx in ranked:
+    for domain, (pos_idx, neg_idx) in batch.pairs.items():
         state = states[domain]
         g_z[domain] = np.zeros((state.user_count + state.item_count, config.embedding_dim))
-        if weight == 0.0:
+        if weights[domain] == 0.0:
             continue
-        g_pos, g_neg = loss_backward(cache.scores[f"pos_{tag}"], cache.scores[f"neg_{tag}"])
-        g_pos = g_pos * weight
-        g_neg = g_neg * weight
+        g_pos, g_neg = (g * weights[domain] for g in loss_backward(*cache.scores[domain]))
         g_fused += g_pos[:, None] * state.items[pos_idx] + g_neg[:, None] * state.items[neg_idx]
-        offset = state.user_count
-        np.add.at(g_z[domain], offset + pos_idx, g_pos[:, None] * cache.fused)
-        np.add.at(g_z[domain], offset + neg_idx, g_neg[:, None] * cache.fused)
+        np.add.at(g_z[domain], state.user_count + pos_idx, g_pos[:, None] * cache.fused)
+        np.add.at(g_z[domain], state.user_count + neg_idx, g_neg[:, None] * cache.fused)
 
     grads: dict[str, np.ndarray] = {}
     g_eu_t = g_fused
-    if cross:
+    if params.kind == CROSS:
         g_mixed = g_fused.copy()
         if a3 != 0.0:
             g_t_cl, g_mixed_cl = compression.info_nce_backward(
@@ -407,10 +399,8 @@ def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
         g_eu_t = g_eu_t + g_merged
     np.add.at(g_z[TARGET], batch.users, g_eu_t)
 
-    g_e0 = {
-        domain: backprop_propagate(g_z[domain], states[domain], graphs[domain])
-        for domain in g_z
-    }
+    g_e0 = {domain: backprop_propagate(g, states[domain], getattr(cache.graphs, domain))
+            for domain, g in g_z.items()}
     for name, (domains, block) in _table_layout(params.kind, config.use_kg).items():
         parts = [g_e0[domain][_block_rows(states[domain], block)] for domain in domains]
         grads[name] = parts[0] if len(parts) == 1 else parts[0] + parts[1]
@@ -442,7 +432,7 @@ def train_step(
     bundle, cache = forward_losses(params, graphs, batch, draws, config)
     if not np.isfinite(bundle.total):
         raise NonFiniteLossError(
-            f"aborted step: non-finite loss {bundle.as_dict()} "
+            f"aborted step: non-finite loss {asdict(bundle)} "
             f"(batch of {batch.users.size} users)"
         )
     grads = backward_losses(cache)
@@ -466,17 +456,16 @@ def build_scorer(params: ModelParameters, graphs: DomainGraphs, config: TrainCon
     Serving is deterministic: the gate is its expectation sigmoid(logit) and
     the noise collapses to the population mean of the merged representations.
     """
-    state_t = _propagate(params, graphs.target, TARGET, config)
-    item_matrix = state_t.items
-    fused_all = state_t.users
+    target = _propagate(params, graphs.target, TARGET, config)
+    fused_all = target.users
     if params.kind == CROSS:
-        state_s = _propagate(params, graphs.source, SOURCE, config)
-        merged = compression.merge_representations(state_s.users, state_t.users)
+        source = _propagate(params, graphs.source, SOURCE, config)
+        merged = compression.merge_representations(source.users, target.users)
         logits, _ = params.gate().forward(merged)
         mu, _ = compression.batch_statistics(merged, config.sigma_floor)
         mixed = compression.compress_deterministic(merged, logits, mu)
-        fused_all = mixed + state_t.users
-    return Scorer(fused_all, item_matrix)
+        fused_all = mixed + target.users
+    return Scorer(fused_all, target.items)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +484,7 @@ class EpochRecord:
 class FitResult:
     params: ModelParameters
     best_epoch: int
-    best_validation: float
+    best_validation: float | None  # None when no epoch ran
     log: list[EpochRecord]
     graphs: DomainGraphs
 
@@ -515,7 +504,7 @@ def _sample_batches(
     batches = []
     for start in range(0, order.size, batch_size):
         chunk = order[start : start + batch_size]
-        sampled = {SOURCE: (None, None)}
+        pairs = {}
         for domain, (index, n_items) in owned.items():
             pos = np.empty(chunk.size, dtype=np.int64)
             neg = np.empty(chunk.size, dtype=np.int64)
@@ -526,8 +515,8 @@ def _sample_batches(
                 while candidate in items:
                     candidate = int(rng.integers(n_items))
                 neg[row] = candidate
-            sampled[domain] = (pos, neg)
-        batches.append(Batch(chunk, *sampled[SOURCE], *sampled[TARGET]))
+            pairs[domain] = (pos, neg)
+        batches.append(Batch(chunk, pairs))
     return batches
 
 
@@ -556,7 +545,7 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
 
     Returns the parameters of the best validation epoch together with the
     per-epoch loss and metric log.  ``max_epochs == 0`` returns the freshly
-    initialized parameters untouched.
+    initialized parameters untouched, with no best validation metric (None).
     """
     if split.train_target.size == 0:
         raise ValueError("training set is empty")
@@ -598,12 +587,10 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
                 config.seed, epoch, step, batch.users.size, config.embedding_dim
             )
             losses = train_step(params, graphs, batch, draws, config)
-            sums += batch.users.size * np.array(
-                [losses.pred_target, losses.pred_source, losses.kl, losses.contrastive, losses.total]
-            )
+            sums += batch.users.size * np.array(astuple(losses))
             weight += batch.users.size
         mean = sums / weight
-        epoch_losses = transfer.LossBundle(*mean[:4], config.alphas, mean[4])
+        epoch_losses = transfer.LossBundle(*mean)
         metric = _validation_metric(params, graphs, config, split, excluded_by_user)
         log.append(EpochRecord(epoch, epoch_losses, metric))
         if metric > best_metric:
@@ -615,7 +602,7 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
             stale += 1
             if config.patience and stale >= config.patience:
                 break
-    return FitResult(best, best_epoch, float(best_metric), log, graphs)
+    return FitResult(best, best_epoch, float(best_metric) if log else None, log, graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +619,7 @@ def save_checkpoint(path, params: ModelParameters, meta: dict | None = None) -> 
     """
     meta = dict(meta or {})
     meta["kind"] = params.kind
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    meta_bytes = json.dumps(meta, sort_keys=True, allow_nan=False).encode("utf-8")
     handle = io.BytesIO()
     handle.write(CHECKPOINT_MAGIC)
     handle.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))

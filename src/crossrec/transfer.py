@@ -14,18 +14,16 @@ import numpy as np
 from scipy.special import expit
 
 
-def score(h_hat_user, e_target_user, e_item):
+def score(fused_user, e_item):
     """Inner product of the fused user vector with an item representation.
 
-    Accepts single vectors or row-aligned batches; the fused vector is the
-    element-wise sum of the two user-side inputs.
+    Accepts single vectors or row-aligned batches.
     """
-    h = np.asarray(h_hat_user, dtype=np.float64)
-    t = np.asarray(e_target_user, dtype=np.float64)
+    u = np.asarray(fused_user, dtype=np.float64)
     i = np.asarray(e_item, dtype=np.float64)
-    if h.shape != t.shape or h.shape != i.shape:
-        raise ValueError(f"shape mismatch: {h.shape}, {t.shape}, {i.shape}")
-    result = np.sum((h + t) * i, axis=-1)
+    if u.shape != i.shape:
+        raise ValueError(f"shape mismatch: {u.shape} vs {i.shape}")
+    result = np.sum(u * i, axis=-1)
     return float(result) if result.ndim == 0 else result
 
 
@@ -76,17 +74,7 @@ class LossBundle:
     pred_source: float
     kl: float
     contrastive: float
-    alphas: tuple[float, float, float]
     total: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "pred_target": self.pred_target,
-            "pred_source": self.pred_source,
-            "kl": self.kl,
-            "contrastive": self.contrastive,
-            "total": self.total,
-        }
 
 
 def total_loss(
@@ -106,6 +94,5 @@ def total_loss(
         pred_source=float(pred_source),
         kl=float(kl),
         contrastive=float(contrastive),
-        alphas=(a1, a2, a3),
         total=float(total),
     )

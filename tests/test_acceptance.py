@@ -115,7 +115,7 @@ def random_training_instance(rng):
                 neg.append(candidate)
             return pos, np.asarray(neg)
 
-        return Batch(users, *sample(bundle.source), *sample(bundle.target))
+        return Batch(users, {"source": sample(bundle.source), "target": sample(bundle.target)})
 
     return bundle, batch_for(bundle, rng)
 

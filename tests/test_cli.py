@@ -62,6 +62,13 @@ def synth_dir(tmp_path_factory):
     return out
 
 
+def strict_json(path):
+    """Parse ``path`` as RFC 8259 JSON, which has no NaN or Infinity token."""
+    def reject(token):
+        raise ValueError(f"{path} holds the non-JSON token {token}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def data_flags(synth_dir):
     return [
         "--source", str(synth_dir / "source.tsv"),
@@ -212,6 +219,35 @@ class TestTrain:
         assert code == 1
         assert "error: user 'u0' has no training target item" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--lr", "nan", "learning_rate"), ("--lr", "-inf", "learning_rate"),
+        ("--tau", "inf", "contrastive_temperature"), ("--gumbel-t", "inf", "gumbel_temperature"),
+        ("--alpha2", "nan", "alphas"), ("--weight-decay", "inf", "weight_decay"),
+        ("--init-std", "nan", "init_std"),
+    ])
+    def test_non_finite_setting_exits_one_before_any_output(
+        self, synth_dir, tmp_path, capsys, command, flag, value, key
+    ):
+        out = tmp_path / "out"
+        variant = ["--variant", "full"] if command == "ablate" else []
+        code = main([command, *variant, *data_flags(synth_dir), "--out", str(out), *FAST_TRAIN,
+                     f"{flag}={value}"])
+        assert code == 1
+        assert f"error: {key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_epochs_record_null(self, synth_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        code = main(["train", *data_flags(synth_dir), "--out", str(run_dir), *FAST_TRAIN,
+                     "--epochs", "0"])
+        assert code == 0
+        assert "trained 0 epochs; no epoch ran" in capsys.readouterr().out
+        _, meta = load_checkpoint(run_dir / "best.ckpt")
+        assert meta["best_epoch"] == 0 and meta["best_validation_ndcg"] is None
+        assert b"Infinity" not in (run_dir / "best.ckpt").read_bytes()
+        strict_json(run_dir / "manifest.json")
+
     def test_unknown_flag_fails_fast(self, synth_dir, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["train", *data_flags(synth_dir), "--out", str(tmp_path), "--bogus", "1"])
@@ -348,6 +384,44 @@ def test_malformed_lines_warned(synth_dir, trained, tmp_path, capsys, command):
     assert "warning: 1 malformed lines skipped" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate"])
+def test_manifest_records_the_load_report(synth_dir, trained, tmp_path, command):
+    data = tmp_path / "data"
+    shutil.copytree(synth_dir, data)
+    source = data / "source.tsv"
+    first = next(line for line in source.read_text().splitlines() if not line.startswith("#"))
+    with open(source, "a", encoding="utf-8") as handle:
+        handle.write(first + "\n")
+    extra = {
+        "train": [*data_flags(data), *FAST_TRAIN],
+        "evaluate": [*data_flags(data), "--checkpoint", str(trained / "best.ckpt")],
+        "ablate": [*data_flags(data), "--variant", "no-cl", *FAST_TRAIN],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, "--out", str(out), "--seed", "3", *extra]) == 0
+
+    bundle, clean = load_bundle(DataPaths(*(synth_dir / f"{name}.tsv" for name in
+                                            ("source", "target", "kg", "map_source", "map_target"))))
+    expected = {**asdict(clean), "malformed": 0,
+                "excluded_users": split_leave_one_out(bundle, 3).excluded_users}
+    expected["raw_edges"]["source"] += 1
+    expected["duplicate_edges"]["source"] += 1
+    assert strict_json(out / "manifest.json")["load_report"] == expected
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-synth", *SYNTH_FLAGS, "--rho", "nan"], "irrelevant_fraction must lie in [0, 1]: nan"),
+    (["inject-noise", "--ratio", "nan"], "noise ratio must lie in [0, 1], got nan"),
+])
+def test_nan_rate_exits_one_before_any_output(synth_dir, tmp_path, capsys, argv, message):
+    if argv[0] == "inject-noise":
+        argv = [*argv, "--source", str(synth_dir / "source.tsv")]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "ablate"])
 @pytest.mark.parametrize("k", ["0", "-5", "x", "10,0"])
 def test_k_must_be_positive_integers(synth_dir, tmp_path, command, k):
@@ -462,6 +536,15 @@ class TestAblate:
         assert manifest["best_epoch"] == 1 + int(np.argmax(validation))
         best_row = rows[manifest["best_epoch"]]
         assert f"{manifest['best_validation_ndcg']:.10g}" == best_row[-1]
+
+    def test_zero_epochs_record_null(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "ablation"
+        code = main(["ablate", "--variant", "full", *data_flags(synth_dir), "--out", str(out)]
+                    + FAST_TRAIN + ["--epochs", "0"])
+        assert code == 0
+        assert "full: no epoch ran" in capsys.readouterr().out
+        manifest = strict_json(out / "manifest.json")
+        assert manifest["best_epoch"] == 0 and manifest["best_validation_ndcg"] is None
 
     def test_rejects_unknown_variant(self, synth_dir, tmp_path):
         with pytest.raises(SystemExit):

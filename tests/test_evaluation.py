@@ -84,7 +84,7 @@ def sample_batches_oracle(rng, users, batch_size, items_by_user, item_counts):
     batches = []
     for start in range(0, order.size, batch_size):
         chunk = order[start : start + batch_size]
-        sampled = {"source": (None, None)}
+        pairs = {}
         for domain, by_user in items_by_user.items():
             pos = np.empty(chunk.size, dtype=np.int64)
             neg = np.empty(chunk.size, dtype=np.int64)
@@ -94,8 +94,8 @@ def sample_batches_oracle(rng, users, batch_size, items_by_user, item_counts):
                 while candidate in sets[domain][user]:
                     candidate = int(rng.integers(item_counts[domain]))
                 neg[row] = candidate
-            sampled[domain] = (pos, neg)
-        batches.append(Batch(chunk, *sampled["source"], *sampled["target"]))
+            pairs[domain] = (pos, neg)
+        batches.append(Batch(chunk, pairs))
     return batches
 
 
@@ -178,11 +178,11 @@ class TestUserItems:
         )
         assert len(batches) == len(expected)
         for batch, oracle in zip(batches, expected):
-            for name in ("users", "pos_source", "neg_source", "pos_target", "neg_target"):
-                if getattr(oracle, name) is None:
-                    assert getattr(batch, name) is None
-                else:
-                    assert_same_array(getattr(batch, name), getattr(oracle, name))
+            assert_same_array(batch.users, oracle.users)
+            assert list(batch.pairs) == list(oracle.pairs) == list(domains)
+            for domain, pair in oracle.pairs.items():
+                for array, oracle_array in zip(batch.pairs[domain], pair):
+                    assert_same_array(array, oracle_array)
 
 
 class TestSplit:

@@ -63,9 +63,11 @@ def micro_setup(bundle, config, seed=7):
             neg.append(candidate)
         return pos, np.asarray(neg)
 
-    pos_s, neg_s = sample("source", bundle.source.item_count)
-    pos_t, neg_t = sample("target", bundle.target.item_count)
-    batch = Batch(users, pos_s, neg_s, pos_t, neg_t)
+    pairs = {"source": sample("source", bundle.source.item_count),
+             "target": sample("target", bundle.target.item_count)}
+    if config.model == TARGET_ONLY:
+        del pairs["source"]  # drawn all the same, so the target pairs match the cross model's
+    batch = Batch(users, pairs)
     draws = StepDraws.for_step(config.seed, 1, 0, users.size, config.embedding_dim)
     return graphs, params, batch, draws
 
@@ -222,8 +224,9 @@ def target_only_oracle(params, graphs, batch, config):
     e0[graph.user_count :] = params.arrays["item_t"]
     state_t = propagate(graph, e0, config.layers)
     fused = state_t.users[batch.users]
-    pos_vec = state_t.items[batch.pos_target]
-    neg_vec = state_t.items[batch.neg_target]
+    pos_target, neg_target = batch.pairs["target"]
+    pos_vec = state_t.items[pos_target]
+    neg_vec = state_t.items[neg_target]
     pos_scores = np.sum(fused * pos_vec, axis=1)
     neg_scores = np.sum(fused * neg_vec, axis=1)
     pred_t = loss_fn(pos_scores, neg_scores)
@@ -233,8 +236,8 @@ def target_only_oracle(params, graphs, batch, config):
     g_z = np.zeros((state_t.user_count + state_t.item_count, config.embedding_dim))
     np.add.at(g_z, batch.users, g_fused)
     offset = state_t.user_count
-    np.add.at(g_z, offset + batch.pos_target, g_pos[:, None] * fused)
-    np.add.at(g_z, offset + batch.neg_target, g_neg[:, None] * fused)
+    np.add.at(g_z, offset + pos_target, g_pos[:, None] * fused)
+    np.add.at(g_z, offset + neg_target, g_neg[:, None] * fused)
     g_e0 = backprop_propagate(g_z, state_t, graph)
     return pred_t, {"user_t": g_e0[: state_t.user_count], "item_t": g_e0[state_t.user_count :]}
 
@@ -307,6 +310,21 @@ class TestGradientCheck:
         assert not result.non_smooth
         assert result.max_relative_error <= 1e-4
 
+    @pytest.mark.parametrize("setting", [
+        {"alphas": (0.0, 0.7, 0.5)},  # no-pred-s: the source ranking term is skipped
+        {"use_kg": False},  # per-item source and target tables instead of the entity table
+        {"prediction_loss": "ce"},
+    ])
+    def test_full_objective_other_settings(self, dense_micro_bundle, setting):
+        config = TrainConfig(
+            embedding_dim=4, gate_hidden=4, layers=2, seed=5, alphas=(0.3, 0.7, 0.5)
+        )
+        config = replace(config, **setting)
+        graphs, params, batch, draws = micro_setup(dense_micro_bundle, config)
+        result = gradient_check(params, graphs, batch, draws, config, epsilon=1e-5)
+        assert not result.non_smooth
+        assert result.max_relative_error <= 1e-4
+
     def test_saturated_gates_reported_non_smooth(self, dense_micro_bundle):
         config = TrainConfig(
             embedding_dim=4, gate_hidden=4, layers=2, seed=5, alphas=(0.3, 0.7, 0.5)
@@ -327,7 +345,7 @@ class TestGradientCheck:
         )
         params = init_parameters(config, dense_micro_bundle)
         users = np.arange(4)
-        batch = Batch(users, None, None, np.array([1, 0, 3, 2]), np.array([2, 4, 0, 4]))
+        batch = Batch(users, {"target": (np.array([1, 0, 3, 2]), np.array([2, 4, 0, 4]))})
         draws = StepDraws.for_step(5, 1, 0, 4, 4)
         result = gradient_check(params, graphs, batch, draws, config, epsilon=1e-4)
         assert result.max_relative_error <= 1e-6
@@ -342,6 +360,7 @@ class TestFit:
         for name, array in fresh.arrays.items():
             assert np.array_equal(result.params.arrays[name], array)
         assert result.log == []
+        assert result.best_validation is None
 
     def test_validation_improves_over_initialization(self, tiny_bundle, tiny_split):
         bundle, _ = tiny_bundle
