@@ -163,10 +163,16 @@ class Manifest:
         text = json.dumps(self.payload, indent=2, sort_keys=True, allow_nan=False)
         write_atomic(self.path, text + "\n")
 
-    def finalize(self) -> None:
+    def finalize(self, status: str = "ok", **details) -> None:
+        """Record the end of the run: ``status`` ("ok" or "failed") and any details."""
+        self.payload.update(status=status, **details)
         self.payload["finished_at"] = datetime.now(timezone.utc).isoformat()
         self.payload["duration_seconds"] = round(time.perf_counter() - self._t0, 3)
         self.write()
+
+    def diverged(self, error: NonFiniteLossError) -> None:
+        """Finalize a run whose training diverged, naming the epoch and step."""
+        self.finalize("failed", error=str(error), epoch=error.epoch, step=error.step)
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -318,7 +324,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest = Manifest(out_dir, "train", resolved, paths.all())
 
     bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
-    result = fit(config, bundle, split)
+    try:
+        result = fit(config, bundle, split)
+    except NonFiniteLossError as error:
+        manifest.diverged(error)
+        raise
 
     checkpoint = out_dir / "best.ckpt"
     meta = {
@@ -427,7 +437,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     manifest = Manifest(out_dir, "ablate", resolved, paths.all())
 
     bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
-    result = run_ablation(args.variant, config, bundle, split, args.k)
+    try:
+        result = run_ablation(args.variant, config, bundle, split, args.k)
+    except NonFiniteLossError as error:
+        manifest.diverged(error)
+        raise
 
     manifest.payload["best_epoch"] = result.fit_result.best_epoch
     manifest.payload["best_validation_ndcg"] = result.fit_result.best_validation

@@ -52,12 +52,24 @@ CROSS = "cross"
 TARGET_ONLY = "target_only"
 PREDICTION_LOSSES = ("bpr", "ce")
 
+# users per bulk draw of the negative sampler
+SAMPLE_WINDOW = 64
+
 CHECKPOINT_MAGIC = b"XRCK"
 CHECKPOINT_VERSION = 1
 
 
 class NonFiniteLossError(RuntimeError):
-    """A training step produced a non-finite loss; the step was aborted."""
+    """A training step produced a non-finite loss; the step was aborted.
+
+    Raised from :func:`fit`, it names the epoch (from 1) and the step within
+    that epoch (from 0) that failed.
+    """
+
+    def __init__(self, message: str, epoch: int | None = None, step: int | None = None):
+        super().__init__(message)
+        self.epoch = epoch
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -300,7 +312,7 @@ def forward_losses(
     params: ModelParameters,
     graphs: DomainGraphs,
     batch: Batch,
-    draws: StepDraws,
+    draws: StepDraws | None,
     config: TrainConfig,
 ) -> tuple[transfer.LossBundle, _ForwardCache]:
     """One full forward pass over the fixed compute graph.
@@ -309,7 +321,8 @@ def forward_losses(
     ``compression.batch_statistics`` and ``compression.gumbel_sigmoid``,
     looked up at call time, so a caller can substitute either (the gradient
     checker pins both).  Without a source domain (target-only) the fused
-    vector is the target user vector and the source-side terms are zero.
+    vector is the target user vector and the source-side terms are zero;
+    only the gate and noise read ``draws``, so target-only may pass None.
     Every domain in ``batch.pairs`` is ranked with the fused vector.
     """
     loss_fn, _ = _pred_loss(config)
@@ -425,7 +438,7 @@ def train_step(
     params: ModelParameters,
     graphs: DomainGraphs,
     batch: Batch,
-    draws: StepDraws,
+    draws: StepDraws | None,
     config: TrainConfig,
 ) -> transfer.LossBundle:
     """Forward, exact backward, and an Adagrad update; aborts on non-finite loss."""
@@ -489,33 +502,90 @@ class FitResult:
     graphs: DomainGraphs
 
 
+def _owned_keys(index: UserItems, n_items: int) -> np.ndarray:
+    """The sorted distinct ``user * n_items + item`` keys of ``index``'s edges."""
+    return np.unique(index.rows[:, 0] * n_items + index.rows[:, 1])
+
+
+def _owns(keys: np.ndarray, query):
+    """Whether each ``user * n_items + item`` key in ``query`` is in ``keys``."""
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return keys[at] == query
+
+
+def _sample_pairs(
+    rng: np.random.Generator, chunk: np.ndarray, index: UserItems, n_items: int,
+    keys: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One positive and one rejection-sampled negative per user of ``chunk``."""
+    starts = index.indptr[chunk]
+    bounds = np.empty(2 * chunk.size, dtype=np.int64)
+    bounds[0::2] = index.indptr[chunk + 1] - starts
+    bounds[1::2] = n_items
+    pos = np.empty(chunk.size, dtype=np.int64)
+    neg = np.empty(chunk.size, dtype=np.int64)
+    first = 0
+    while first < chunk.size:
+        stop = min(first + SAMPLE_WINDOW, chunk.size)
+        saved = rng.bit_generator.state
+        draws = rng.integers(0, bounds[2 * first : 2 * stop])
+        candidates = draws[1::2]
+        owned = _owns(keys, chunk[first:stop] * n_items + candidates)
+        if owned.any():
+            # replay the draws up to the first rejected user, then finish
+            # that user's rejection loop one scalar draw at a time
+            stop = first + int(owned.argmax()) + 1
+            rng.bit_generator.state = saved
+            rng.integers(0, bounds[2 * first : 2 * stop])
+            user_key = int(chunk[stop - 1]) * n_items
+            candidate = int(rng.integers(n_items))
+            while _owns(keys, user_key + candidate):
+                candidate = int(rng.integers(n_items))
+            candidates[stop - 1 - first] = candidate
+        count = stop - first
+        pos[first:stop] = index.rows[starts[first:stop] + draws[0 : 2 * count : 2], 1]
+        neg[first:stop] = candidates[:count]
+        first = stop
+    return pos, neg
+
+
 def _sample_batches(
     rng: np.random.Generator,
     users: np.ndarray,
     batch_size: int,
     owned: dict[str, tuple[UserItems, int]],
+    keys: dict[str, np.ndarray] | None = None,
 ) -> list[Batch]:
     """Shuffle users and draw one positive and one uniform negative per domain.
 
     ``owned`` maps each sampled domain, source first, to its training items
-    by user and its item count.
+    by user and its item count; ``keys`` maps it to the sorted distinct
+    ``user * n_items + item`` keys of those items (built here when not given).
+
+    The stream is the one a per-user loop would consume: for each user in
+    batch order, ``rng.integers(count)`` picks the positive among the user's
+    ``count`` edges, then ``rng.integers(n_items)`` is drawn until it gives an
+    item the user does not own.  The draws are made in bulk, per window of
+    ``SAMPLE_WINDOW`` users, as one ``rng.integers(0, bounds)`` over the
+    interleaved bounds ``[count_0, n_items, count_1, n_items, ...]``.  When
+    some candidate negative in the window is owned (found by ``searchsorted``
+    on ``keys``), the generator state saved before the window is restored, the
+    bounds are redrawn up to and including the first such user, that user's
+    rejection loop continues with scalar draws, and the next window starts
+    after it.
+    This rests on a property of numpy's ``Generator`` (checked in
+    ``tests/test_evaluation.py`` at the pinned numpy): an array of bounds
+    gives the same values, and leaves the same state, as one scalar draw per
+    bound in order.
     """
+    if keys is None:
+        keys = {domain: _owned_keys(index, n_items) for domain, (index, n_items) in owned.items()}
     order = rng.permutation(users)
     batches = []
     for start in range(0, order.size, batch_size):
         chunk = order[start : start + batch_size]
-        pairs = {}
-        for domain, (index, n_items) in owned.items():
-            pos = np.empty(chunk.size, dtype=np.int64)
-            neg = np.empty(chunk.size, dtype=np.int64)
-            for row, user in enumerate(chunk):
-                items = index[user].tolist()
-                pos[row] = items[rng.integers(len(items))]
-                candidate = int(rng.integers(n_items))
-                while candidate in items:
-                    candidate = int(rng.integers(n_items))
-                neg[row] = candidate
-            pairs[domain] = (pos, neg)
+        pairs = {domain: _sample_pairs(rng, chunk, index, n_items, keys[domain])
+                 for domain, (index, n_items) in owned.items()}
         batches.append(Batch(chunk, pairs))
     return batches
 
@@ -561,9 +631,9 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
         owned = {SOURCE: (source, bundle.source.item_count), **owned}
     # a user without training items has no positive to draw, and one owning
     # a whole catalog would leave the negative draw spinning
-    for domain, (index, n_items) in owned.items():
-        pairs = np.unique(index.rows[:, 0] * n_items + index.rows[:, 1])
-        distinct = np.bincount(pairs // n_items, minlength=bundle.user_count)[split.users]
+    keys = {domain: _owned_keys(index, n_items) for domain, (index, n_items) in owned.items()}
+    for domain, (_, n_items) in owned.items():
+        distinct = np.bincount(keys[domain] // n_items, minlength=bundle.user_count)[split.users]
         for unusable, problem in (
             (distinct == 0, f"has no training {domain} item: no positive to sample"),
             (distinct >= n_items, f"owns every {domain} item: no negative to sample"),
@@ -579,14 +649,20 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_EPOCH, epoch]))
-        batches = _sample_batches(rng, split.users, config.batch_size, owned)
+        batches = _sample_batches(rng, split.users, config.batch_size, owned, keys)
         sums = np.zeros(5)
         weight = 0
         for step, batch in enumerate(batches):
-            draws = StepDraws.for_step(
-                config.seed, epoch, step, batch.users.size, config.embedding_dim
-            )
-            losses = train_step(params, graphs, batch, draws, config)
+            draws = None  # only the cross step reads the gate and noise draws
+            if config.model == CROSS:
+                draws = StepDraws.for_step(
+                    config.seed, epoch, step, batch.users.size, config.embedding_dim
+                )
+            try:
+                losses = train_step(params, graphs, batch, draws, config)
+            except NonFiniteLossError as error:
+                raise NonFiniteLossError(f"{error} at epoch {epoch}, step {step}",
+                                         epoch=epoch, step=step) from None
             sums += batch.users.size * np.array(astuple(losses))
             weight += batch.users.size
         mean = sums / weight

@@ -35,6 +35,7 @@ from crossrec.experiments import evaluate_fit
 from crossrec.training import (
     DomainGraphs,
     FitResult,
+    StepDraws,
     TrainConfig,
     init_parameters,
     load_checkpoint,
@@ -179,6 +180,44 @@ class TestTrain:
             )
         assert code == 1
         assert "error: aborted step: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--variant", "full"]])
+    def test_divergence_finalizes_the_manifest_as_failed(
+        self, synth_dir, tmp_path, capsys, monkeypatch, command
+    ):
+        # NaN noise at epoch 2, step 1 makes that step's loss non-finite
+        real = StepDraws.for_step
+
+        def poisoned(seed, epoch, step, batch_size, dim):
+            draws = real(seed, epoch, step, batch_size, dim)
+            if (epoch, step) == (2, 1):
+                draws = replace(draws, noise=np.full_like(draws.noise, np.nan))
+            return draws
+
+        monkeypatch.setattr(StepDraws, "for_step", staticmethod(poisoned))
+        run_dir = tmp_path / "run"
+        flags = [*FAST_TRAIN]
+        flags[flags.index("--batch-size") + 1] = "4"
+        with np.errstate(all="ignore"):
+            code = main([*command, *data_flags(synth_dir), "--out", str(run_dir), "--seed", "3"]
+                        + flags)
+        assert code == 1
+        assert "at epoch 2, step 1" in capsys.readouterr().err
+        manifest = strict_json(run_dir / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert (manifest["epoch"], manifest["step"]) == (2, 1)
+        assert manifest["error"].startswith("aborted step: non-finite loss")
+        assert manifest["finished_at"] is not None
+        assert manifest["outputs"] == []
+        assert not (run_dir / "best.ckpt").exists()
+
+    def test_successful_run_records_status_ok(self, synth_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        code = main(["train", *data_flags(synth_dir), "--out", str(run_dir), "--seed", "3"]
+                    + FAST_TRAIN)
+        assert code == 0
+        manifest = strict_json(run_dir / "manifest.json")
+        assert manifest["status"] == "ok" and "error" not in manifest
 
     def test_reports_epochs_actually_run(self, synth_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -18,7 +18,7 @@ from crossrec.evaluation import (
 from crossrec.graph import InteractionGraph, KnowledgeLinkage
 from crossrec.data import DatasetBundle, SynthSpec, generate_synthetic
 from crossrec.experiments import contaminate_split
-from crossrec.training import Batch, _sample_batches
+from crossrec.training import SAMPLE_WINDOW, Batch, _sample_batches
 
 from metric_oracle import metrics_at
 
@@ -99,6 +99,26 @@ def sample_batches_oracle(rng, users, batch_size, items_by_user, item_counts):
     return batches
 
 
+def assert_sampler_matches_oracle(edges, counts, user_count, users, batch_size, domains,
+                                  epochs=3):
+    """Several epochs of ``_sample_batches`` against the per-user oracle on one
+    stream: same batches, dtypes and final generator state."""
+    owned = {d: (UserItems.build(edges[d], user_count), counts[d]) for d in domains}
+    by_user = {d: items_by_user_oracle(edges[d], user_count) for d in domains}
+    rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(epochs):
+        batches = _sample_batches(rng, users, batch_size, owned)
+        expected = sample_batches_oracle(oracle_rng, users, batch_size, by_user, counts)
+        assert len(batches) == len(expected)
+        for batch, oracle in zip(batches, expected):
+            assert_same_array(batch.users, oracle.users)
+            assert list(batch.pairs) == list(oracle.pairs) == list(domains)
+            for domain, pair in oracle.pairs.items():
+                for array, oracle_array in zip(batch.pairs[domain], pair):
+                    assert_same_array(array, oracle_array)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def identity_scorer(scores):
     """A scorer whose matrix product reproduces ``scores`` exactly."""
     return Scorer(np.asarray(scores, dtype=float), np.eye(np.shape(scores)[1]))
@@ -170,19 +190,48 @@ class TestUserItems:
         split = contaminate_split(bundle, tiny_split, 0.3, 5) if noisy else tiny_split
         edges = {"source": split.train_source, "target": split.train_target}
         counts = {"source": bundle.source.item_count, "target": bundle.target.item_count}
-        owned = {d: (UserItems.build(edges[d], bundle.user_count), counts[d]) for d in domains}
-        by_user = {d: items_by_user_oracle(edges[d], bundle.user_count) for d in domains}
-        batches = _sample_batches(np.random.default_rng(9), split.users, batch_size, owned)
-        expected = sample_batches_oracle(
-            np.random.default_rng(9), split.users, batch_size, by_user, counts
-        )
-        assert len(batches) == len(expected)
-        for batch, oracle in zip(batches, expected):
-            assert_same_array(batch.users, oracle.users)
-            assert list(batch.pairs) == list(oracle.pairs) == list(domains)
-            for domain, pair in oracle.pairs.items():
-                for array, oracle_array in zip(batch.pairs[domain], pair):
-                    assert_same_array(array, oracle_array)
+        assert_sampler_matches_oracle(edges, counts, bundle.user_count, split.users,
+                                      batch_size, domains)
+
+    @pytest.mark.parametrize("batch_size", [1, SAMPLE_WINDOW - 1, SAMPLE_WINDOW,
+                                            SAMPLE_WINDOW + 1, 1000])
+    @pytest.mark.parametrize("domains", [("source", "target"), ("target",)])
+    def test_sampler_matches_per_user_sets_across_windows(self, batch_size, domains):
+        # 150 users span several windows; user 0 owns every target item but
+        # one (a long rejection run), user 1 a single item, user 2 repeats
+        # its edges, and user 3 owns every source item but one
+        rng = np.random.default_rng(11)
+        counts = {"source": 40, "target": 30}
+        edges = {}
+        for domain, n_items in counts.items():
+            rows = [(u, int(i)) for u in range(4, 150)
+                    for i in rng.choice(n_items, int(rng.integers(1, 12)), replace=False)]
+            rows += [(1, 7), (2, 5), (2, 9), (2, 5), (2, 5), (2, 9)]
+            full, other = (0, 3) if domain == "target" else (3, 0)
+            rows += [(full, int(i)) for i in rng.permutation(n_items)[1:]]
+            rows += [(other, 3), (other, 4)]
+            edges[domain] = np.asarray(rows, dtype=np.int64)[rng.permutation(len(rows))]
+        users = np.arange(150)
+        assert_sampler_matches_oracle(edges, counts, 150, users, batch_size, domains)
+
+
+def test_array_bounds_draw_as_scalar_bounds():
+    # the bulk sampler relies on this numpy property: one integers(0,
+    # bounds) call gives the values, and leaves the generator state, of
+    # one scalar integers(bound) call per bound in order
+    rng = np.random.default_rng(2024)
+    for trial in range(300):
+        size = int(rng.integers(1, 61))
+        top = 2 ** int(rng.integers(1, 32))
+        bounds = rng.integers(1, top, size=size, endpoint=True)
+        bounds[rng.random(size) < 0.1] = 1
+        seed = [trial, 77]
+        bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        values = bulk.integers(0, bounds)
+        expected = [scalar.integers(int(bound)) for bound in bounds]
+        assert values.tolist() == expected
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+        assert bulk.integers(1000) == scalar.integers(1000)
 
 
 class TestSplit:

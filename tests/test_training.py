@@ -1,6 +1,6 @@
 """Optimizer behavior, exact gradients, determinism, checkpoints."""
 
-from dataclasses import replace
+from dataclasses import asdict, astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -285,6 +285,54 @@ class TestTargetOnlyOracle:
             draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 8)
             grads = assert_matches_target_only_oracle(params, graphs, batch, draws, config)
             adagrad_update(params, grads, config.learning_rate)
+
+
+class TestTargetOnlyIgnoresDraws:
+    @pytest.mark.parametrize("loss", ["bpr", "ce"])
+    def test_step_without_draws_is_bit_equal(self, dense_micro_bundle, loss):
+        config = TrainConfig(embedding_dim=4, layers=2, seed=5, model=TARGET_ONLY,
+                             prediction_loss=loss)
+        graphs, params, batch, draws = micro_setup(dense_micro_bundle, config)
+        drawn, drawn_cache = forward_losses(params, graphs, batch, draws, config)
+        undrawn, undrawn_cache = forward_losses(params, graphs, batch, None, config)
+        assert astuple(undrawn) == astuple(drawn)
+        expected = backward_losses(drawn_cache)
+        grads = backward_losses(undrawn_cache)
+        assert list(grads) == list(expected)
+        for name, grad in expected.items():
+            assert np.array_equal(grads[name], grad), name
+
+    def test_fit_draws_nothing_and_matches_a_drawn_run(
+        self, tiny_bundle, tiny_split, tmp_path, monkeypatch
+    ):
+        # the drawn run hands every step real draws, as fit did before it
+        # skipped them for target-only; the checkpoints must be byte-equal
+        bundle, _ = tiny_bundle
+        config = TrainConfig(embedding_dim=8, seed=7, model=TARGET_ONLY, batch_size=4,
+                             learning_rate=0.1, max_epochs=5, patience=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("target-only fit drew step draws")
+
+        monkeypatch.setattr(StepDraws, "for_step", staticmethod(refuse))
+        undrawn = fit(config, bundle, tiny_split)
+        monkeypatch.undo()
+
+        steps = []
+
+        def drawn_step(params, graphs, batch, draws, config):
+            assert draws is None
+            steps.append(batch.users.size)
+            draws = StepDraws.for_step(config.seed, 1, len(steps), batch.users.size,
+                                       config.embedding_dim)
+            return train_step(params, graphs, batch, draws, config)
+
+        monkeypatch.setattr("crossrec.training.train_step", drawn_step)
+        drawn = fit(config, bundle, tiny_split)
+        assert len(steps) == 5 * -(-tiny_split.users.size // 4)
+        for name, result in (("undrawn", undrawn), ("drawn", drawn)):
+            save_checkpoint(tmp_path / f"{name}.ckpt", result.params, {"config": asdict(config)})
+        assert (tmp_path / "undrawn.ckpt").read_bytes() == (tmp_path / "drawn.ckpt").read_bytes()
 
 
 class TestGradientCheck:
