@@ -10,7 +10,15 @@ representation aligned with the user's target-domain portrait.
 
 All functions take their random draws as explicit arguments, so any
 caller-managed stream reproduces results exactly.  They are pure, except that
-``info_nce_backward`` reuses the buffers of the forward record it is given.
+``info_nce_backward`` reuses the buffer of the forward record it is given.
+
+InfoNCE holds one B x B float64 buffer per step: the cosine matrix, which
+the backward overwrites with the gradient of the dot products.  Its
+elementwise passes run over row blocks of ``INFO_NCE_BLOCK`` values: the
+backward recomputes ``exp`` from the stored cosines and row shifts instead
+of keeping it, and carries the column sums from block to block.  Each block
+repeats the whole-matrix operations on the same values, so losses and
+gradients are bit-identical at any block size.
 """
 
 from __future__ import annotations
@@ -25,6 +33,10 @@ M_FLOOR = 1e-6
 NORM_FLOOR = 1e-12
 # keeps logit(m) finite; uniform draws are clipped into the open interval
 UNIFORM_EPS = 1e-12
+# InfoNCE's elementwise passes work on row blocks of at most this many float64
+# values (256 KiB), so the four block arrays the backward keeps live stay in a
+# core's L2 cache; the similarity matrix itself is one B x B buffer
+INFO_NCE_BLOCK = 1 << 15
 
 
 def merge_representations(
@@ -166,8 +178,11 @@ class ForwardConsumedError(RuntimeError):
 class InfoNceForward:
     """What ``info_nce_backward`` needs from the forward pass.
 
-    ``cos`` and ``exp`` (``exp(cos/tau - rowmax)``) are B x B buffers that the
-    backward overwrites in place, so a record serves exactly one backward.
+    ``cos`` is the one B x B buffer: the normalized cosine matrix, which the
+    backward overwrites in place with the cosine gradient, so a record serves
+    exactly one backward.  ``shift`` is each row's max of ``cos/tau``; with
+    it the backward recomputes ``exp(cos/tau - shift)`` bit for bit instead
+    of keeping a second B x B matrix.
     """
 
     loss: float
@@ -175,9 +190,26 @@ class InfoNceForward:
     norm_floor: float
     n_m: np.ndarray
     n_t: np.ndarray
+    shift: np.ndarray
     denominator: np.ndarray
     cos: np.ndarray | None
-    exp: np.ndarray | None
+
+
+def _block_rows(b: int) -> int:
+    """Rows per InfoNCE block of a batch of ``b``: at least one."""
+    return max(1, INFO_NCE_BLOCK // b)
+
+
+def _row_blocks(b: int):
+    rows = _block_rows(b)
+    for start in range(0, b, rows):
+        yield slice(start, min(start + rows, b))
+
+
+def _diagonal(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the whole matrix's diagonal entries inside the block of ``rows``."""
+    local = np.arange(rows.stop - rows.start)
+    return local, rows.start + local
 
 
 def info_nce(
@@ -191,6 +223,10 @@ def info_nce(
     Each mixed row is the anchor; its paired target-user row is the positive
     and the other target rows in the batch are negatives.  Similarity is
     cosine, scaled by ``1/tau``.  The loss is ``.loss`` of the returned record.
+
+    One matrix product builds the B x B similarity buffer; normalization,
+    the shifted ``exp`` and the softmax denominators then run over row blocks
+    of ``INFO_NCE_BLOCK`` elements, so the buffer is the only B x B array.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
@@ -198,18 +234,27 @@ def info_nce(
     mixed = np.asarray(mixed, dtype=np.float64)
     if t_reps.shape != mixed.shape:
         raise ValueError(f"shape mismatch: {t_reps.shape} vs {mixed.shape}")
+    b = t_reps.shape[0]
+    if b < 1:
+        raise ValueError("batch must contain at least one row")
     n_m = _floored_norms(mixed, norm_floor)
     n_t = _floored_norms(t_reps, norm_floor)
     cos = mixed @ t_reps.T
-    cos /= n_m[:, None] * n_t[None, :]
-    exp = cos / tau
-    exp -= exp.max(axis=1, keepdims=True)
-    positives = exp.diagonal().copy()
-    np.exp(exp, out=exp)
-    denominator = exp.sum(axis=1)
+    shift = np.empty(b)
+    positives = np.empty(b)
+    denominator = np.empty(b)
+    for rows in _row_blocks(b):
+        block = cos[rows]
+        block /= n_m[rows, None] * n_t[None, :]
+        scaled = block / tau
+        shift[rows] = scaled.max(axis=1)
+        scaled -= shift[rows, None]
+        positives[rows] = scaled[_diagonal(rows)]
+        np.exp(scaled, out=scaled)
+        denominator[rows] = scaled.sum(axis=1)
     losses = np.log(denominator) - positives
     return InfoNceForward(
-        float(losses.mean()), tau, norm_floor, n_m, n_t, denominator, cos, exp
+        float(losses.mean()), tau, norm_floor, n_m, n_t, shift, denominator, cos
     )
 
 
@@ -220,14 +265,17 @@ def info_nce_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of ``info_nce`` w.r.t. target rows and mixed rows.
 
-    Consumes ``forward``: its B x B buffers are reused in place and then
-    dropped, so a second call on the same record raises
-    ``ForwardConsumedError``.
+    Consumes ``forward``: row block by row block it recomputes the softmax
+    from the stored cosines and shifts, takes the cosine gradient's row sums
+    and carries its column sums in the first row of a block scratch, then
+    overwrites the cosine rows with the gradient of the dot products.  The
+    buffer is dropped from the record, so a second call on the same record
+    raises ``ForwardConsumedError``.
     """
     if forward.cos is None:
         raise ForwardConsumedError("InfoNCE forward record was already used by a backward pass")
-    cos, g, n_m, n_t = forward.cos, forward.exp, forward.n_m, forward.n_t
-    forward.cos = forward.exp = None
+    cos, n_m, n_t = forward.cos, forward.n_m, forward.n_t
+    forward.cos = None
     t_reps = np.asarray(e_target_users, dtype=np.float64)
     mixed = np.asarray(mixed, dtype=np.float64)
     b = t_reps.shape[0]
@@ -236,16 +284,27 @@ def info_nce_backward(
             f"inputs {mixed.shape}, {t_reps.shape} do not match the forward's {cos.shape}"
         )
 
-    # d(mean_i loss_i)/d cos[i, j] = (softmax - I) / (tau B)
-    g /= forward.denominator[:, None]
-    g[np.diag_indices(b)] -= 1.0
-    g /= forward.tau * b
-    cos *= g
-    row_sums = cos.sum(axis=1)
-    col_sums = cos.sum(axis=0)
-    inv = np.multiply(n_m[:, None], n_t[None, :], out=cos)
-    np.divide(1.0, inv, out=inv)
-    g *= inv
+    # d(mean_i loss_i)/d cos[i, j] = (softmax - I) / (tau B); row 0 of the
+    # scratch holds the column sums of cos * g over the rows done so far, and
+    # summing it with the next rows continues numpy's row-by-row axis-0 sum
+    row_sums = np.empty(b)
+    scratch = np.zeros((min(b, _block_rows(b)) + 1, b))
+    for rows in _row_blocks(b):
+        n = rows.stop - rows.start
+        g = cos[rows] / forward.tau
+        g -= forward.shift[rows, None]
+        np.exp(g, out=g)
+        g /= forward.denominator[rows, None]
+        g[_diagonal(rows)] -= 1.0
+        g /= forward.tau * b
+        products = np.multiply(cos[rows], g, out=scratch[1 : n + 1])
+        row_sums[rows] = products.sum(axis=1)
+        scratch[0] = np.sum(scratch[: n + 1], axis=0)
+        inv = n_m[rows, None] * n_t[None, :]
+        np.divide(1.0, inv, out=inv)
+        np.multiply(g, inv, out=cos[rows])
+    # cos now holds the gradient w.r.t. the dot products mixed @ t_reps.T
+    g, col_sums = cos, scratch[0]
 
     # cosine gradient: through the dot product and through each norm; rows at
     # the norm floor are treated as constant-norm (subgradient choice)

@@ -1,11 +1,13 @@
 """Gating, noise mixing, and the two compression losses."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from crossrec import compression
 from crossrec.compression import (
     NORM_FLOOR,
     ForwardConsumedError,
@@ -254,8 +256,30 @@ class TestInfoNce:
                 worst = max(worst, abs(numeric - flat_grad[i]) / denom)
         assert worst <= 1e-5
 
-    @pytest.mark.parametrize("b", [1, 5, 100, 257])
-    def test_bit_identical_to_recomputing_oracle(self, b):
+    def test_empty_batch_is_rejected(self):
+        with pytest.raises(ValueError, match="batch must contain at least one row"):
+            info_nce(np.empty((0, 3)), np.empty((0, 3)), tau=0.2)
+
+    # rows per block: None keeps INFO_NCE_BLOCK; otherwise the block constant
+    # is patched to rows * b elements
+    @pytest.mark.parametrize(
+        "b, rows",
+        [
+            pytest.param(1, None, id="1"),
+            pytest.param(5, None, id="5"),
+            pytest.param(100, None, id="100"),
+            pytest.param(257, None, id="257"),
+            pytest.param(5, 1, id="5-one-row-blocks"),
+            pytest.param(257, 1, id="257-one-row-blocks"),
+            pytest.param(600, 50, id="600-exact-multiple"),
+            pytest.param(257, 16, id="257-partial-last-block"),
+            pytest.param(599, 64, id="599-partial-last-block"),
+            pytest.param(600, 600, id="600-single-block"),
+        ],
+    )
+    def test_bit_identical_to_recomputing_oracle(self, b, rows, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(compression, "INFO_NCE_BLOCK", rows * b)
         rng = np.random.default_rng(b)
         t_reps = rng.normal(size=(b, 6))
         mixed = rng.normal(size=(b, 6))
@@ -276,6 +300,59 @@ class TestInfoNce:
         info_nce_backward(t_reps, mixed, forward)
         with pytest.raises(ForwardConsumedError):
             info_nce_backward(t_reps, mixed, forward)
+
+    def test_one_batch_square_buffer_until_the_backward(self):
+        b = 300
+        rng = np.random.default_rng(15)
+        t_reps = rng.normal(size=(b, 8))
+        mixed = rng.normal(size=(b, 8))
+
+        def square_fields(record):
+            return [
+                field.name
+                for field in dataclasses.fields(record)
+                if np.shape(getattr(record, field.name)) == (b, b)
+            ]
+
+        forward = info_nce(t_reps, mixed, tau=0.2)
+        assert square_fields(forward) == ["cos"]
+        info_nce_backward(t_reps, mixed, forward)
+        assert square_fields(forward) == []
+        with pytest.raises(ForwardConsumedError):
+            info_nce_backward(t_reps, mixed, forward)
+
+
+def test_row_block_reductions_match_whole_array():
+    # the blocked InfoNCE relies on these numpy properties of C-contiguous
+    # float64: an axis-0 sum adds the rows one after another from row 0, so
+    # summing a carried partial sum with the next rows continues it exactly;
+    # and row-wise sum, max and exp of a row block equal the same rows of
+    # the whole-array call
+    rng = np.random.default_rng(2025)
+    for trial in range(40):
+        n_rows = int(rng.integers(1, 300))
+        n_cols = int(rng.integers(1, 700))
+        a = rng.normal(size=(n_rows, n_cols)) * np.exp(rng.normal(size=(n_rows, n_cols)) * 4)
+        sequential = np.zeros(n_cols)
+        for row in a:
+            sequential = sequential + row
+        assert np.array_equal(a.sum(axis=0), sequential)
+
+        rows = int(rng.integers(1, n_rows + 1))
+        running = np.zeros(n_cols)
+        for start in range(0, n_rows, rows):
+            running = np.sum(np.vstack([running, a[start : start + rows]]), axis=0)
+        assert np.array_equal(running, sequential)
+
+        logits = rng.normal(size=(n_rows, n_cols)) * 20
+        whole_sum, whole_max, whole_exp = a.sum(axis=1), a.max(axis=1), np.exp(logits)
+        for start in range(0, n_rows, rows):
+            block = a[start : start + rows]
+            assert np.array_equal(block.sum(axis=1), whole_sum[start : start + rows])
+            assert np.array_equal(block.max(axis=1), whole_max[start : start + rows])
+            assert np.array_equal(
+                np.exp(logits[start : start + rows]), whole_exp[start : start + rows]
+            )
 
 
 def _oracle_norms(x):
