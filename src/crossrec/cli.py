@@ -5,11 +5,12 @@ Subcommands: ``train``, ``evaluate``, ``gen-synth``, ``inject-noise``,
 then an optional ``key = value`` config file (only the command's own keys),
 then explicit flags (highest precedence), writes a manifest with input
 digests before doing any work (``evaluate`` reads its checkpoint first), and
-finalizes it on exit.  Every output goes under the ``--out`` directory
-through :func:`crossrec.data.write_atomic` (a temporary file renamed into
-place), so each holds its previous or its complete new content, and all get
-one permission mode.  Identical inputs plus an identical seed reproduce
-byte-identical outputs apart from the manifest's timestamps.
+finalizes it on exit, as failed if the command raises.  Every output goes
+under the ``--out`` directory through :func:`crossrec.data.write_atomic` (a
+temporary file renamed into place), so each holds its previous or its
+complete new content, and all get one permission mode.  Identical inputs plus an identical seed reproduce
+byte-identical outputs apart from the manifest's timestamps, under the
+numeric environment the manifest records.
 
 ``evaluate`` takes the model configuration from the checkpoint.  The
 leave-one-out split is derived from the seed: ``--seed``, else the config
@@ -19,6 +20,7 @@ file's ``seed``, else the seed the checkpoint was trained with.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -28,6 +30,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .data import (
@@ -125,11 +128,32 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
+def numeric_environment() -> dict:
+    """numpy and scipy versions, and the BLAS build, kernel and thread count numpy uses.
+
+    The kernel and thread count are read through ``ctypes`` from the OpenBLAS
+    numpy bundles ("unknown" and None without it).
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    environment = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas["name"],
+                   "blas_version": blas["version"], "blas_core": "unknown", "blas_threads": None}
+    for library in Path(np.__file__).parent.parent.glob("numpy*libs/*openblas*"):
+        try:
+            openblas = ctypes.CDLL(str(library))
+            openblas.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+            environment.update(blas_core=openblas.scipy_openblas_get_corename64_().decode(),
+                               blas_threads=openblas.scipy_openblas_get_num_threads64_())
+        except (OSError, AttributeError):
+            pass
+    return environment
+
+
 class Manifest:
-    """Run manifest: resolved config, input digests, outputs, timings.
+    """Run manifest: resolved config, numeric environment, input digests, outputs, timings.
 
     Creating one makes ``out_dir``, digests the inputs (``FileNotFoundError``
-    if one is missing) and writes the manifest.
+    if one is missing) and writes the manifest.  As a context manager it
+    finalizes the manifest on leaving: ``ok``, or ``failed`` with the error.
     """
 
     def __init__(self, out_dir: Path, command: str, resolved: dict, inputs: list[Path] = ()):
@@ -140,6 +164,7 @@ class Manifest:
             "tool": f"crossrec {__version__}",
             "command": command,
             "config": resolved,
+            "environment": numeric_environment(),
             "inputs": {},
             "outputs": [],
             "started_at": datetime.now(timezone.utc).isoformat(),
@@ -163,16 +188,20 @@ class Manifest:
         text = json.dumps(self.payload, indent=2, sort_keys=True, allow_nan=False)
         write_atomic(self.path, text + "\n")
 
-    def finalize(self, status: str = "ok", **details) -> None:
-        """Record the end of the run: ``status`` ("ok" or "failed") and any details."""
-        self.payload.update(status=status, **details)
+    def __enter__(self) -> "Manifest":
+        return self
+
+    def __exit__(self, kind, error, traceback) -> None:
+        """Record the end of the run; a diverged one also names its epoch and step."""
+        if error is None:
+            self.payload["status"] = "ok"
+        else:
+            self.payload.update(status="failed", error=str(error))
+        if isinstance(error, NonFiniteLossError):
+            self.payload.update(epoch=error.epoch, step=error.step)
         self.payload["finished_at"] = datetime.now(timezone.utc).isoformat()
         self.payload["duration_seconds"] = round(time.perf_counter() - self._t0, 3)
         self.write()
-
-    def diverged(self, error: NonFiniteLossError) -> None:
-        """Finalize a run whose training diverged, naming the epoch and step."""
-        self.finalize("failed", error=str(error), epoch=error.epoch, step=error.step)
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -321,31 +350,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _train_config(resolved)
     out_dir = Path(args.out)
     paths = _data_paths(args)
-    manifest = Manifest(out_dir, "train", resolved, paths.all())
-
-    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
-    try:
+    with Manifest(out_dir, "train", resolved, paths.all()) as manifest:
+        bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
         result = fit(config, bundle, split)
-    except NonFiniteLossError as error:
-        manifest.diverged(error)
-        raise
+        checkpoint = out_dir / "best.ckpt"
+        meta = {"config": asdict(config), "best_epoch": result.best_epoch,
+                "best_validation_ndcg": result.best_validation}
+        save_checkpoint(checkpoint, result.params, meta)
+        manifest.record_output(checkpoint)
+        log = _log_lines(result.log, config.validation_k)
+        manifest.write_output(out_dir / "training_log.tsv", log)
+        id_paths = save_bundle(bundle, out_dir / "data")
+        for path in id_paths.values():
+            manifest.record_output(path)
 
-    checkpoint = out_dir / "best.ckpt"
-    meta = {
-        "config": asdict(config),
-        "best_epoch": result.best_epoch,
-        "best_validation_ndcg": result.best_validation,
-    }
-    save_checkpoint(checkpoint, result.params, meta)
-    manifest.record_output(checkpoint)
-
-    manifest.write_output(out_dir / "training_log.tsv", _log_lines(result.log, config.validation_k))
-
-    id_paths = save_bundle(bundle, out_dir / "data")
-    for path in id_paths.values():
-        manifest.record_output(path)
-
-    manifest.finalize()
     summary = "no epoch ran, so the parameters are the initial ones"
     if result.log:
         summary = (f"best epoch {result.best_epoch} "
@@ -367,16 +385,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     applied = {**stored, "seed": config.seed, "hop_radius": resolved["hop_radius"], "k": args.k}
     out_dir = Path(args.out)
     paths = _data_paths(args)
-    manifest = Manifest(out_dir, "evaluate", applied, paths.all() + [checkpoint])
-
-    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
-    graphs = DomainGraphs.for_config(config, bundle, split)
-    fitted = FitResult(params, 0, 0.0, [], graphs)  # evaluate_fit reads params, graphs only
-    per_user, aggregates = evaluate_fit(fitted, split, bundle, config, args.k)
-
-    manifest.write_output(out_dir / "metrics.tsv", _metric_lines(aggregates))
-    manifest.write_output(out_dir / "ranks.tsv", _ranks_lines(per_user, bundle.user_ids))
-    manifest.finalize()
+    with Manifest(out_dir, "evaluate", applied, paths.all() + [checkpoint]) as manifest:
+        bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
+        graphs = DomainGraphs.for_config(config, bundle, split)
+        fitted = FitResult(params, 0, 0.0, [], graphs)  # evaluate_fit reads params, graphs only
+        per_user, aggregates = evaluate_fit(fitted, split, bundle, config, args.k)
+        manifest.write_output(out_dir / "metrics.tsv", _metric_lines(aggregates))
+        manifest.write_output(out_dir / "ranks.tsv", _ranks_lines(per_user, bundle.user_ids))
     for (metric, k), value in sorted(aggregates.items()):
         print(f"{metric}@{k}: {value:.4f}")
     return EXIT_OK
@@ -386,16 +401,14 @@ def cmd_gen_synth(args: argparse.Namespace) -> int:
     resolved = _resolve(args, _SYNTH_DEFAULTS)
     spec = _synth_spec(resolved)
     out_dir = Path(args.out)
-    manifest = Manifest(out_dir, "gen-synth", resolved)
-
-    bundle, flags = generate_synthetic(spec)
-    written = save_bundle(bundle, out_dir)
-    flags_path = out_dir / "flags.tsv"
-    write_flags(flags_path, bundle, flags)
-    written["flags"] = flags_path
-    for path in written.values():
-        manifest.record_output(path)
-    manifest.finalize()
+    with Manifest(out_dir, "gen-synth", resolved) as manifest:
+        bundle, flags = generate_synthetic(spec)
+        written = save_bundle(bundle, out_dir)
+        flags_path = out_dir / "flags.tsv"
+        write_flags(flags_path, bundle, flags)
+        written["flags"] = flags_path
+        for path in written.values():
+            manifest.record_output(path)
     print(
         f"wrote synthetic dataset ({spec.user_count} users, "
         f"{spec.source_items}+{spec.target_items} items, "
@@ -410,21 +423,20 @@ def cmd_inject_noise(args: argparse.Namespace) -> int:
         raise ValueError(f"noise ratio must lie in [0, 1], got {args.ratio}")
     out_dir = Path(args.out)
     source_path = Path(args.source)
-    manifest = Manifest(out_dir, "inject-noise", resolved, [source_path])
-
-    report = LoadReport()
-    graph, user_ids, item_ids = load_interactions(source_path, report)
-    _warn_malformed(report)
-    rng = np.random.default_rng(resolved["seed"])
-    noisy, added = inject_source_noise(graph, args.ratio, rng)
-    out_path = out_dir / "noisy_source.tsv"
-    header = (
-        f"noise-injected: ratio={args.ratio} seed={resolved['seed']} "
-        f"base_edges={graph.edge_count} added={added.shape[0]} "
-        f"source_sha256={sha256_file(source_path)}"
-    )
-    manifest.write_output(out_path, f"# {header}\n" + format_pairs(noisy.edges, user_ids, item_ids))
-    manifest.finalize()
+    with Manifest(out_dir, "inject-noise", resolved, [source_path]) as manifest:
+        report = LoadReport()
+        graph, user_ids, item_ids = load_interactions(source_path, report)
+        _warn_malformed(report)
+        rng = np.random.default_rng(resolved["seed"])
+        noisy, added = inject_source_noise(graph, args.ratio, rng)
+        out_path = out_dir / "noisy_source.tsv"
+        header = (
+            f"noise-injected: ratio={args.ratio} seed={resolved['seed']} "
+            f"base_edges={graph.edge_count} added={added.shape[0]} "
+            f"source_sha256={sha256_file(source_path)}"
+        )
+        pairs = format_pairs(noisy.edges, user_ids, item_ids)
+        manifest.write_output(out_path, f"# {header}\n" + pairs)
     print(f"added {added.shape[0]} noise edges -> {out_path}")
     return EXIT_OK
 
@@ -434,21 +446,15 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     config = _train_config(resolved)
     out_dir = Path(args.out)
     paths = _data_paths(args)
-    manifest = Manifest(out_dir, "ablate", resolved, paths.all())
-
-    bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
-    try:
+    with Manifest(out_dir, "ablate", resolved, paths.all()) as manifest:
+        bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
         result = run_ablation(args.variant, config, bundle, split, args.k)
-    except NonFiniteLossError as error:
-        manifest.diverged(error)
-        raise
-
-    manifest.payload["best_epoch"] = result.fit_result.best_epoch
-    manifest.payload["best_validation_ndcg"] = result.fit_result.best_validation
-    manifest.write_output(out_dir / "metrics.tsv", _metric_lines(result.aggregates, args.variant))
-    log = _log_lines(result.fit_result.log, result.config.validation_k)
-    manifest.write_output(out_dir / "training_log.tsv", log)
-    manifest.finalize()
+        manifest.payload["best_epoch"] = result.fit_result.best_epoch
+        manifest.payload["best_validation_ndcg"] = result.fit_result.best_validation
+        metrics = _metric_lines(result.aggregates, args.variant)
+        manifest.write_output(out_dir / "metrics.tsv", metrics)
+        log = _log_lines(result.fit_result.log, result.config.validation_k)
+        manifest.write_output(out_dir / "training_log.tsv", log)
     if not result.fit_result.log:
         print(f"{args.variant}: no epoch ran, so the metrics are of the initial parameters")
     for (metric, k), value in sorted(result.aggregates.items()):

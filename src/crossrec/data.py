@@ -1,7 +1,12 @@
 """Dataset ingestion and synthetic cross-domain data generation.
 
 File boundary uses arbitrary string IDs; everything downstream runs on dense
-indices assigned in first-seen order.  Users must appear in both domains
+indices assigned in first-seen order.  Each TSV is read in bulk: the whole
+file as one string (universal newlines, so CRLF reads as LF), one numpy pass
+over its newline and tab bytes that finds blank lines, ``#`` headers and
+malformed lines (a well-formed one has two non-empty tab-separated fields, or
+three in the entity graph), and whole-string splits into fields; each ID
+column is then indexed at once.  Users must appear in both domains
 (the shared-user setting), item index spaces are disjoint per domain, and a
 single entity index space is shared by both domains.
 
@@ -20,6 +25,7 @@ from __future__ import annotations
 import os
 import secrets
 from dataclasses import astuple, dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -78,34 +84,44 @@ class DatasetBundle:
         return len(self.user_ids)
 
 
-def _read_rows(
-    path: Path, report: LoadReport, columns: int, middle_optional: bool = False
-) -> list[tuple[str, ...]]:
-    """Parse a TSV into tuples, collecting malformed lines into the report.
+def _read_pairs(path: Path, report: LoadReport, middle_optional: bool = False) -> list[str]:
+    """The two fields of each well-formed line, flattened: ``[left0, right0, left1, ...]``.
 
-    Lines starting with ``#`` are provenance headers and are skipped.  With
-    ``middle_optional`` a three-column line is accepted and its middle field
-    (a relation label) discarded.
+    With ``middle_optional`` a three-field line is well formed too, and its
+    middle field (a relation label) is dropped.  Malformed lines go into
+    ``report.malformed`` with their line numbers.
     """
-    rows: list[tuple[str, ...]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) == columns and all(fields):
-                rows.append(tuple(fields))
-            elif middle_optional and len(fields) == columns + 1 and all(fields):
-                rows.append((fields[0], fields[-1]))
-            else:
-                report.malformed.append((str(path), line_no, line))
-    return rows
+    text = Path(path).read_text(encoding="utf-8")
+    raw = np.frombuffer(text.encode("utf-8") + b"\n", dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    tabs = np.flatnonzero(raw == ord("\t"))
+    line = np.searchsorted(ends, tabs)
+    fields = np.bincount(line, minlength=ends.size) + 1
+    # an empty field: a tab that starts or ends its line, or follows another tab
+    empty = (tabs == starts[line]) | (tabs + 1 == ends[line])
+    empty[1:] |= np.diff(tabs) == 1
+    skip = (starts == ends) | (raw[starts] == ord("#"))
+    ok = ((fields == 2) | (middle_optional & (fields == 3))) & ~skip
+    ok[line[empty]] = False
+    report.malformed.extend((str(path), n + 1, raw[starts[n]:ends[n]].tobytes().decode("utf-8"))
+                            for n in np.flatnonzero(~(ok | skip)).tolist())
+    tokens = text.replace("\t", "\n").split("\n")
+    first = np.cumsum(fields) - fields
+    take = np.stack([first, first + fields - 1], axis=1)[ok].ravel()
+    return list(map(tokens.__getitem__, take.tolist()))
 
 
-def _index(ids: dict[str, int], key: str) -> int:
-    """Dense index of ``key``; a new key gets the next one (first-seen order)."""
-    return ids.setdefault(key, len(ids))
+def _codes(ids: dict[str, int], keys: list[str]) -> np.ndarray:
+    """Dense index of each key; new keys get the next indices in first-seen order."""
+    for key in dict.fromkeys(keys):
+        ids.setdefault(key, len(ids))
+    return np.fromiter(map(ids.__getitem__, keys), dtype=np.int64, count=len(keys))
+
+
+def _pair_codes(left: dict[str, int], right: dict[str, int], pairs: list[str]) -> np.ndarray:
+    """(left, right) indices of flattened pairs whose two columns index separate ID spaces."""
+    return np.stack([_codes(left, pairs[0::2]), _codes(right, pairs[1::2])], axis=1)
 
 
 def load_bundle(paths: DataPaths, hop_radius: int = HOP_RADIUS) -> tuple[DatasetBundle, LoadReport]:
@@ -120,11 +136,8 @@ def load_bundle(paths: DataPaths, hop_radius: int = HOP_RADIUS) -> tuple[Dataset
     first), then the KG.  Each ID list is its dict's insertion order.
     """
     report = LoadReport()
-    raw = {
-        SOURCE: _read_rows(paths.source, report, 2),
-        TARGET: _read_rows(paths.target, report, 2),
-    }
-    users_source, users_target = ({user for user, _ in rows} for rows in raw.values())
+    raw = {SOURCE: _read_pairs(paths.source, report), TARGET: _read_pairs(paths.target, report)}
+    users_source, users_target = (set(pairs[0::2]) for pairs in raw.values())
     shared = users_source & users_target
     report.single_domain_users = len((users_source | users_target) - shared)
 
@@ -132,11 +145,13 @@ def load_bundle(paths: DataPaths, hop_radius: int = HOP_RADIUS) -> tuple[Dataset
     items: dict[str, dict[str, int]] = {SOURCE: {}, TARGET: {}}
     entities: dict[str, int] = {}
     edges = {}
-    for domain, rows in raw.items():
-        kept = [(_index(users, u), _index(items[domain], i)) for u, i in rows if u in shared]
-        report.raw_edges[domain] = len(rows)
-        report.single_domain_edges[domain] = len(rows) - len(kept)
-        edges[domain], report.duplicate_edges[domain] = unique_edges(kept)
+    for domain, pairs in raw.items():
+        report.raw_edges[domain] = len(pairs) // 2
+        keep = np.repeat(list(map(shared.__contains__, pairs[0::2])), 2)
+        pairs = list(compress(pairs, keep.tolist()))
+        report.single_domain_edges[domain] = report.raw_edges[domain] - len(pairs) // 2
+        codes = _pair_codes(users, items[domain], pairs)
+        edges[domain], report.duplicate_edges[domain] = unique_edges(codes)
 
     if not edges[SOURCE].size or not edges[TARGET].size:
         raise ValueError(
@@ -144,16 +159,11 @@ def load_bundle(paths: DataPaths, hop_radius: int = HOP_RADIUS) -> tuple[Dataset
         )
 
     maps = {
-        domain: [
-            (_index(items[domain], item), _index(entities, entity))
-            for item, entity in _read_rows(path, report, 2)
-        ]
+        domain: _pair_codes(items[domain], entities, _read_pairs(path, report))
         for domain, path in ((SOURCE, paths.map_source), (TARGET, paths.map_target))
     }
-    kg_edges = [
-        (_index(entities, head), _index(entities, tail))
-        for head, tail in _read_rows(paths.kg, report, 2, middle_optional=True)
-    ]
+    # heads and tails share one ID space, so they are indexed in line order
+    kg_edges = _codes(entities, _read_pairs(paths.kg, report, middle_optional=True)).reshape(-1, 2)
     linkage, report.scoped_out_kg_edges = scope_entity_edges(
         KnowledgeLinkage(len(entities), kg_edges, maps[SOURCE], maps[TARGET]), hop_radius
     )
@@ -174,8 +184,8 @@ def load_interactions(path: Path, report: LoadReport | None = None) -> tuple[Int
     """Load one source interactions file on its own; ``report`` records malformed lines."""
     users: dict[str, int] = {}
     items: dict[str, int] = {}
-    rows = _read_rows(path, LoadReport() if report is None else report, 2)
-    edges, _ = unique_edges([(_index(users, u), _index(items, i)) for u, i in rows])
+    pairs = _read_pairs(path, LoadReport() if report is None else report)
+    edges, _ = unique_edges(_pair_codes(users, items, pairs))
     if not len(edges):
         raise ValueError(f"no interactions found in {path}")
     return InteractionGraph(SOURCE, len(users), len(items), edges), list(users), list(items)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import InteractionGraph
+from .graph import InteractionGraph, sorted_unique
 from .data import DatasetBundle
 
 METRICS = ("ndcg", "hit", "mrr")
@@ -236,7 +236,7 @@ def inject_source_noise(
 
     n_u, n_i = graph.user_count, graph.item_count
     # repeated edges take one pair
-    existing = np.unique(graph.edges[:, 0].astype(np.int64) * n_i + graph.edges[:, 1])
+    existing = sorted_unique(graph.edges[:, 0].astype(np.int64) * n_i + graph.edges[:, 1])
     free = n_u * n_i - existing.size
     if count > free:
         raise ValueError(

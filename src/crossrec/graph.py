@@ -46,6 +46,15 @@ def _check_range(edges: np.ndarray, limits: tuple[int, int], label: str) -> None
             )
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` of a 1-d array, by sorting and masking adjacent repeats."""
+    # numpy 2.4's np.unique without return_* hashes, which is far slower on int64 keys
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def unique_edges(edges) -> tuple[np.ndarray, int]:
     """The first occurrence of each (a, b) pair, in input order, and the count of repeats."""
     edges = _as_edge_array(edges)
@@ -207,7 +216,7 @@ def assemble_adjacency(graph: InteractionGraph, kg: KnowledgeLinkage) -> SparseG
         # mirroring can recreate an entry that was already present in the
         # other direction (e.g. an entity edge given both ways); collapse
         # those silently, they carry no information
-        flat = np.unique(np.concatenate(rows) * n + np.concatenate(cols))
+        flat = sorted_unique(np.concatenate(rows) * n + np.concatenate(cols))
         r, c = np.divmod(flat, n)
         matrix = sp.csr_matrix((np.ones(flat.size), (r, c)), shape=(n, n))
     else:
@@ -250,7 +259,7 @@ def scope_entity_edges(kg: KnowledgeLinkage, hop_radius: int) -> tuple[Knowledge
     """
     if hop_radius < 0:
         raise GraphBuildError("hop_radius must be non-negative")
-    seeds = np.unique(np.concatenate([kg.item_entity_source[:, 1], kg.item_entity_target[:, 1]]))
+    seeds = sorted_unique(np.concatenate([kg.item_entity_source[:, 1], kg.item_entity_target[:, 1]]))
 
     reachable = np.zeros(kg.entity_count, dtype=bool)
     reachable[seeds] = True

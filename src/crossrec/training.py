@@ -39,6 +39,7 @@ from .graph import (
     SparseGraph,
     assemble_adjacency,
     normalize_symmetric,
+    sorted_unique,
 )
 
 ADAGRAD_EPS = 1e-10
@@ -504,7 +505,7 @@ class FitResult:
 
 def _owned_keys(index: UserItems, n_items: int) -> np.ndarray:
     """The sorted distinct ``user * n_items + item`` keys of ``index``'s edges."""
-    return np.unique(index.rows[:, 0] * n_items + index.rows[:, 1])
+    return sorted_unique(index.rows[:, 0] * n_items + index.rows[:, 1])
 
 
 def _owns(keys: np.ndarray, query):

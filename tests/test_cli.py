@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from crossrec import cli
 from crossrec.cli import (
@@ -91,6 +92,14 @@ class TestGenSynth:
         assert manifest["command"] == "gen-synth"
         assert manifest["finished_at"] is not None
         assert any(name.endswith("flags.tsv") for name in manifest["outputs"])
+
+    def test_manifest_records_the_numeric_environment(self, synth_dir):
+        environment = strict_json(synth_dir / "manifest.json")["environment"]
+        assert environment == cli.numeric_environment()
+        assert (environment["numpy"], environment["scipy"]) == (np.__version__, scipy.__version__)
+        assert environment["blas"] and environment["blas_version"]
+        assert isinstance(environment["blas_core"], str) and environment["blas_core"]
+        assert environment["blas_threads"] is None or environment["blas_threads"] >= 1
 
     def test_training_key_in_config_file_rejected(self, tmp_path, capsys):
         config = tmp_path / "synth.conf"
@@ -245,6 +254,9 @@ class TestTrain:
         code = main(["train", *data_flags(tmp_path), "--out", str(tmp_path / "run")] + FAST_TRAIN)
         assert code == 1
         assert "error: user 'u0' owns every source item" in capsys.readouterr().err
+        manifest = strict_json(tmp_path / "run" / "manifest.json")
+        assert manifest["status"] == "failed" and manifest["finished_at"] is not None
+        assert manifest["error"].startswith("user 'u0' owns every source item")
 
     def test_user_without_training_target_items_exits_one(
         self, synth_dir, tmp_path, repeated_item_bundle, monkeypatch, capsys
@@ -404,6 +416,10 @@ class TestEvaluate:
             "error: parameter table 'entity' has 603 rows, but the target graph block "
             "it fills has 600\n"
         )
+        manifest = strict_json(tmp_path / "eval" / "manifest.json")
+        assert manifest["status"] == "failed" and manifest["finished_at"] is not None
+        assert manifest["error"].startswith("parameter table 'entity' has 603 rows")
+        assert manifest["outputs"] == []
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "inject-noise"])

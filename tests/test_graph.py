@@ -5,6 +5,8 @@ import logging
 import numpy as np
 import pytest
 
+from crossrec import graph as graph_module
+from crossrec.data import SynthSpec, generate_synthetic
 from crossrec.graph import (
     GraphBuildError,
     InteractionGraph,
@@ -13,6 +15,7 @@ from crossrec.graph import (
     assemble_adjacency,
     normalize_symmetric,
     scope_entity_edges,
+    sorted_unique,
     unique_edges,
 )
 
@@ -137,6 +140,36 @@ class TestAssembleAdjacency:
             graph, kg = random_instance(rng)
             result = assemble_adjacency(graph, kg)
             assert np.all(result.matrix.diagonal() == 0)
+
+    @pytest.mark.parametrize("shape", ["tiny", "desk"])
+    def test_csr_arrays_equal_the_np_unique_build(self, shape, tiny_bundle, monkeypatch):
+        bundle = tiny_bundle[0] if shape == "tiny" else generate_synthetic(SynthSpec(seed=1))[0]
+        for graph in (bundle.source, bundle.target):
+            built = assemble_adjacency(graph, bundle.kg).matrix
+            with monkeypatch.context() as patch:
+                patch.setattr(graph_module, "sorted_unique", np.unique)
+                oracle = assemble_adjacency(graph, bundle.kg).matrix
+            for name in ("indptr", "indices", "data"):
+                actual, expected = getattr(built, name), getattr(oracle, name)
+                assert actual.dtype == expected.dtype and np.array_equal(actual, expected), name
+
+
+@pytest.mark.parametrize("case", ["empty", "one", "all-equal", "repeats", "near-2**62"])
+def test_sorted_unique_equals_np_unique(case):
+    rng = np.random.default_rng(len(case))
+    keys = {
+        "empty": np.zeros(0, dtype=np.int64),
+        "one": np.array([-7], dtype=np.int64),
+        "all-equal": np.full(1000, 2**62, dtype=np.int64),
+        "repeats": rng.integers(-50, 50, size=5000),
+        "near-2**62": 2**62 + rng.integers(-2000, 2000, size=20000),
+    }[case]
+    before = keys.copy()
+    unique = sorted_unique(keys)
+    expected = np.unique(keys)
+    assert unique.dtype == expected.dtype == np.int64
+    assert np.array_equal(unique, expected)
+    assert np.array_equal(keys, before)  # the input is left as it was
 
 
 class TestNormalizeSymmetric:

@@ -1,12 +1,13 @@
-"""The dict-based loader against the indexer-class loader it replaced.
+"""The bulk loader against the line-by-line, indexer-class loader it replaced.
 
 ``oracle_load_bundle`` and ``oracle_load_interactions`` are the earlier
-first-seen-order loader, kept here as an oracle: an ``_Indexer`` object per
-ID space and explicit ``np.asarray`` edge arrays.  On randomized TSV sets
-(malformed lines, CRLF endings, ``#`` headers, duplicate edges,
-single-domain users, map-only items, KG-only entities, three-column KG
-lines, KG edges out of hop range) and on the error cases, both loaders must
-give the same IDs, edge arrays, report and exceptions.
+first-seen-order loader, kept here as an oracle: a per-line read of each
+file, an ``_Indexer`` object per ID space and explicit ``np.asarray`` edge
+arrays.  On randomized TSV sets (malformed lines, CRLF endings, ``#``
+headers, duplicate edges, single-domain users, map-only items, KG-only
+entities, three-column KG lines, KG edges out of hop range), on clean sets
+that hold no malformed, blank or comment line, and on the error cases, both
+loaders must give the same IDs, edge arrays, report and exceptions.
 """
 
 import random
@@ -28,6 +29,7 @@ from crossrec.graph import (
 
 HOP_RADII = (0, 1, 2)
 SEEDS = range(60)
+CLEAN_SEEDS = range(100, 140)
 FILES = ("source", "target", "kg", "map_source", "map_target")
 
 
@@ -188,24 +190,32 @@ MALFORMED = ["broken-line", "a\t", "\tb", "a\t\tb", "\t", "x\ty\tz\tw"]
 THREE_COLUMNS = "x\ty\tz"
 
 
-def tsv(rng, rows, malformed):
-    """``rows`` as TSV text with headers, blank and malformed lines mixed in."""
+def tsv(rng, rows, malformed, clean=False):
+    """``rows`` as TSV text with headers, blank and malformed lines mixed in.
+
+    A ``clean`` text holds only an optional header and the rows, all with one
+    line ending.
+    """
     lines = ["# provenance header"] if rng.random() < 0.5 else []
     for row in rows:
-        if rng.random() < 0.1:
+        if not clean and rng.random() < 0.1:
             lines.append(rng.choice(malformed))
-        if rng.random() < 0.05:
+        if not clean and rng.random() < 0.05:
             lines.append("")
-        if rng.random() < 0.05:
+        if not clean and rng.random() < 0.05:
             lines.append("# comment")
         lines.append("\t".join(row))
-    text = "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
+    endings = (rng.choice(("\n", "\r\n")),) if clean else ("\n", "\r\n")
+    text = "".join(line + rng.choice(endings) for line in lines)
     return text.rstrip("\r\n") if rng.random() < 0.3 else text
 
 
-def write_random_tsvs(directory: Path, seed: int) -> DataPaths:
+def write_random_tsvs(directory: Path, seed: int, clean: bool = False) -> DataPaths:
     """Five TSVs whose IDs collide across spaces, some users one-domain,
-    some items only in a map, and KG chains 1-3 hops past the linked entities."""
+    some items only in a map, and KG chains 1-3 hops past the linked entities.
+
+    ``clean`` files hold no malformed, blank or comment line (see ``tsv``).
+    """
     rng = random.Random(seed)
     users = [f"{rng.choice(('u', 'ü', 'x'))}{i}" for i in range(rng.randint(2, 12))]
     catalogs = {SOURCE: [f"x{i}" for i in range(rng.randint(2, 15))],
@@ -221,12 +231,12 @@ def write_random_tsvs(directory: Path, seed: int) -> DataPaths:
         ]
         rows += rng.sample(rows, k=min(len(rows), rng.randint(0, 3)))  # duplicate edges
         rng.shuffle(rows)
-        text[domain] = tsv(rng, rows, MALFORMED + [THREE_COLUMNS])
+        text[domain] = tsv(rng, rows, MALFORMED + [THREE_COLUMNS], clean)
         mapped = [item for item in catalogs[domain] if rng.random() < 0.7]
         mapped += [f"m{domain[0]}{i}" for i in range(rng.randint(0, 3))]  # map-only items
         map_rows = [(item, rng.choice(linked)) for item in mapped]
         rng.shuffle(map_rows)
-        text[f"map_{domain}"] = tsv(rng, map_rows, MALFORMED + [THREE_COLUMNS])
+        text[f"map_{domain}"] = tsv(rng, map_rows, MALFORMED + [THREE_COLUMNS], clean)
 
     kg_rows = [tuple(rng.sample(linked, 2)) for _ in range(rng.randint(0, 6))]
     for chain in range(rng.randint(0, 3)):
@@ -238,7 +248,7 @@ def write_random_tsvs(directory: Path, seed: int) -> DataPaths:
     rng.shuffle(kg_rows)
     kg_rows = [(head, "related_to", tail) if rng.random() < 0.3 else (head, tail)
                for head, tail in kg_rows]
-    text["kg"] = tsv(rng, kg_rows, MALFORMED)
+    text["kg"] = tsv(rng, kg_rows, MALFORMED, clean)
 
     for name in FILES:
         (directory / f"{name}.tsv").write_text(text[name], encoding="utf-8", newline="")
@@ -259,6 +269,31 @@ def assert_same_loads(paths):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_randomized_tsv_sets(tmp_path, seed):
     assert_same_loads(write_random_tsvs(tmp_path, seed))
+
+
+@pytest.mark.parametrize("seed", CLEAN_SEEDS)
+def test_clean_tsv_sets(tmp_path, seed):
+    assert_same_loads(write_random_tsvs(tmp_path, seed, clean=True))
+
+
+def test_clean_sets_reach_every_case(tmp_path):
+    """The clean seeds write no malformed line, yet every other kind of file and line."""
+    totals = {"no final newline": 0, "lf only": 0, "crlf": 0, "header": 0, "headerless": 0,
+              "utf-8": 0, "three-column": 0, "duplicates": 0, "single-domain": 0}
+    for seed in CLEAN_SEEDS:
+        paths = write_random_tsvs(tmp_path, seed, clean=True)
+        for path in paths.all():
+            raw = path.read_bytes().decode("utf-8")
+            totals["no final newline"] += bool(raw) and not raw.endswith("\n")
+            totals["crlf" if "\r\n" in raw else "lf only"] += 1
+            totals["header" if raw.startswith("#") else "headerless"] += 1
+            totals["utf-8"] += "ü" in raw
+            totals["three-column"] += "\trelated_to\t" in raw
+        _, report = load_bundle(paths)
+        assert report.malformed == []
+        totals["duplicates"] += sum(report.duplicate_edges.values())
+        totals["single-domain"] += report.single_domain_users
+    assert all(totals.values()), totals
 
 
 def test_randomized_sets_reach_every_case(tmp_path):
