@@ -85,6 +85,14 @@ def split_leave_one_out(bundle: DatasetBundle, rng) -> LeaveOneOutSplit:
     always yields the same holdout.  Users with three or fewer interactions
     in either domain are excluded (with a count), matching the more-than-
     three-interactions filtering rule.
+
+    The holdout is drawn in bulk on the stream of one
+    ``rng.choice(target[user], 2, replace=False)`` per user: for n edges,
+    that is Floyd's draws below n - 1 and n (the second taken as n - 1 on a
+    repeat) and a draw below 2 that swaps the pair on 0.  Its tail-shuffle
+    path needs ``pop_size > 10000`` and ``size > pop_size // 50``, never so
+    for size 2.  The draws are edge positions, so every copy of a held-out
+    item leaves the training edges.
     """
     rng = np.random.default_rng(rng)
 
@@ -96,9 +104,12 @@ def split_leave_one_out(bundle: DatasetBundle, rng) -> LeaveOneOutSplit:
     if not users.size:
         raise ValueError("no users qualify for leave-one-out evaluation")
 
+    n = target.counts()[users]
+    first, second, shuffle = rng.integers(0, np.stack([n - 1, n, np.full_like(n, 2)], 1)).T
+    picks = np.stack([first, np.where(second == first, n - 1, second)], axis=1)
+    picks[shuffle == 0] = picks[shuffle == 0, ::-1]
     held = np.full((n_users, 2), -1, dtype=np.int64)
-    for user in users:
-        held[user] = rng.choice(target[user], size=2, replace=False)
+    held[users] = target.rows[target.indptr[users][:, None] + picks, 1]
     owner, item = target.rows[:, 0], target.rows[:, 1]
     keep = qualified[owner] & (item != held[owner, 0]) & (item != held[owner, 1])
     return LeaveOneOutSplit(

@@ -19,7 +19,7 @@ from scipy.special import expit
 from crossrec.compression import gumbel_sigmoid, kl_upper_bound
 from crossrec.data import DataPaths, SynthSpec, generate_synthetic, load_bundle
 from crossrec.encoder import propagate
-from crossrec.evaluation import rank_of_held_out, split_leave_one_out
+from crossrec.evaluation import ndcg_gains, rank_of_held_out, split_leave_one_out
 from crossrec.experiments import contaminate_split, run_ablation
 from crossrec.graph import (
     InteractionGraph,
@@ -266,7 +266,8 @@ class TestCriterion5MetricIdentities:
 
 
 def benchmark_fit(job):
-    """NDCG@10 and seconds of one criteria-6/7 fit; the data is rebuilt from the seed."""
+    """NDCG@10, seconds and per-user test NDCG@10 (percent, in split order) of
+    one criteria-6/7 fit; the data is rebuilt from the seed."""
     seed, variant, contaminated = job
     bundle, _ = generate_synthetic(replace(BENCHMARK_SPEC, seed=seed))
     split = split_leave_one_out(bundle, seed)
@@ -277,12 +278,17 @@ def benchmark_fit(job):
         )
     start = time.perf_counter()
     outcome = run_ablation(variant, replace(BENCHMARK_CONFIG, seed=seed), bundle, split, ks=(10,))
-    return outcome.metric("ndcg", 10), time.perf_counter() - start
+    duration = time.perf_counter() - start
+    gains = np.array([0.0, *ndcg_gains(10)])
+    ranks = np.array([result.rank for result in outcome.per_user])
+    per_user = 100.0 * gains[np.where(ranks <= 10, ranks, 0)]
+    return outcome.metric("ndcg", 10), duration, per_user
 
 
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    """Clean and contaminated runs shared by criteria 6 and 7.
+    """Clean and contaminated runs shared by criteria 6 and 7, and each seed's
+    paired per-user test NDCG@10 difference ``full - no-kl`` on clean data.
 
     The 25 fits are independent, so they run on one worker process per
     allowed CPU, target-only (the shortest) last; on one CPU they run here.
@@ -308,13 +314,17 @@ def benchmark_runs():
         for runs, contaminated in ((clean, False), (noisy, True)):
             for variant in runs:
                 runs[variant].append(results[seed, variant, contaminated][0])
-    durations = [duration for _, duration in results.values()]
-    return clean, noisy, durations
+    durations = [duration for _, duration, _ in results.values()]
+    paired = [
+        results[seed, "full", False][2] - results[seed, "no-kl", False][2]
+        for seed in BENCHMARK_SEEDS
+    ]
+    return clean, noisy, durations, paired
 
 
 class TestCriterion6SyntheticGain:
     def test_full_model_beats_baseline_and_no_kl(self, benchmark_runs):
-        clean, _, durations = benchmark_runs
+        clean, _, durations, paired = benchmark_runs
         med = {variant: float(np.median(values)) for variant, values in clean.items()}
         passed = (
             med["full"] > med["target-only"]
@@ -326,6 +336,10 @@ class TestCriterion6SyntheticGain:
             for seed, full, no_kl, target in zip(
                 BENCHMARK_SEEDS, clean["full"], clean["no-kl"], clean["target-only"]
             )
+        )
+        differences = ", ".join(
+            f"seed {seed} {diff.mean():+.2f} ± {diff.std(ddof=1) / math.sqrt(diff.size):.2f}"
+            for seed, diff in zip(BENCHMARK_SEEDS, paired)
         )
         wins = {
             other: sum(f > o for f, o in zip(clean["full"], clean[other]))
@@ -339,13 +353,14 @@ class TestCriterion6SyntheticGain:
             f"slowest run {max(durations):.0f}s; "
             f"per seed full/no-kl/target-only: {per_seed}; "
             f"full > no-kl on {wins['no-kl']} of {len(BENCHMARK_SEEDS)} seeds, "
-            f"full > target-only on {wins['target-only']} of {len(BENCHMARK_SEEDS)}",
+            f"full > target-only on {wins['target-only']} of {len(BENCHMARK_SEEDS)}; "
+            f"per seed paired per-user full - no-kl (± standard error): {differences}",
         )
 
 
 class TestCriterion7RobustnessOrdering:
     def test_full_degrades_no_more_than_no_kl(self, benchmark_runs):
-        clean, noisy, _ = benchmark_runs
+        clean, noisy, *_ = benchmark_runs
         degradation = {}
         for variant in ("full", "no-kl"):
             per_seed = [

@@ -53,9 +53,11 @@ def items_by_user_oracle(edges, user_count):
     return [np.asarray(bucket, dtype=np.int64) for bucket in buckets]
 
 
-def split_oracle(bundle, seed):
-    """Per-user loop over the bucketed edges: the leave-one-out split's arrays."""
-    rng = np.random.default_rng(seed)
+def split_oracle(bundle, rng):
+    """Per-user loop over the bucketed edges: the leave-one-out split's arrays.
+
+    ``rng`` is a seed or a Generator, which the loop draws from in place."""
+    rng = np.random.default_rng(rng)
     source_items = items_by_user_oracle(bundle.source.edges, bundle.user_count)
     target_items = items_by_user_oracle(bundle.target.edges, bundle.user_count)
     users, validation, test, train_target, train_source = [], [], [], [], []
@@ -163,7 +165,7 @@ class TestUserItems:
     def test_split_matches_per_user_loop(self):
         bundle = awkward_bundle()
         held_duplicate = False
-        for seed in range(10):
+        for seed in range(60):
             split = split_leave_one_out(bundle, seed)
             expected, excluded = split_oracle(bundle, seed)
             for name, array in expected.items():
@@ -171,6 +173,16 @@ class TestUserItems:
             assert split.excluded_users == excluded == 2
             held_duplicate |= 3 in (split.validation_items[0], split.test_items[0])
         assert held_duplicate  # every copy of a held-out item leaves the training edges
+
+    def test_split_leaves_a_generator_where_the_loop_does(self):
+        bundle = awkward_bundle()
+        for seed in range(20):
+            drawn, looped = (np.random.default_rng([seed, 9]) for _ in range(2))
+            split = split_leave_one_out(bundle, drawn)
+            expected, _ = split_oracle(bundle, looped)
+            for name, array in expected.items():
+                assert_same_array(getattr(split, name), array)
+            assert drawn.bit_generator.state == looped.bit_generator.state
 
     def test_split_matches_per_user_loop_on_synthetic_data(self, tiny_bundle):
         bundle, _ = tiny_bundle
@@ -232,6 +244,35 @@ def test_array_bounds_draw_as_scalar_bounds():
         assert values.tolist() == expected
         assert bulk.bit_generator.state == scalar.bit_generator.state
         assert bulk.integers(1000) == scalar.integers(1000)
+
+
+def test_choice_of_two_draws_as_floyd_pair():
+    # the bulk leave-one-out split relies on this numpy property: choice(n,
+    # 2, replace=False) draws below n - 1 and below n (Floyd's algorithm: the
+    # second becomes n - 1 when it repeats the first), then below 2, and
+    # swaps the pair when that last draw is 0
+    rng = np.random.default_rng(2025)
+    collisions = 0
+    for trial in range(600):
+        kind = trial % 3
+        if kind == 0:  # small counts, where the second draw often collides
+            n = int(rng.integers(4, 9))
+        elif kind == 1:  # at and around powers of two, where rejection thresholds change
+            n = 2 ** int(rng.integers(2, 17)) + int(rng.integers(-1, 2))
+        else:
+            n = int(rng.integers(4, 2 ** int(rng.integers(3, 17)), endpoint=True))
+        n = max(n, 4)
+        seed = [trial, 78]
+        choice, floyd = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = choice.choice(np.arange(n), 2, replace=False)
+        first, second, shuffle = (int(floyd.integers(bound)) for bound in (n - 1, n, 2))
+        if second == first:
+            second = n - 1
+            collisions += 1
+        pair = [second, first] if shuffle == 0 else [first, second]
+        assert expected.tolist() == pair
+        assert choice.bit_generator.state == floyd.bit_generator.state
+    assert collisions > 20
 
 
 class TestSplit:
