@@ -213,7 +213,9 @@ def write_atomic(path: Path, content: str | bytes) -> None:
 
 def format_pairs(pairs: np.ndarray, left_ids: list[str], right_ids: list[str]) -> str:
     """``left_id<TAB>right_id`` lines, one per row of (left, right) indices."""
-    return "".join(f"{left_ids[a]}\t{right_ids[b]}\n" for a, b in pairs.tolist())
+    left = map(left_ids.__getitem__, pairs[:, 0].tolist())
+    right = map(right_ids.__getitem__, pairs[:, 1].tolist())
+    return "\n".join([*map("\t".join, zip(left, right)), ""])
 
 
 def save_bundle(bundle: DatasetBundle, out_dir: Path) -> dict[str, Path]:
@@ -284,10 +286,47 @@ class SynthSpec:
 KNN_BLOCK = 256
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+# users whose preference distributions generate_synthetic holds at once, as a
+# count of float64 values: a block holds PREFERENCE_BLOCK // catalog users
+PREFERENCE_BLOCK = 1 << 15
+
+
+def _choice_by_cdf(rng: np.random.Generator, p: np.ndarray, cdf: np.ndarray,
+                   positive: int, size: int) -> list[int]:
+    """``rng.choice(len(p), size, replace=False, p=p)``, drawn from a precomputed CDF.
+
+    ``cdf`` is ``np.cumsum(p) / its last value`` and ``positive`` the count
+    of ``p > 0``.  numpy 2.4's ``choice`` searches the CDF for ``size``
+    uniform draws and keeps each item's first occurrence; while items are
+    missing, it zeroes the found ones in a copy of ``p``, rebuilds the CDF and
+    searches ``size - found`` new draws.  This runs the same steps on the same
+    stream, so it returns the same items in the same order and leaves ``rng``
+    in the same state.
+    """
+    if positive < size:
+        raise ValueError("Fewer non-zero entries in p than size")
+    found = dict.fromkeys(cdf.searchsorted(rng.random(size), side="right").tolist())
+    while len(found) < size:
+        draws = rng.random(size - len(found))
+        rest = p.copy()
+        rest[list(found)] = 0
+        cdf = np.cumsum(rest)
+        cdf /= cdf[-1]
+        found.update(dict.fromkeys(cdf.searchsorted(draws, side="right").tolist()))
+    return list(found)
+
+
+def _choice_from_complement(rng: np.random.Generator, n: int, taken: np.ndarray,
+                            size: int) -> np.ndarray:
+    """``rng.choice(pool, size, replace=False)``, ``pool`` the items of ``range(n)`` not in ``taken``.
+
+    ``choice`` over an array draws indices as ``choice`` over its length does
+    and takes the array's values there, so this draws below ``len(pool)`` and
+    maps each index to the pool item at that rank without building the pool.
+    """
+    taken = np.sort(taken)
+    drawn = rng.choice(n - taken.size, size, replace=False)
+    return drawn + np.searchsorted(taken - np.arange(taken.size), drawn, side="right")
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
@@ -303,9 +342,21 @@ def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
     ``bundle.source.edges``.  Target-domain edges are always preference
     driven, so any leave-one-out holdout is a genuine signal.
 
+    The draws are those of one ``rng.choice(n, size, replace=False,
+    p=softmax(...))`` per user and domain, then one ``rng.choice(pool, ...)``
+    over the rest of the catalog for the uniform edges, in that order on one
+    stream, but the catalog-sized work runs in bulk.  The softmax and its CDF
+    are computed for ``PREFERENCE_BLOCK // catalog`` users at a time, each
+    user's logits by its own matrix-vector product (a block matrix product
+    rounds differently); per user, :func:`_choice_by_cdf` searches that CDF
+    with ``choice``'s draws and retries, and :func:`_choice_from_complement`
+    maps a choice over the pool's size onto the pool.  That rests on how
+    numpy 2.4 implements ``choice``, which
+    ``tests/test_data.py::test_choice_with_p_draws_as_a_cdf_search_with_retries``
+    and ``test_choice_from_a_pool_draws_as_a_choice_over_its_size`` check.
+
     Time and memory grow with the output, not with the catalog squared: the
-    uniform draws take their pool from a boolean mask over the catalog, and
-    the entity kNN holds ``KNN_BLOCK`` similarity rows at a time, never the
+    entity kNN holds ``KNN_BLOCK`` similarity rows at a time, never the
     entities x entities matrix.
     """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
@@ -321,31 +372,48 @@ def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
 
     user_latents = rng.normal(size=(spec.user_count, k))
 
-    edges: dict[str, list[tuple[int, int]]] = {SOURCE: [], TARGET: []}
-    irrelevant_flags: list[bool] = []
     per_domain = {SOURCE: spec.source_interactions, TARGET: spec.target_interactions}
-    for user in range(spec.user_count):
-        for domain in (SOURCE, TARGET):
-            n_per = per_domain[domain]
-            latents = item_latents[domain]
-            probabilities = _softmax(latents @ user_latents[user])
-            if domain == SOURCE:
-                uniform = rng.random(n_per) < spec.irrelevant_fraction
-            else:
-                uniform = np.zeros(n_per, dtype=bool)
-            n_preferred = int((~uniform).sum())
-            chosen = list(
-                rng.choice(latents.shape[0], size=n_preferred, replace=False, p=probabilities)
-            )
-            if n_per - n_preferred:
-                free = np.ones(latents.shape[0], dtype=bool)
-                free[chosen] = False
-                pool = np.flatnonzero(free)
-                chosen.extend(rng.choice(pool, size=n_per - n_preferred, replace=False))
-            for position, item in enumerate(chosen):
-                edges[domain].append((user, int(item)))
+    items = {domain: np.empty((spec.user_count, n_per), dtype=np.int64)
+             for domain, n_per in per_domain.items()}
+    preferred_source = np.empty(spec.user_count, dtype=np.int64)
+    block_users = max(1, PREFERENCE_BLOCK // max(spec.source_items, spec.target_items))
+    probabilities = {domain: np.empty((block_users, latents.shape[0]))
+                     for domain, latents in item_latents.items()}
+    cdfs = {domain: np.empty_like(block) for domain, block in probabilities.items()}
+    for start in range(0, spec.user_count, block_users):
+        users = range(start, min(start + block_users, spec.user_count))
+        positive = {}
+        for domain, latents in item_latents.items():
+            # a row-wise softmax and CDF on a C-contiguous block give the
+            # values of the same calls on each row alone
+            p, cdf = probabilities[domain][:len(users)], cdfs[domain][:len(users)]
+            for row, user in enumerate(users):
+                np.matmul(latents, user_latents[user], out=p[row])
+            p -= p.max(axis=1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=1, keepdims=True)
+            np.cumsum(p, axis=1, out=cdf)
+            cdf /= cdf[:, -1:]
+            positive[domain] = np.count_nonzero(p > 0, axis=1).tolist()
+        for row, user in enumerate(users):
+            for domain in (SOURCE, TARGET):
+                n_per, n_items = per_domain[domain], item_latents[domain].shape[0]
+                n_preferred = n_per
                 if domain == SOURCE:
-                    irrelevant_flags.append(position >= n_preferred)
+                    n_preferred -= int(np.count_nonzero(
+                        rng.random(n_per) < spec.irrelevant_fraction))
+                    preferred_source[user] = n_preferred
+                chosen = items[domain][user]
+                chosen[:n_preferred] = _choice_by_cdf(
+                    rng, probabilities[domain][row], cdfs[domain][row],
+                    positive[domain][row], n_preferred)
+                if n_preferred < n_per:
+                    chosen[n_preferred:] = _choice_from_complement(
+                        rng, n_items, chosen[:n_preferred], n_per - n_preferred)
+    edges = {domain: np.stack([np.repeat(np.arange(spec.user_count), n_per),
+                               items[domain].ravel()], axis=1)
+             for domain, n_per in per_domain.items()}
+    irrelevant_flags = (np.arange(spec.source_interactions) >= preferred_source[:, None]).ravel()
 
     # one entity per item; entity edges = nearest neighbors in latent space
     # over the union of both catalogs, which ties similar items together
@@ -387,12 +455,12 @@ def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
         entity_ids=[f"es{i:04d}" for i in range(spec.source_items)]
         + [f"et{i:04d}" for i in range(spec.target_items)],
     )
-    return bundle, np.asarray(irrelevant_flags, dtype=bool)
+    return bundle, irrelevant_flags
 
 
 def write_flags(path: Path, bundle: DatasetBundle, flags: np.ndarray) -> None:
-    labels = ("irrelevant" if irrelevant else "relevant" for irrelevant in flags.tolist())
-    write_atomic(path, "".join(
-        f"{bundle.user_ids[user]}\t{bundle.source_item_ids[item]}\t{label}\n"
-        for (user, item), label in zip(bundle.source.edges.tolist(), labels)
-    ))
+    edges = bundle.source.edges
+    users = map(bundle.user_ids.__getitem__, edges[:, 0].tolist())
+    items = map(bundle.source_item_ids.__getitem__, edges[:, 1].tolist())
+    labels = map(("relevant", "irrelevant").__getitem__, flags.tolist())
+    write_atomic(path, "\n".join([*map("\t".join, zip(users, items, labels)), ""]))

@@ -1,13 +1,18 @@
 """Loader accounting, round-trips, and the synthetic generator."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from crossrec.data import (
     KNN_BLOCK,
+    PREFERENCE_BLOCK,
     DataPaths,
     SynthSpec,
-    _softmax,
+    _choice_by_cdf,
+    _choice_from_complement,
     generate_synthetic,
     load_bundle,
     load_interactions,
@@ -16,11 +21,18 @@ from crossrec.data import (
 )
 
 
-def generate_synthetic_oracle(spec):
-    """Reference generator: each uniform draw's pool from ``np.setdiff1d``,
-    and the entity kNN from the dense similarity matrix with one
-    ``argpartition`` per row.  Returns (source edges, target edges, entity
-    edges, flags)."""
+def _softmax(logits):
+    shifted = logits - logits.max()
+    exp = np.exp(shifted)
+    return exp / exp.sum()
+
+
+def generate_synthetic_oracle(spec, dense_knn=True):
+    """Reference generator: one ``rng.choice(p=softmax)`` per user and
+    domain, each uniform draw's pool from ``np.setdiff1d``, and the entity
+    kNN from the dense similarity matrix with one ``argpartition`` per row.
+    Returns (source edges, target edges, entity edges, flags); the entity
+    edges are None without ``dense_knn``."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     k, n_clusters = spec.latent_dim, spec.entity_clusters
     centers = rng.normal(size=(n_clusters, k))
@@ -55,19 +67,21 @@ def generate_synthetic_oracle(spec):
                 if domain == "source":
                     flags.append(position >= n_preferred)
 
-    all_latents = np.concatenate([item_latents["source"], item_latents["target"]], axis=0)
-    unit = all_latents / np.linalg.norm(all_latents, axis=1, keepdims=True)
-    similarity = unit @ unit.T
-    np.fill_diagonal(similarity, -np.inf)
-    n_entities = all_latents.shape[0]
-    neighbor_count = min(spec.entity_neighbors, n_entities - 1)
-    kg_edges = []
-    for entity in range(n_entities):
-        nearest = np.argpartition(-similarity[entity], neighbor_count)[:neighbor_count]
-        kg_edges.extend((entity, int(other)) for other in nearest)
     as_edges = lambda pairs: np.asarray(pairs, dtype=np.int64)  # noqa: E731
-    return (as_edges(edges["source"]), as_edges(edges["target"]), as_edges(kg_edges),
-            np.asarray(flags, dtype=bool))
+    kg = None
+    if dense_knn:
+        all_latents = np.concatenate([item_latents["source"], item_latents["target"]], axis=0)
+        unit = all_latents / np.linalg.norm(all_latents, axis=1, keepdims=True)
+        similarity = unit @ unit.T
+        np.fill_diagonal(similarity, -np.inf)
+        n_entities = all_latents.shape[0]
+        neighbor_count = min(spec.entity_neighbors, n_entities - 1)
+        kg_edges = []
+        for entity in range(n_entities):
+            nearest = np.argpartition(-similarity[entity], neighbor_count)[:neighbor_count]
+            kg_edges.extend((entity, int(other)) for other in nearest)
+        kg = as_edges(kg_edges)
+    return as_edges(edges["source"]), as_edges(edges["target"]), kg, np.asarray(flags, dtype=bool)
 
 
 DESK_SHAPE = dict(
@@ -77,6 +91,9 @@ DESK_SHAPE = dict(
 )
 SMALL_SHAPE = dict(user_count=40, source_interactions=6, target_interactions=5)
 HALF_BLOCK = KNN_BLOCK // 2
+# users per preference block at a 256-item source catalog
+BLOCK_USERS = PREFERENCE_BLOCK // 256
+BLOCK_SHAPE = dict(SMALL_SHAPE, source_items=256, target_items=200)
 
 # SynthSpec arguments by name; entity count = source_items + target_items
 ORACLE_SHAPES = {
@@ -98,7 +115,22 @@ ORACLE_SHAPES = {
     "whole-source-catalog": dict(user_count=30, source_items=12, target_items=20,
                                  source_interactions=12, target_interactions=4,
                                  irrelevant_fraction=0.5, seed=10),
+    "preference-block-minus-one": dict(BLOCK_SHAPE, user_count=BLOCK_USERS - 1, seed=11),
+    "one-preference-block": dict(BLOCK_SHAPE, user_count=BLOCK_USERS, seed=12),
+    "preference-block-plus-one": dict(BLOCK_SHAPE, user_count=BLOCK_USERS + 1, seed=13),
+    # each draw takes most of a small catalog, so the first CDF search repeats
+    # items and every draw at this seed takes choice's retry path
+    "retry-heavy": dict(user_count=60, source_items=40, target_items=30,
+                        source_interactions=24, target_interactions=18,
+                        irrelevant_fraction=0.2, seed=14),
+    # uniform draws of about 360 from a pool above 10,000: choice's tail-shuffle path
+    "wide-source-tail-shuffle": dict(user_count=6, source_items=10_500, target_items=50,
+                                     source_interactions=400, target_interactions=5,
+                                     irrelevant_fraction=0.9, seed=15),
 }
+# the dense oracle's similarity matrix would take 0.9 GB at 10,550 entities, so
+# only the draws are compared there; the other shapes cover the blocked kNN
+PREFERENCE_ONLY_SHAPES = {"wide-source-tail-shuffle"}
 
 
 def write(path, text):
@@ -293,12 +325,13 @@ class TestGenerateSynthetic:
     def test_matches_the_dense_oracle(self, tiny_spec, shape):
         spec = tiny_spec if shape == "tiny" else SynthSpec(**ORACLE_SHAPES[shape])
         bundle, flags = generate_synthetic(spec)
-        source, target, kg, expected_flags = generate_synthetic_oracle(spec)
+        source, target, kg, expected_flags = generate_synthetic_oracle(
+            spec, dense_knn=shape not in PREFERENCE_ONLY_SHAPES)
         n_entities = spec.source_items + spec.target_items
         for actual, expected in (
             (bundle.source.edges, source),
             (bundle.target.edges, target),
-            (bundle.kg.entity_edges, kg),
+            *([(bundle.kg.entity_edges, kg)] if kg is not None else []),
             (flags, expected_flags),
             (bundle.kg.item_entity_source,
              np.stack([np.arange(spec.source_items)] * 2, axis=1)),
@@ -316,3 +349,98 @@ class TestGenerateSynthetic:
         target_counts = np.bincount(bundle.target.edges[:, 0], minlength=bundle.user_count)
         assert (source_counts > 3).all()
         assert (target_counts > 3).all()
+
+
+def _cdf(p):
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def test_choice_with_p_draws_as_a_cdf_search_with_retries():
+    # generate_synthetic relies on this numpy property: choice(n, size,
+    # replace=False, p=p) searches cumsum(p) / its last value (side="right")
+    # for size uniform draws and keeps each item's first occurrence; while
+    # items are missing, it zeroes the found ones in a copy of p, rebuilds
+    # the CDF and searches size - found new draws
+    rng = np.random.default_rng(2026)
+    retries = 0
+    for trial in range(400):
+        kind = trial % 4
+        n = int(rng.integers(2, 3000))
+        if kind == 0:  # random p
+            p = rng.random(n)
+        elif kind == 1:  # sharply peaked p, where draws repeat and retries follow
+            p = np.exp(6.0 * rng.normal(size=n))
+        else:  # p with zeros
+            p = rng.random(n) * (rng.random(n) < rng.uniform(0.05, 0.9))
+            p[int(rng.integers(n))] = 1.0
+        p /= p.sum()
+        positive = int(np.count_nonzero(p > 0))
+        # kind 3 draws every item p can give
+        size = positive if kind == 3 else int(rng.integers(0, min(positive, 60) + 1))
+        seed = [trial, 79]
+        choice, search = np.random.default_rng(seed), np.random.default_rng(seed)
+        cdf = _cdf(p)
+        probe = np.random.default_rng(seed)
+        retries += len(set(cdf.searchsorted(probe.random(size), side="right").tolist())) < size
+        expected = choice.choice(n, size, replace=False, p=p)
+        assert _choice_by_cdf(search, p, cdf, positive, size) == expected.tolist()
+        assert choice.bit_generator.state == search.bit_generator.state
+        assert choice.integers(1000) == search.integers(1000)
+    assert retries > 100
+
+    # a draw that lands exactly on a CDF step takes the item after it
+    seed = 80
+    step = float(np.random.default_rng(seed).random())
+    p = np.array([step, 1.0 - step])
+    assert np.random.default_rng(seed).choice(2, 1, replace=False, p=p).tolist() == [1]
+    assert _choice_by_cdf(np.random.default_rng(seed), p, _cdf(p), 2, 1) == [1]
+
+
+def test_choice_from_a_pool_draws_as_a_choice_over_its_size():
+    # generate_synthetic relies on this numpy property: choice(pool, m,
+    # replace=False) draws as choice(len(pool), m, replace=False) and takes
+    # the pool's items at those indices, on every path of choice: small
+    # pools, and pools above 10,000 with few draws or with more than
+    # pool // 50 (the tail shuffle)
+    rng = np.random.default_rng(2027)
+    for trial in range(120):
+        kind = trial % 3
+        n = int(rng.integers(1, 400)) if kind == 0 else int(rng.integers(10_600, 14_000))
+        taken = rng.permutation(n)[:int(rng.integers(0, min(n, 500)))]
+        pool = np.setdiff1d(np.arange(n), taken)
+        if kind == 2:
+            size = int(rng.integers(pool.size // 50 + 1, pool.size // 10))
+        else:
+            size = int(rng.integers(0, min(pool.size, 200) + 1))
+        seed = [trial, 81]
+        choice, mapped = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = choice.choice(pool, size, replace=False)
+        actual = _choice_from_complement(mapped, n, taken, size)
+        assert actual.tolist() == expected.tolist()
+        assert choice.bit_generator.state == mapped.bit_generator.state
+        assert choice.integers(1000) == mapped.integers(1000)
+
+
+@contextmanager
+def deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_too_few_nonzero_probabilities_raise_as_in_numpy():
+    p = np.array([0.5, 0.0, 0.5, 0.0])
+    message = "Fewer non-zero entries in p than size"
+    with pytest.raises(ValueError, match=message):
+        np.random.default_rng(0).choice(4, 3, replace=False, p=p)
+    with deadline(10), pytest.raises(ValueError, match=message):
+        _choice_by_cdf(np.random.default_rng(0), p, _cdf(p), 2, 3)
