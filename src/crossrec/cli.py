@@ -54,6 +54,7 @@ from .training import (
     FitResult,
     NonFiniteLossError,
     TrainConfig,
+    check_checkpoint,
     fit,
     load_checkpoint,
     save_checkpoint,
@@ -382,6 +383,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         config = TrainConfig(**{**stored, "seed": resolved["seed"]})
     except (KeyError, TypeError) as error:
         raise ValueError(f"{checkpoint} has no usable training config: {error!r}") from None
+    check_checkpoint(params, config)
     applied = {**stored, "seed": config.seed, "hop_radius": resolved["hop_radius"], "k": args.k}
     out_dir = Path(args.out)
     paths = _data_paths(args)

@@ -62,6 +62,7 @@ class LoadReport:
     malformed: list[tuple[str, int, str]] = field(default_factory=list)
     raw_edges: dict[str, int] = field(default_factory=dict)
     duplicate_edges: dict[str, int] = field(default_factory=dict)
+    kg_self_loops: int = 0
     single_domain_users: int = 0
     single_domain_edges: dict[str, int] = field(default_factory=dict)
     scoped_out_kg_edges: int = 0
@@ -128,12 +129,15 @@ def load_bundle(paths: DataPaths, hop_radius: int = HOP_RADIUS) -> tuple[Dataset
     """Load and index a full cross-domain dataset.
 
     Users present in only one domain are dropped (counted in the report);
-    no well-formed line disappears without being counted.  Entity edges
+    no well-formed line disappears without being counted: KG self-loops go
+    to ``kg_self_loops``, then each table's repeated lines to
+    ``duplicate_edges``, keyed by its ``DataPaths`` field.  Entity edges
     beyond ``hop_radius`` hops from any item-linked entity are trimmed.
 
     IDs are indexed in first-seen order: users and items over the shared
     users' interactions (source first), then the item-entity maps (source
-    first), then the KG.  Each ID list is its dict's insertion order.
+    first), then the KG, dropped lines included.  Each ID list is its dict's
+    insertion order.
     """
     report = LoadReport()
     raw = {SOURCE: _read_pairs(paths.source, report), TARGET: _read_pairs(paths.target, report)}
@@ -144,33 +148,33 @@ def load_bundle(paths: DataPaths, hop_radius: int = HOP_RADIUS) -> tuple[Dataset
     users: dict[str, int] = {}
     items: dict[str, dict[str, int]] = {SOURCE: {}, TARGET: {}}
     entities: dict[str, int] = {}
-    edges = {}
+    tables = {}
     for domain, pairs in raw.items():
         report.raw_edges[domain] = len(pairs) // 2
         keep = np.repeat(list(map(shared.__contains__, pairs[0::2])), 2)
         pairs = list(compress(pairs, keep.tolist()))
         report.single_domain_edges[domain] = report.raw_edges[domain] - len(pairs) // 2
-        codes = _pair_codes(users, items[domain], pairs)
-        edges[domain], report.duplicate_edges[domain] = unique_edges(codes)
+        tables[domain] = _pair_codes(users, items[domain], pairs)
 
-    if not edges[SOURCE].size or not edges[TARGET].size:
+    if not tables[SOURCE].size or not tables[TARGET].size:
         raise ValueError(
             "no interactions left after requiring users to appear in both domains"
         )
 
-    maps = {
-        domain: _pair_codes(items[domain], entities, _read_pairs(path, report))
-        for domain, path in ((SOURCE, paths.map_source), (TARGET, paths.map_target))
-    }
+    for domain, name in ((SOURCE, "map_source"), (TARGET, "map_target")):
+        tables[name] = _pair_codes(items[domain], entities, _read_pairs(getattr(paths, name), report))
     # heads and tails share one ID space, so they are indexed in line order
     kg_edges = _codes(entities, _read_pairs(paths.kg, report, middle_optional=True)).reshape(-1, 2)
-    linkage, report.scoped_out_kg_edges = scope_entity_edges(
-        KnowledgeLinkage(len(entities), kg_edges, maps[SOURCE], maps[TARGET]), hop_radius
-    )
+    loops = kg_edges[:, 0] == kg_edges[:, 1]
+    tables["kg"], report.kg_self_loops = kg_edges[~loops], int(loops.sum())
+    for name, codes in tables.items():
+        tables[name], report.duplicate_edges[name] = unique_edges(codes)
+    kg = KnowledgeLinkage(len(entities), tables["kg"], tables["map_source"], tables["map_target"])
+    linkage, report.scoped_out_kg_edges = scope_entity_edges(kg, hop_radius)
 
     bundle = DatasetBundle(
-        source=InteractionGraph(SOURCE, len(users), len(items[SOURCE]), edges[SOURCE]),
-        target=InteractionGraph(TARGET, len(users), len(items[TARGET]), edges[TARGET]),
+        source=InteractionGraph(SOURCE, len(users), len(items[SOURCE]), tables[SOURCE]),
+        target=InteractionGraph(TARGET, len(users), len(items[TARGET]), tables[TARGET]),
         kg=linkage,
         user_ids=list(users),
         source_item_ids=list(items[SOURCE]),
@@ -316,8 +320,8 @@ def _choice_by_cdf(rng: np.random.Generator, p: np.ndarray, cdf: np.ndarray,
     return list(found)
 
 
-def _choice_from_complement(rng: np.random.Generator, n: int, taken: np.ndarray,
-                            size: int) -> np.ndarray:
+def choice_from_complement(rng: np.random.Generator, n: int, taken: np.ndarray,
+                           size: int) -> np.ndarray:
     """``rng.choice(pool, size, replace=False)``, ``pool`` the items of ``range(n)`` not in ``taken``.
 
     ``choice`` over an array draws indices as ``choice`` over its length does
@@ -349,7 +353,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
     are computed for ``PREFERENCE_BLOCK // catalog`` users at a time, each
     user's logits by its own matrix-vector product (a block matrix product
     rounds differently); per user, :func:`_choice_by_cdf` searches that CDF
-    with ``choice``'s draws and retries, and :func:`_choice_from_complement`
+    with ``choice``'s draws and retries, and :func:`choice_from_complement`
     maps a choice over the pool's size onto the pool.  That rests on how
     numpy 2.4 implements ``choice``, which
     ``tests/test_data.py::test_choice_with_p_draws_as_a_cdf_search_with_retries``
@@ -408,7 +412,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
                     rng, probabilities[domain][row], cdfs[domain][row],
                     positive[domain][row], n_preferred)
                 if n_preferred < n_per:
-                    chosen[n_preferred:] = _choice_from_complement(
+                    chosen[n_preferred:] = choice_from_complement(
                         rng, n_items, chosen[:n_preferred], n_per - n_preferred)
     edges = {domain: np.stack([np.repeat(np.arange(spec.user_count), n_per),
                                items[domain].ravel()], axis=1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import InteractionGraph, sorted_unique
-from .data import DatasetBundle
+from .data import DatasetBundle, choice_from_complement
 
 METRICS = ("ndcg", "hit", "mrr")
 # cutoffs k that ranking reports when none are asked for
@@ -236,7 +236,7 @@ def inject_source_noise(
     One exact draw picks the ranks of the new pairs among the free pairs in
     key order (``user * items + item``), so memory grows with the edges, not
     with the catalog; it draws what ``rng.choice`` over the explicit list of
-    free pairs would.
+    free pairs would (:func:`data.choice_from_complement`).
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"noise ratio must lie in [0, 1], got {ratio}")
@@ -254,10 +254,7 @@ def inject_source_noise(
             f"cannot add {count} noise edges: only {free} free user-item pairs remain"
         )
 
-    rank = rng.choice(free, size=count, replace=False)
-    # existing[j] - j free pairs precede the j-th taken one, so the free pair
-    # of a rank is that rank plus the taken pairs at or below it
-    flat = rank + np.searchsorted(existing - np.arange(existing.size), rank, side="right")
+    flat = choice_from_complement(rng, n_u * n_i, existing, count)
     new_edges = np.stack(np.divmod(flat, n_i), axis=1)
     combined = np.concatenate([graph.edges, new_edges], axis=0)
     noisy = InteractionGraph(graph.domain_tag, n_u, n_i, combined)

@@ -5,25 +5,23 @@ Each domain is modelled as one square sparse matrix over the node set
 interactions and item-entity links are mirrored into both triangles,
 entity-entity edges are symmetrized, and the whole matrix is normalized
 as ``D^{-1/2} A D^{-1/2}`` where ``D`` counts structural nonzeros per
-row.  Graphs are immutable once built and safe to share across threads.
+row.  Repeated and self-looped input lines are dropped by the loader.
+Graphs are immutable once built and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-
-log = logging.getLogger(__name__)
 
 SOURCE = "source"
 TARGET = "target"
 
 
 class GraphBuildError(ValueError):
-    """Raised when edges reference nodes outside the declared index ranges."""
+    """Raised on edges outside the declared index ranges and on entity self-loops."""
 
 
 def _as_edge_array(edges) -> np.ndarray:
@@ -68,7 +66,7 @@ class InteractionGraph:
     """Implicit-feedback bipartite graph of one domain.
 
     ``edges`` holds (user_index, item_index) pairs; feedback is binary, so
-    multiplicity carries no meaning and duplicates are collapsed downstream.
+    multiplicity carries no meaning, and a repeat collapses in the adjacency.
     """
 
     domain_tag: str
@@ -104,10 +102,11 @@ class KnowledgeLinkage:
     def __post_init__(self):
         for name in ("entity_edges", "item_entity_source", "item_entity_target"):
             object.__setattr__(self, name, _as_edge_array(getattr(self, name)))
-        if self.entity_edges.size:
-            _check_range(
-                self.entity_edges, (self.entity_count, self.entity_count), "entity"
-            )
+        _check_range(self.entity_edges, (self.entity_count, self.entity_count), "entity")
+        loop = self.entity_edges[:, 0] == self.entity_edges[:, 1]
+        if loop.any():
+            entity = int(self.entity_edges[np.argmax(loop), 0])
+            raise GraphBuildError(f"entity edge ({entity}, {entity}) is a self-loop")
         for name in ("item_entity_source", "item_entity_target"):
             arr = getattr(self, name)
             if arr.size and ((arr[:, 1] < 0) | (arr[:, 1] >= self.entity_count)).any():
@@ -165,63 +164,20 @@ def assemble_adjacency(graph: InteractionGraph, kg: KnowledgeLinkage) -> SparseG
 
     Rows/columns are ordered ``[users | items | entities]``.  Interaction and
     item-entity blocks are mirrored, entity edges are symmetrized, and the
-    diagonal stays empty.  Duplicate input edges collapse to weight-1 entries;
-    the number removed is logged as a warning.
+    diagonal stays empty.  A repeated edge, or one given both ways, collapses
+    to one weight-1 entry.
     """
     item_entity = kg.item_entity_for(graph.domain_tag)
-    if item_entity.size:
-        _check_range(item_entity, (graph.item_count, kg.entity_count), "item-entity")
+    _check_range(item_entity, (graph.item_count, kg.entity_count), "item-entity")
 
     n_u, n_i, n_e = graph.user_count, graph.item_count, kg.entity_count
     n = n_u + n_i + n_e
-
-    def dedupe_input(edges: np.ndarray, label: str) -> np.ndarray:
-        edges, removed = unique_edges(edges)
-        if removed:
-            log.warning(
-                "%s adjacency: collapsed %d duplicate %s edges",
-                graph.domain_tag, removed, label,
-            )
-        return edges
-
-    interactions = dedupe_input(graph.edges, "interaction")
-    links = dedupe_input(item_entity, "item-entity")
-    entity_edges = dedupe_input(kg.entity_edges, "entity")
-    if entity_edges.size:
-        keep = entity_edges[:, 0] != entity_edges[:, 1]
-        if not keep.all():
-            log.warning(
-                "%s adjacency: dropped %d entity self-loops",
-                graph.domain_tag, int((~keep).sum()),
-            )
-            entity_edges = entity_edges[keep]
-
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-
-    def add_block(r: np.ndarray, c: np.ndarray) -> None:
-        rows.append(r)
-        cols.append(c)
-        rows.append(c)
-        cols.append(r)
-
-    if interactions.size:
-        add_block(interactions[:, 0], interactions[:, 1] + n_u)
-    if links.size:
-        add_block(links[:, 0] + n_u, links[:, 1] + n_u + n_i)
-    if entity_edges.size:
-        add_block(entity_edges[:, 0] + n_u + n_i, entity_edges[:, 1] + n_u + n_i)
-
-    if rows:
-        # mirroring can recreate an entry that was already present in the
-        # other direction (e.g. an entity edge given both ways); collapse
-        # those silently, they carry no information
-        flat = sorted_unique(np.concatenate(rows) * n + np.concatenate(cols))
-        r, c = np.divmod(flat, n)
-        matrix = sp.csr_matrix((np.ones(flat.size), (r, c)), shape=(n, n))
-    else:
-        matrix = sp.csr_matrix((n, n))
-
+    edges = np.concatenate([graph.edges + (0, n_u), item_entity + (n_u, n_u + n_i),
+                            kg.entity_edges + (n_u + n_i)])
+    flat = sorted_unique(np.concatenate([edges[:, 0] * n + edges[:, 1],
+                                         edges[:, 1] * n + edges[:, 0]]))
+    r, c = np.divmod(flat, n)
+    matrix = sp.csr_matrix((np.ones(flat.size), (r, c)), shape=(n, n))
     return SparseGraph(n_u, n_i, n_e, matrix, normalized=False)
 
 

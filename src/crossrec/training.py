@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, astuple, dataclass, field
 
@@ -555,13 +557,13 @@ def _sample_batches(
     users: np.ndarray,
     batch_size: int,
     owned: dict[str, tuple[UserItems, int]],
-    keys: dict[str, np.ndarray] | None = None,
+    keys: dict[str, np.ndarray],
 ) -> list[Batch]:
     """Shuffle users and draw one positive and one uniform negative per domain.
 
     ``owned`` maps each sampled domain, source first, to its training items
     by user and its item count; ``keys`` maps it to the sorted distinct
-    ``user * n_items + item`` keys of those items (built here when not given).
+    ``user * n_items + item`` keys of those items.
 
     The stream is the one a per-user loop would consume: for each user in
     batch order, ``rng.integers(count)`` picks the positive among the user's
@@ -579,8 +581,6 @@ def _sample_batches(
     gives the same values, and leaves the same state, as one scalar draw per
     bound in order.
     """
-    if keys is None:
-        keys = {domain: _owned_keys(index, n_items) for domain, (index, n_items) in owned.items()}
     order = rng.permutation(users)
     batches = []
     for start in range(0, order.size, batch_size):
@@ -714,10 +714,11 @@ def save_checkpoint(path, params: ModelParameters, meta: dict | None = None) -> 
 
 
 def _read_exact(handle, size: int) -> bytes:
-    data = handle.read(size)
-    if len(data) != size:
-        raise ValueError(f"truncated checkpoint: wanted {size} bytes, got {len(data)}")
-    return data
+    # checked before reading, so a corrupt size is never allocated
+    left = os.fstat(handle.fileno()).st_size - handle.tell()
+    if size > left:
+        raise ValueError(f"truncated checkpoint: wanted {size} bytes, {left} left")
+    return handle.read(size)
 
 
 def load_checkpoint(path) -> tuple[ModelParameters, dict]:
@@ -730,6 +731,8 @@ def load_checkpoint(path) -> tuple[ModelParameters, dict]:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         meta = json.loads(_read_exact(handle, meta_len).decode("utf-8"))
+        if not isinstance(meta, dict) or meta.get("kind") not in (CROSS, TARGET_ONLY):
+            raise ValueError(f"checkpoint metadata is not an object with kind {CROSS!r} or {TARGET_ONLY!r}")
         (count,) = struct.unpack("<I", _read_exact(handle, 4))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -739,9 +742,17 @@ def load_checkpoint(path) -> tuple[ModelParameters, dict]:
             shape = struct.unpack(f"<{max(ndim, 1)}Q", _read_exact(handle, 8 * max(ndim, 1)))
             if ndim == 0:
                 shape = ()
-            size = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(handle, 8 * size), dtype="<f8").copy()
+            data = np.frombuffer(_read_exact(handle, 8 * math.prod(shape)), dtype="<f8").copy()
             arrays[name] = data.reshape(shape)
         if handle.read(1):
             raise ValueError("trailing bytes after the last checkpoint array")
     return ModelParameters(meta["kind"], arrays), meta
+
+
+def check_checkpoint(params: ModelParameters, config: TrainConfig) -> None:
+    """Raise ``ValueError`` unless ``params`` holds the model and tables ``config`` trains."""
+    gate = ["gate_w1", "gate_b1", "gate_w2", "gate_b2"] if config.model == CROSS else []
+    names = sorted([*_table_layout(config.model, config.use_kg), *gate])
+    if params.kind != config.model or sorted(params.arrays) != names:
+        raise ValueError(f"checkpoint holds a {params.kind!r} model with tables {sorted(params.arrays)}, "
+                         f"but its config trains a {config.model!r} model with tables {names}")

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import shutil
+import struct
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -420,6 +421,58 @@ class TestEvaluate:
         assert manifest["status"] == "failed" and manifest["finished_at"] is not None
         assert manifest["error"].startswith("parameter table 'entity' has 603 rows")
         assert manifest["outputs"] == []
+
+
+def rewrite_checkpoint(path, out, meta, arrays=None):
+    """The checkpoint at ``path`` with raw ``meta`` bytes and, if given, raw ``arrays`` bytes."""
+    payload = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", payload, 8)
+    rest = payload[12 + meta_len:] if arrays is None else arrays
+    out.write_bytes(payload[:8] + struct.pack("<I", len(meta)) + meta + rest)
+    return out
+
+
+# (2**40, 2**20) float64 values: 2**63 bytes, one past the largest read size
+HUGE_TABLE = (struct.pack("<IH", 1, 6) + b"user_t"
+              + struct.pack("<B2Q", 2, 2**40, 2**20))
+
+
+CROSS_TABLES = "['entity', 'gate_b1', 'gate_b2', 'gate_w1', 'gate_w2', 'user_s', 'user_t']"
+NOT_A_MODEL = "checkpoint metadata is not an object with kind 'cross' or 'target_only'"
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("no kind", NOT_A_MODEL),
+    ("list", NOT_A_MODEL),
+    ("bogus kind", NOT_A_MODEL),
+    ("huge table", "truncated checkpoint: wanted 9223372036854775808 bytes, 0 left"),
+    ("target-only kind", f"checkpoint holds a 'target_only' model with tables {CROSS_TABLES}, "
+                         f"but its config trains a 'cross' model with tables {CROSS_TABLES}"),
+    ("target-only config", f"checkpoint holds a 'target_only' model with tables {CROSS_TABLES}, "
+                           "but its config trains a 'target_only' model with tables "
+                           "['item_t', 'user_t']"),
+])
+def test_malformed_checkpoint_exits_one_by_name(synth_dir, trained, tmp_path, capsys,
+                                                damage, message):
+    _, meta = load_checkpoint(trained / "best.ckpt")
+    target_only = {**meta, "kind": "target_only"}
+    meta = {
+        "no kind": {key: value for key, value in meta.items() if key != "kind"},
+        "list": [meta],
+        "bogus kind": {**meta, "kind": "bogus"},
+        "huge table": meta,
+        "target-only kind": target_only,
+        "target-only config": {**target_only,
+                               "config": {**meta["config"], "model": "target_only"}},
+    }[damage]
+    damaged = rewrite_checkpoint(trained / "best.ckpt", tmp_path / "damaged.ckpt",
+                                 json.dumps(meta).encode("utf-8"),
+                                 HUGE_TABLE if damage == "huge table" else None)
+    code = main(["evaluate", "--checkpoint", str(damaged), *data_flags(synth_dir),
+                 "--out", str(tmp_path / "eval"), "--seed", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "inject-noise"])

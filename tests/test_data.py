@@ -12,7 +12,7 @@ from crossrec.data import (
     DataPaths,
     SynthSpec,
     _choice_by_cdf,
-    _choice_from_complement,
+    choice_from_complement,
     generate_synthetic,
     load_bundle,
     load_interactions,
@@ -186,6 +186,23 @@ class TestLoadBundle:
         bundle, report = load_bundle(small_files)
         assert report.duplicate_edges["source"] == 1
         assert bundle.source.edge_count == 2
+
+    def test_repeated_map_and_kg_lines_and_kg_self_loops_dropped(self, tmp_path, small_files):
+        write(tmp_path / "map_source.tsv", "book1\tent1\nbook2\tent2\nbook1\tent1\n")
+        write(tmp_path / "map_target.tsv", "film1\tent1\nfilm1\tent1\n")
+        # ent3 is seen only in a self-loop: it keeps its index, but no edge
+        write(tmp_path / "kg.tsv",
+              "ent1\tent2\nent3\tent3\nent2\tent1\nent1\tr\tent2\nent1\tent1\n")
+        bundle, report = load_bundle(small_files)
+        assert report.kg_self_loops == 2
+        assert report.duplicate_edges == {"source": 0, "target": 0, "map_source": 1,
+                                          "map_target": 1, "kg": 1}
+        assert report.scoped_out_kg_edges == 0
+        assert bundle.entity_ids == ["ent1", "ent2", "ent3"]
+        assert bundle.kg.entity_count == 3
+        assert id_pairs(bundle)["map_source"] == [("book1", "ent1"), ("book2", "ent2")]
+        assert id_pairs(bundle)["map_target"] == [("film1", "ent1")]
+        assert id_pairs(bundle)["kg"] == [("ent1", "ent2"), ("ent2", "ent1")]
 
     def test_comment_lines_skipped(self, tmp_path, small_files):
         write(tmp_path / "source.tsv", "# provenance header\nalice\tbook1\nbob\tbook2\n")
@@ -417,7 +434,7 @@ def test_choice_from_a_pool_draws_as_a_choice_over_its_size():
         seed = [trial, 81]
         choice, mapped = np.random.default_rng(seed), np.random.default_rng(seed)
         expected = choice.choice(pool, size, replace=False)
-        actual = _choice_from_complement(mapped, n, taken, size)
+        actual = choice_from_complement(mapped, n, taken, size)
         assert actual.tolist() == expected.tolist()
         assert choice.bit_generator.state == mapped.bit_generator.state
         assert choice.integers(1000) == mapped.integers(1000)

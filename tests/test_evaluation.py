@@ -18,7 +18,7 @@ from crossrec.evaluation import (
 from crossrec.graph import InteractionGraph, KnowledgeLinkage
 from crossrec.data import DatasetBundle, SynthSpec, generate_synthetic
 from crossrec.experiments import contaminate_split
-from crossrec.training import SAMPLE_WINDOW, Batch, _sample_batches
+from crossrec.training import SAMPLE_WINDOW, Batch, _owned_keys, _sample_batches
 
 from metric_oracle import metrics_at
 
@@ -106,10 +106,11 @@ def assert_sampler_matches_oracle(edges, counts, user_count, users, batch_size, 
     """Several epochs of ``_sample_batches`` against the per-user oracle on one
     stream: same batches, dtypes and final generator state."""
     owned = {d: (UserItems.build(edges[d], user_count), counts[d]) for d in domains}
+    keys = {d: _owned_keys(index, n_items) for d, (index, n_items) in owned.items()}
     by_user = {d: items_by_user_oracle(edges[d], user_count) for d in domains}
     rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(epochs):
-        batches = _sample_batches(rng, users, batch_size, owned)
+        batches = _sample_batches(rng, users, batch_size, owned, keys)
         expected = sample_batches_oracle(oracle_rng, users, batch_size, by_user, counts)
         assert len(batches) == len(expected)
         for batch, oracle in zip(batches, expected):

@@ -1,7 +1,5 @@
 """Adjacency assembly and normalization against dense-matrix oracles."""
 
-import logging
-
 import numpy as np
 import pytest
 
@@ -33,8 +31,6 @@ def dense_block_oracle(graph, kg):
         dense[n_u + i, n_u + n_i + e] = 1
         dense[n_u + n_i + e, n_u + i] = 1
     for a, b in kg.entity_edges:
-        if a == b:
-            continue
         dense[n_u + n_i + a, n_u + n_i + b] = 1
         dense[n_u + n_i + b, n_u + n_i + a] = 1
     return dense
@@ -105,12 +101,26 @@ class TestAssembleAdjacency:
         with pytest.raises(GraphBuildError, match=r"\(0, 5\)"):
             InteractionGraph("source", 2, 3, [(0, 5)])
 
-    def test_duplicates_collapse_with_warning(self, caplog):
-        graph = InteractionGraph("source", 2, 2, [(0, 0), (0, 0), (1, 1)])
-        with caplog.at_level(logging.WARNING):
-            result = assemble_adjacency(graph, KnowledgeLinkage.empty())
-        assert result.nnz == 4
-        assert "1 duplicate interaction" in caplog.text
+    def test_repeated_rows_match_the_dense_oracle(self):
+        # every block gets some of its rows again, entity edges also reversed
+        rng = np.random.default_rng(11)
+
+        def repeated(edges):
+            if not len(edges):
+                return edges
+            return np.concatenate([edges, edges[rng.integers(0, len(edges), 3)]])
+
+        for _ in range(25):
+            graph, kg = random_instance(rng)
+            graph = InteractionGraph("source", graph.user_count, graph.item_count,
+                                     repeated(graph.edges))
+            kg = KnowledgeLinkage(kg.entity_count,
+                                  np.concatenate([repeated(kg.entity_edges),
+                                                  kg.entity_edges[::-1, ::-1]]),
+                                  repeated(kg.item_entity_source), kg.item_entity_target)
+            result = assemble_adjacency(graph, kg)
+            assert np.array_equal(result.matrix.toarray(), dense_block_oracle(graph, kg))
+            assert np.all(result.matrix.data == 1.0)
 
     @pytest.mark.parametrize("count", [0, 1, 50, 400])
     def test_unique_edges_keep_first_occurrences(self, count):
@@ -126,13 +136,9 @@ class TestAssembleAdjacency:
         assert [tuple(row) for row in unique.tolist()] == oracle
         assert removed == count - len(oracle)
 
-    def test_entity_self_loops_dropped(self, caplog):
-        graph = InteractionGraph("source", 1, 1, [(0, 0)])
-        kg = KnowledgeLinkage(2, [(0, 0), (0, 1)], [(0, 0)], np.zeros((0, 2)))
-        with caplog.at_level(logging.WARNING):
-            result = assemble_adjacency(graph, kg)
-        assert np.all(result.matrix.diagonal() == 0)
-        assert "self-loops" in caplog.text
+    def test_entity_self_loops_rejected(self):
+        with pytest.raises(GraphBuildError, match=r"^entity edge \(1, 1\) is a self-loop$"):
+            KnowledgeLinkage(3, [(0, 1), (1, 1), (2, 2)], [(0, 0)], np.zeros((0, 2)))
 
     def test_diagonal_zero(self):
         rng = np.random.default_rng(3)

@@ -5,9 +5,10 @@ first-seen-order loader, kept here as an oracle: a per-line read of each
 file, an ``_Indexer`` object per ID space and explicit ``np.asarray`` edge
 arrays.  On randomized TSV sets (malformed lines, CRLF endings, ``#``
 headers, duplicate edges, single-domain users, map-only items, KG-only
-entities, three-column KG lines, KG edges out of hop range), on clean sets
-that hold no malformed, blank or comment line, and on the error cases, both
-loaders must give the same IDs, edge arrays, report and exceptions.
+entities, three-column KG lines, KG self-loops, KG edges out of hop range),
+on clean sets that hold no malformed, blank or comment line, and on the
+error cases, both loaders must give the same IDs, edge arrays, report and
+exceptions.
 """
 
 import random
@@ -39,6 +40,7 @@ class OracleReport:
     raw_edges: dict = field(default_factory=dict)
     kept_edges: dict = field(default_factory=dict)
     duplicate_edges: dict = field(default_factory=dict)
+    kg_self_loops: int = 0
     single_domain_users: int = 0
     single_domain_edges: dict = field(default_factory=dict)
     scoped_out_kg_edges: int = 0
@@ -120,6 +122,14 @@ def oracle_load_bundle(paths, hop_radius=1):
     for head, tail in oracle_read_rows(paths.kg, report, 2, middle_optional=True):
         kg_edges.append((entities.index(head), entities.index(tail)))
 
+    # IDs are indexed above; self-loops go first, then each table's repeats
+    report.kg_self_loops = sum(head == tail for head, tail in kg_edges)
+    kg_edges = [(head, tail) for head, tail in kg_edges if head != tail]
+    tables = {"map_source": maps[SOURCE], "map_target": maps[TARGET], "kg": kg_edges}
+    for name, pairs in tables.items():
+        tables[name] = list(dict.fromkeys(pairs))
+        report.duplicate_edges[name] = len(pairs) - len(tables[name])
+
     edges = {}
     for domain in (SOURCE, TARGET):
         edges[domain], dupes = unique_edges(kept[domain])
@@ -129,9 +139,9 @@ def oracle_load_bundle(paths, hop_radius=1):
     as_edges = lambda pairs: np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)  # noqa: E731
     linkage = KnowledgeLinkage(
         entity_count=len(entities),
-        entity_edges=as_edges(kg_edges),
-        item_entity_source=as_edges(maps[SOURCE]),
-        item_entity_target=as_edges(maps[TARGET]),
+        entity_edges=as_edges(tables["kg"]),
+        item_entity_source=as_edges(tables["map_source"]),
+        item_entity_target=as_edges(tables["map_target"]),
     )
     linkage, report.scoped_out_kg_edges = scope_entity_edges(linkage, hop_radius)
     graphs = {
@@ -212,7 +222,8 @@ def tsv(rng, rows, malformed, clean=False):
 
 def write_random_tsvs(directory: Path, seed: int, clean: bool = False) -> DataPaths:
     """Five TSVs whose IDs collide across spaces, some users one-domain,
-    some items only in a map, and KG chains 1-3 hops past the linked entities.
+    some items only in a map, repeated lines in every table, KG self-loops,
+    and KG chains 1-3 hops past the linked entities.
 
     ``clean`` files hold no malformed, blank or comment line (see ``tsv``).
     """
@@ -226,7 +237,8 @@ def write_random_tsvs(directory: Path, seed: int, clean: bool = False) -> DataPa
     for domain in (SOURCE, TARGET):
         rows = [
             (user, rng.choice(catalogs[domain]))
-            for user in users if rng.random() < 0.8
+            # the first user is in both domains, so every set loads
+            for user in users if user == users[0] or rng.random() < 0.8
             for _ in range(rng.randint(1, 5))
         ]
         rows += rng.sample(rows, k=min(len(rows), rng.randint(0, 3)))  # duplicate edges
@@ -235,6 +247,7 @@ def write_random_tsvs(directory: Path, seed: int, clean: bool = False) -> DataPa
         mapped = [item for item in catalogs[domain] if rng.random() < 0.7]
         mapped += [f"m{domain[0]}{i}" for i in range(rng.randint(0, 3))]  # map-only items
         map_rows = [(item, rng.choice(linked)) for item in mapped]
+        map_rows += rng.sample(map_rows, k=min(len(map_rows), rng.randint(0, 2)))  # repeats
         rng.shuffle(map_rows)
         text[f"map_{domain}"] = tsv(rng, map_rows, MALFORMED + [THREE_COLUMNS], clean)
 
@@ -244,6 +257,9 @@ def write_random_tsvs(directory: Path, seed: int, clean: bool = False) -> DataPa
         kg_rows += [pair if rng.random() < 0.5 else pair[::-1] for pair in zip(nodes, nodes[1:])]
     if rng.random() < 0.5:
         kg_rows += [("island_a", "island_b"), ("island_b", "island_c")]
+    if rng.random() < 0.4:  # a self-loop, on a linked entity or on one seen nowhere else
+        loop = rng.choice(linked + ["loop_only"])
+        kg_rows.append((loop, loop))
     kg_rows += rng.sample(kg_rows, k=min(len(kg_rows), rng.randint(0, 2)))
     rng.shuffle(kg_rows)
     kg_rows = [(head, "related_to", tail) if rng.random() < 0.3 else (head, tail)
@@ -298,20 +314,26 @@ def test_clean_sets_reach_every_case(tmp_path):
 
 def test_randomized_sets_reach_every_case(tmp_path):
     """The seeds above produce every line kind and drop the module docstring names."""
-    totals = {"malformed": 0, "duplicates": 0, "single-domain": 0, "three-column": 0,
-              "crlf": 0, "map-only": 0, "kg-only": 0}
+    totals = {"malformed": 0, "repeated interactions": 0, "repeated map lines": 0,
+              "repeated kg lines": 0, "kg self-loops": 0, "loop-only entity": 0,
+              "single-domain": 0, "three-column": 0, "crlf": 0, "map-only": 0, "kg-only": 0}
     scoped = {radius: 0 for radius in HOP_RADII}
     for seed in SEEDS:
         paths = write_random_tsvs(tmp_path, seed)
         kg_text = paths.kg.read_text(encoding="utf-8")
         totals["three-column"] += "\trelated_to\t" in kg_text
         totals["kg-only"] += "c0_0" in kg_text
+        totals["loop-only entity"] += "loop_only" in kg_text
         totals["crlf"] += "\r\n" in paths.source.read_bytes().decode("utf-8")
         totals["map-only"] += "ms0\t" in paths.map_source.read_text(encoding="utf-8")
         for radius in HOP_RADII:
             _, report = load_bundle(paths, radius)
             totals["malformed"] += len(report.malformed)
-            totals["duplicates"] += sum(report.duplicate_edges.values())
+            duplicates = report.duplicate_edges
+            totals["repeated interactions"] += duplicates["source"] + duplicates["target"]
+            totals["repeated map lines"] += duplicates["map_source"] + duplicates["map_target"]
+            totals["repeated kg lines"] += duplicates["kg"]
+            totals["kg self-loops"] += report.kg_self_loops
             totals["single-domain"] += report.single_domain_users
             scoped[radius] += report.scoped_out_kg_edges
     assert all(totals.values()), totals

@@ -1,5 +1,6 @@
 """Optimizer behavior, exact gradients, determinism, checkpoints."""
 
+import struct
 from dataclasses import asdict, astuple, replace
 from types import SimpleNamespace
 
@@ -17,6 +18,8 @@ from crossrec.transfer import (
     cross_entropy_loss_backward,
 )
 from crossrec.training import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     CROSS,
     TARGET_ONLY,
     Batch,
@@ -32,6 +35,7 @@ from crossrec.training import (
     init_parameters,
     load_checkpoint,
     save_checkpoint,
+    _owned_keys,
     _sample_batches,
     train_step,
 )
@@ -277,9 +281,11 @@ class TestTargetOnlyOracle:
         )
         graphs = DomainGraphs.for_config(config, bundle, tiny_split)
         params = init_parameters(config, bundle)
-        owned = {"target": (tiny_split.train_target_items_by_user(bundle.user_count),
-                            bundle.target.item_count)}
-        batches = _sample_batches(np.random.default_rng(3), tiny_split.users, batch_size, owned)
+        index = tiny_split.train_target_items_by_user(bundle.user_count)
+        owned = {"target": (index, bundle.target.item_count)}
+        keys = {"target": _owned_keys(index, bundle.target.item_count)}
+        batches = _sample_batches(np.random.default_rng(3), tiny_split.users, batch_size, owned,
+                                  keys)
         assert batches[0].users.size == min(batch_size, tiny_split.users.size)
         for step, batch in enumerate(batches):
             draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 8)
@@ -595,6 +601,19 @@ class TestCheckpoints:
         save_checkpoint(path, params)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape, wanted", [
+        ((2**32, 2**32), 2**67),  # np.prod wraps the element count to 0
+        ((2**40, 2**20), 2**63),  # one past the largest size a read accepts
+    ])
+    def test_declared_size_checked_before_reading(self, tmp_path, shape, wanted):
+        meta = b'{"kind": "cross"}'
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(meta))
+                         + meta + struct.pack("<IH", 1, 6) + b"user_t"
+                         + struct.pack("<B2Q", 2, *shape))
+        with pytest.raises(ValueError, match=f"truncated checkpoint: wanted {wanted} bytes, 0 left"):
             load_checkpoint(path)
 
     def test_magic_check(self, tmp_path):
