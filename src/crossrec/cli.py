@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+from numpy._core import _multiarray_umath
 
 from . import __version__
 from .data import (
@@ -130,14 +131,21 @@ def parse_config_file(path: Path) -> dict[str, str]:
 
 
 def numeric_environment() -> dict:
-    """numpy and scipy versions, and the BLAS build, kernel and thread count numpy uses.
+    """numpy and scipy versions, the BLAS build, kernel and thread count numpy
+    uses, and numpy's SIMD levels.
 
     The kernel and thread count are read through ``ctypes`` from the OpenBLAS
-    numpy bundles ("unknown" and None without it).
+    numpy bundles ("unknown" and None without it).  ``simd_baseline`` lists
+    the CPU features numpy was built for, and ``simd_dispatch`` the targets
+    of its runtime dispatch that this CPU enables: float64 ``exp`` and
+    ``log``, for one, round differently under ``X86_V3`` and ``X86_V4``.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     environment = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": blas["name"],
-                   "blas_version": blas["version"], "blas_core": "unknown", "blas_threads": None}
+                   "blas_version": blas["version"], "blas_core": "unknown", "blas_threads": None,
+                   "simd_baseline": list(_multiarray_umath.__cpu_baseline__),
+                   "simd_dispatch": [target for target in _multiarray_umath.__cpu_dispatch__
+                                     if _multiarray_umath.__cpu_features__.get(target)]}
     for library in Path(np.__file__).parent.parent.glob("numpy*libs/*openblas*"):
         try:
             openblas = ctypes.CDLL(str(library))
@@ -301,9 +309,11 @@ def _data_paths(args: argparse.Namespace) -> DataPaths:
     return DataPaths(**{entry.name: Path(getattr(args, entry.name)) for entry in fields(DataPaths)})
 
 
-def _warn_malformed(report: LoadReport) -> None:
+def _load_report(report: LoadReport) -> dict:
+    """Warn about skipped malformed lines; the loader's counts for the manifest's ``load_report``."""
     if report.malformed:
         print(f"warning: {len(report.malformed)} malformed lines skipped", file=sys.stderr)
+    return {**asdict(report), "malformed": len(report.malformed)}
 
 
 def _load_split(paths: DataPaths, hop_radius: int, seed: int, manifest: Manifest):
@@ -312,9 +322,8 @@ def _load_split(paths: DataPaths, hop_radius: int, seed: int, manifest: Manifest
     The manifest's ``load_report`` records what the loader and the split dropped.
     """
     bundle, report = load_bundle(paths, hop_radius=hop_radius)
-    _warn_malformed(report)
+    counts = _load_report(report)
     split = split_leave_one_out(bundle, seed)
-    counts = {**asdict(report), "malformed": len(report.malformed)}
     manifest.payload["load_report"] = {**counts, "excluded_users": split.excluded_users}
     return bundle, split
 
@@ -428,7 +437,7 @@ def cmd_inject_noise(args: argparse.Namespace) -> int:
     with Manifest(out_dir, "inject-noise", resolved, [source_path]) as manifest:
         report = LoadReport()
         graph, user_ids, item_ids = load_interactions(source_path, report)
-        _warn_malformed(report)
+        manifest.payload["load_report"] = _load_report(report)
         rng = np.random.default_rng(resolved["seed"])
         noisy, added = inject_source_noise(graph, args.ratio, rng)
         out_path = out_dir / "noisy_source.tsv"

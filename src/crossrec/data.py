@@ -185,11 +185,17 @@ def load_bundle(paths: DataPaths, hop_radius: int = HOP_RADIUS) -> tuple[Dataset
 
 
 def load_interactions(path: Path, report: LoadReport | None = None) -> tuple[InteractionGraph, list[str], list[str]]:
-    """Load one source interactions file on its own; ``report`` records malformed lines."""
+    """Load one source interactions file on its own.
+
+    ``report`` records the malformed lines, and under ``"source"`` the raw
+    lines and the repeated ones, which are dropped.
+    """
+    report = LoadReport() if report is None else report
     users: dict[str, int] = {}
     items: dict[str, int] = {}
-    pairs = _read_pairs(path, LoadReport() if report is None else report)
-    edges, _ = unique_edges(_pair_codes(users, items, pairs))
+    pairs = _read_pairs(path, report)
+    report.raw_edges[SOURCE] = len(pairs) // 2
+    edges, report.duplicate_edges[SOURCE] = unique_edges(_pair_codes(users, items, pairs))
     if not len(edges):
         raise ValueError(f"no interactions found in {path}")
     return InteractionGraph(SOURCE, len(users), len(items), edges), list(users), list(items)

@@ -4,9 +4,12 @@ source-noise injection.
 This module is model-agnostic: evaluation ranks with a :class:`Scorer`, a
 user matrix and an item matrix whose products are the scores over the full
 target catalog, so any trained model (or a test stub) plugs in.  Users are
-scored and ranked in blocks of ``RANK_BLOCK`` with one matrix product each.
-Ranks are 1-based; ties are broken by ascending item index to keep every run
-reproducible.
+scored in blocks of ``RANK_BLOCK`` with one matrix product each, and a block
+is ranked with two comparison passes against each user's held-out score:
+the items that score greater are counted, and the equal-scored ones matter
+only in the rows that have a tie.  Ranks are 1-based; ties are broken by
+ascending item index to keep every run reproducible, and a NaN score beats
+and ties nothing.
 """
 
 from __future__ import annotations
@@ -139,29 +142,55 @@ def rank_of_held_out(
 ) -> int | np.ndarray:
     """1-based rank of the held-out item among non-excluded candidates.
 
-    Ties are resolved in favor of the lower item index, so the rank is the
-    count of candidates that strictly beat the held-out item plus the count
-    of equal-scored candidates with a smaller index, plus one.
+    The rank is one plus the count of candidates that strictly beat the
+    held-out item's score, plus the count of equal-scored candidates with a
+    smaller index: ties go to the lower item index.  A NaN score beats
+    nothing and ties with nothing, so a NaN held-out score ranks 1; ``inf``
+    ties with ``inf``.
 
     For one user, ``scores`` is a vector, ``held_item`` an item index,
     ``excluded_items`` an array of item indices, and the rank an ``int``.  For
     a block of users, ``scores`` has one row per user, ``held_item`` one item
     per row, ``excluded_items`` is a (row, item) pair of index arrays, and the
-    ranks come back as an integer array.
+    ranks come back as an integer array.  A held-out item that is excluded
+    raises ``ValueError`` naming the item of the first such row.
+
+    A block is ranked with two comparison passes against each row's held-out
+    score, ``greater`` and ``equal``.  The excluded pairs are cleared from
+    both by a scatter, so a repeated pair counts once, and ``greater`` is
+    counted per row through its bytes.  The lower-index ties are counted only
+    in the rows that have one.  ``scores`` is never written to.
     """
-    held = np.asarray(held_item)[..., None]
-    excluded = np.zeros(scores.shape, dtype=bool)
-    excluded[excluded_items] = True
-    held_excluded = np.take_along_axis(excluded, held, -1)
+    if scores.ndim == 1:
+        items = np.asarray(excluded_items, dtype=np.intp)
+        ranks = rank_of_held_out(scores[None], np.array([held_item]), (np.zeros_like(items), items))
+        return int(ranks[0])
+    held = np.asarray(held_item)
+    rows, items = excluded_items
+    held_excluded = items == held[rows]
     if held_excluded.any():
-        item = held[held_excluded][0]
+        item = held[rows[held_excluded].min()]
         raise ValueError(f"held-out item {item} is excluded from candidacy")
-    held_score = np.take_along_axis(scores, held, -1)
-    before = np.arange(scores.shape[-1]) < held
-    beats = (scores > held_score) | ((scores == held_score) & before)
-    beats[excluded_items] = False
-    ranks = beats.sum(axis=-1) + 1
-    return int(ranks) if ranks.ndim == 0 else ranks
+    row = np.arange(scores.shape[0])
+    held_score = scores[row, held][:, None]
+    # numpy runs a broadcast comparison through its ufunc buffers, copying
+    # the operands, when a row is shorter than half a buffer (8,192 elements
+    # by default); with small buffers, rows of a few hundred items compare in
+    # place at half the cost
+    bufsize = np.setbufsize(256)
+    try:
+        greater, equal = scores > held_score, scores == held_score
+    finally:
+        np.setbufsize(bufsize)
+    greater[rows, items] = False
+    equal[rows, items] = False
+    equal[row, held] = False  # what is left ties with a held-out item
+    ranks = greater.view(np.uint8).sum(axis=-1, dtype=np.int32) + 1
+    if equal.any():
+        tied = np.flatnonzero(equal.any(axis=-1))
+        before = np.arange(scores.shape[1]) < held[tied, None]
+        ranks[tied] += np.count_nonzero(equal[tied] & before, axis=-1)
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -214,7 +243,7 @@ def evaluate_ranking(
     :func:`ndcg_gains`.
     """
     ranks = held_out_ranks(scorer, users, held_items, excluded_by_user)
-    results = [RankingResult(int(u), rank) for u, rank in zip(users, ranks)]
+    results = list(map(RankingResult, np.asarray(users).tolist(), ranks))
     ranks = np.asarray(ranks)
     top = min(max(ks), int(ranks.max()))
     gains = np.array(ndcg_gains(top))

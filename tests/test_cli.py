@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from numpy._core import _multiarray_umath
 
 from crossrec import cli
 from crossrec.cli import (
@@ -101,6 +102,9 @@ class TestGenSynth:
         assert environment["blas"] and environment["blas_version"]
         assert isinstance(environment["blas_core"], str) and environment["blas_core"]
         assert environment["blas_threads"] is None or environment["blas_threads"] >= 1
+        assert environment["simd_baseline"] and all(isinstance(name, str)
+                                                    for name in environment["simd_baseline"])
+        assert set(environment["simd_dispatch"]) <= set(_multiarray_umath.__cpu_dispatch__)
 
     def test_training_key_in_config_file_rejected(self, tmp_path, capsys):
         config = tmp_path / "synth.conf"
@@ -568,6 +572,24 @@ class TestInjectNoise:
         base_graph, _, _ = load_interactions(synth_dir / "source.tsv")
         assert graph.edge_count > base_graph.edge_count
 
+
+    def test_repeated_line_dropped_and_counted(self, tmp_path):
+        # four lines holding u1-i1 twice: the manifest counts the repeat, and
+        # the noise is drawn as from the three distinct lines
+        dirty, clean = tmp_path / "dirty.tsv", tmp_path / "clean.tsv"
+        dirty.write_text("u1\ti1\nu2\ti2\nu1\ti1\nu3\ti1\n")
+        clean.write_text("u1\ti1\nu2\ti2\nu3\ti1\n")
+        for source in (dirty, clean):
+            assert main(["inject-noise", "--source", str(source), "--ratio", "0.25",
+                         "--seed", "4", "--out", str(tmp_path / source.stem)]) == 0
+        reports = [strict_json(tmp_path / name / "manifest.json")["load_report"]
+                   for name in ("dirty", "clean")]
+        assert [report["raw_edges"] for report in reports] == [{"source": 4}, {"source": 3}]
+        assert [report["duplicate_edges"] for report in reports] == [{"source": 1}, {"source": 0}]
+        assert [report["malformed"] for report in reports] == [0, 0]
+        bodies = [(tmp_path / name / "noisy_source.tsv").read_text().split("\n", 1)[1]
+                  for name in ("dirty", "clean")]
+        assert bodies[0] == bodies[1] and len(bodies[0].splitlines()) == 4
 
     def noise_run(self, synth_dir, out, *extra):
         return main([

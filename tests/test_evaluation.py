@@ -20,17 +20,7 @@ from crossrec.data import DatasetBundle, SynthSpec, generate_synthetic
 from crossrec.experiments import contaminate_split
 from crossrec.training import SAMPLE_WINDOW, Batch, _owned_keys, _sample_batches
 
-from metric_oracle import metrics_at
-
-
-def brute_force_rank(scores, held_item, excluded_items):
-    """Sort-and-scan oracle: order by (score desc, index asc), find the item."""
-    excluded = set(int(i) for i in excluded_items)
-    order = sorted(
-        (i for i in range(len(scores)) if i not in excluded),
-        key=lambda i: (-scores[i], i),
-    )
-    return order.index(held_item) + 1
+from metric_oracle import brute_force_rank, metrics_at
 
 
 def make_bundle(source_edges, target_edges, n_users, n_items):
@@ -431,6 +421,119 @@ class TestHeldOutRanks:
             held_out_ranks(scorer, np.arange(n_users), held, index_of(excluded))
 
 
+def awkward_scores(rng, n_rows, n_items):
+    """Scores rounded to one decimal, so that ties fall before and after
+    almost any item, with about 2% NaN, 1% inf and 1% -inf; row 0 is wholly
+    tied."""
+    scores = np.round(rng.normal(size=(n_rows, n_items)), 1)
+    draw = rng.random(size=scores.shape)
+    scores[draw < 0.02] = np.nan
+    scores[(0.02 <= draw) & (draw < 0.03)] = np.inf
+    scores[(0.03 <= draw) & (draw < 0.04)] = -np.inf
+    scores[0] = 0.25
+    return scores
+
+
+def awkward_holdout(rng, scores):
+    """Each row's excluded items and held-out item.
+
+    Every third row excludes nothing; the others exclude up to 40 items
+    drawn with replacement, so some are listed twice.  Rows 1, 2 and 3 hold
+    out an item whose score is set to NaN, inf and -inf.
+    """
+    n_rows, n_items = scores.shape
+    excluded = [rng.choice(n_items, size=int(rng.integers(1, 41))) if row % 3 else
+                np.zeros(0, dtype=np.int64) for row in range(n_rows)]
+    held = np.array([int(rng.choice(np.setdiff1d(np.arange(n_items), excluded[row])))
+                     for row in range(n_rows)])
+    for row, value in zip((1, 2, 3), (np.nan, np.inf, -np.inf)):
+        if row < n_rows:
+            scores[row, held[row]] = value
+    return excluded, held
+
+
+def as_pairs(excluded, rng):
+    """Per-row excluded items as a (row, item) pair of index arrays, shuffled."""
+    rows = np.repeat(np.arange(len(excluded)), [items.size for items in excluded])
+    items = np.concatenate(excluded).astype(np.int64)
+    order = rng.permutation(rows.size)
+    return rows[order], items[order]
+
+
+def ties_around_held(scores, held):
+    """Rows whose held-out score is tied by an item before it and one after it."""
+    rows = []
+    for row, item in enumerate(held):
+        tied = np.flatnonzero(scores[row] == scores[row, item])
+        if tied.size and tied.min() < item < tied.max():
+            rows.append(row)
+    return rows
+
+
+class TestRankingEquivalence:
+    """``rank_of_held_out`` in both forms and ``held_out_ranks`` against the
+    sort-and-scan oracle, on full-size catalogs with ties, NaN and +-inf."""
+
+    @pytest.mark.parametrize("n_rows, n_items", [(40, 300), (20, 2000), (6, 16_100)])
+    def test_block_and_one_user_forms_match_the_oracle(self, n_rows, n_items):
+        rng = np.random.default_rng(n_items)
+        scores = awkward_scores(rng, n_rows, n_items)
+        excluded, held = awkward_holdout(rng, scores)
+        before, bufsize = scores.copy(), np.getbufsize()
+        expected = [brute_force_rank(scores[row], held[row], excluded[row]) for row in range(n_rows)]
+        ranks = rank_of_held_out(scores, held, as_pairs(excluded, rng))
+        assert ranks.tolist() == expected
+        one_user = [rank_of_held_out(scores[row], held[row], excluded[row]) for row in range(n_rows)]
+        assert one_user == expected
+        assert all(type(rank) is int for rank in one_user)
+        assert scores.tobytes() == before.tobytes() and np.getbufsize() == bufsize
+        # the cases these inputs are for are reached
+        assert expected[1] == 1 and 0 in ties_around_held(scores, held)
+        assert len(ties_around_held(scores, held)) > n_rows // 2
+        assert np.isinf(scores[2:4]).sum() > 2 and np.isnan(scores).sum() > n_rows
+
+    @pytest.mark.parametrize("n_items", [300, 2000, 16_100])
+    def test_one_row_block(self, n_items):
+        rng = np.random.default_rng(n_items + 1)
+        scores = awkward_scores(rng, 1, n_items)
+        excluded, held = awkward_holdout(rng, scores)
+        for items in (np.zeros(0, dtype=np.int64), np.setdiff1d(rng.choice(n_items, 60), held)):
+            items = np.concatenate([items, items[:5]])
+            expected = brute_force_rank(scores[0], held[0], items)
+            ranks = rank_of_held_out(scores, held, (np.zeros_like(items), items))
+            assert ranks.tolist() == [expected]
+
+    @pytest.mark.parametrize("n_users, n_items", [(RANK_BLOCK + 3, 300), (40, 2000), (6, 16_100)])
+    def test_held_out_ranks_match_the_oracle(self, n_users, n_items):
+        # one-dimensional embeddings make every score one exact product: each
+        # user scales one catalog row by +-2^k, which keeps every NaN,
+        # infinity and tie (and swaps the infinities' signs when negative);
+        # the row holds users 1, 2 and 3's NaN, inf and -inf held-out scores
+        rng = np.random.default_rng(n_items + 2)
+        scores = awkward_scores(rng, n_users, n_items)
+        excluded, held = awkward_holdout(rng, scores)
+        catalog = scores[1]
+        catalog[held[2]], catalog[held[3]] = np.inf, -np.inf
+        assert np.isnan(catalog[held[1]])
+        scales = rng.choice([-1.0, 1.0], n_users) * 2.0 ** rng.integers(-4, 5, n_users)
+        scorer = Scorer(scales[:, None], catalog[:, None])
+        users = rng.permutation(n_users)
+        ranks = held_out_ranks(scorer, users, held[users], index_of(excluded))
+        expected = [brute_force_rank(scorer(int(u)), held[u], excluded[u]) for u in users]
+        assert ranks == expected and expected[users.tolist().index(1)] == 1
+        assert all(type(rank) is int for rank in ranks)
+
+    def test_excluded_held_out_item_is_named(self):
+        scores = np.arange(12.0).reshape(3, 4)
+        with pytest.raises(ValueError, match="held-out item 2 is excluded from candidacy"):
+            rank_of_held_out(scores[0], 2, np.array([1, 2]))
+        # rows 2 and 1 both exclude their held-out item, listed row 2 first:
+        # the error names row 1's
+        rows, items = np.array([2, 0, 1]), np.array([3, 0, 1])
+        with pytest.raises(ValueError, match="held-out item 1 is excluded from candidacy"):
+            rank_of_held_out(scores, np.array([2, 1, 3]), (rows, items))
+
+
 class TestEvaluateRanking:
     def test_aggregates_are_percentages(self):
         scores_by_user = {
@@ -516,13 +619,16 @@ class TestInjectNoise:
     @pytest.mark.parametrize("seed", [3, 8])
     @pytest.mark.parametrize("ratio", [0.05, 0.6])
     def test_small_catalog_draws_from_the_complement(self, seed, ratio):
-        # oracle: the free pairs as the sorted set difference, drawn from with
-        # the same generator calls; the second catalog has over 5,000,000 pairs
+        # oracle: the free pairs in ascending order, listed through a mask of
+        # every pair, drawn from with the same generator calls; the second
+        # catalog has over 5,000,000 pairs
         for n_users, n_items in ((60, 45), (2500, 2001)):
             rng = np.random.default_rng(seed)
             flat = rng.choice(n_users * n_items, size=900, replace=False)
             graph = InteractionGraph("source", n_users, n_items, np.stack(np.divmod(flat, n_items), 1))
-            complement = np.setdiff1d(np.arange(n_users * n_items, dtype=np.int64), flat)
+            free = np.ones(n_users * n_items, dtype=bool)
+            free[flat] = False
+            complement = np.flatnonzero(free)
             count = math.ceil(ratio * graph.edge_count)
             drawn = np.random.default_rng(seed + 100).choice(complement, size=count, replace=False)
             expected = np.stack(np.divmod(drawn, n_items), axis=1)
