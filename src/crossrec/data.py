@@ -2,11 +2,14 @@
 
 File boundary uses arbitrary string IDs; everything downstream runs on dense
 indices assigned in first-seen order.  Each TSV is read in bulk: the whole
-file as one string (universal newlines, so CRLF reads as LF), one numpy pass
-over its newline and tab bytes that finds blank lines, ``#`` headers and
+file as UTF-8 bytes (universal newlines, so CRLF reads as LF), and one numpy
+pass over its newline and tab bytes that finds blank lines, ``#`` headers and
 malformed lines (a well-formed one has two non-empty tab-separated fields, or
-three in the entity graph), and whole-string splits into fields; each ID
-column is then indexed at once.  Users must appear in both domains
+three in the entity graph) and the byte range of each kept field.  No string
+is made per field: each ID space turns its fields' bytes into integer keys,
+one 8-byte word per 7 bytes of an ID with the byte count in its top byte,
+numbers them in first-seen order by sorting (:func:`graph.first_seen`), and
+decodes only its distinct IDs, in one call.  Users must appear in both domains
 (the shared-user setting), item index spaces are disjoint per domain, and a
 single entity index space is shared by both domains.
 
@@ -25,7 +28,6 @@ from __future__ import annotations
 import os
 import secrets
 from dataclasses import astuple, dataclass, field
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,7 @@ from .graph import (
     TARGET,
     InteractionGraph,
     KnowledgeLinkage,
+    first_seen,
     scope_entity_edges,
     unique_edges,
 )
@@ -85,20 +88,28 @@ class DatasetBundle:
         return len(self.user_ids)
 
 
-def _read_pairs(path: Path, report: LoadReport, middle_optional: bool = False) -> list[str]:
-    """The two fields of each well-formed line, flattened: ``[left0, right0, left1, ...]``.
+def _read_pairs(path: Path, report: LoadReport,
+                middle_optional: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The file's UTF-8 bytes and the first and last field of each well-formed line.
 
-    With ``middle_optional`` a three-field line is well formed too, and its
-    middle field (a relation label) is dropped.  Malformed lines go into
+    Returns the bytes, zero-padded so an 8-byte read at any field start stays
+    in bounds, and an ``(n, 2, 2)`` array: ``[line, 0]`` is the first field's
+    ``[start, end)`` byte range and ``[line, 1]`` the last field's.  With
+    ``middle_optional`` a three-field line is well formed too, and its middle
+    field (a relation label) is dropped.  Malformed lines go into
     ``report.malformed`` with their line numbers.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    raw = np.frombuffer(text.encode("utf-8") + b"\n", dtype=np.uint8)
+    data = Path(path).read_bytes()
+    data.decode("utf-8")  # refuse a file that is not UTF-8, as reading it as text would
+    if b"\r" in data:  # universal newlines, so CRLF reads as LF
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = np.frombuffer(data + b"\n" + bytes(7), dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
     tabs = np.flatnonzero(raw == ord("\t"))
     line = np.searchsorted(ends, tabs)
-    fields = np.bincount(line, minlength=ends.size) + 1
+    line_tabs = np.bincount(line, minlength=ends.size)
+    fields = line_tabs + 1
     # an empty field: a tab that starts or ends its line, or follows another tab
     empty = (tabs == starts[line]) | (tabs + 1 == ends[line])
     empty[1:] |= np.diff(tabs) == 1
@@ -107,22 +118,61 @@ def _read_pairs(path: Path, report: LoadReport, middle_optional: bool = False) -
     ok[line[empty]] = False
     report.malformed.extend((str(path), n + 1, raw[starts[n]:ends[n]].tobytes().decode("utf-8"))
                             for n in np.flatnonzero(~(ok | skip)).tolist())
-    tokens = text.replace("\t", "\n").split("\n")
-    first = np.cumsum(fields) - fields
-    take = np.stack([first, first + fields - 1], axis=1)[ok].ravel()
-    return list(map(tokens.__getitem__, take.tolist()))
+    first_tab = (np.cumsum(line_tabs) - line_tabs)[ok]
+    last_tab = first_tab + line_tabs[ok] - 1
+    bounds = np.stack([starts[ok], tabs[first_tab], tabs[last_tab] + 1, ends[ok]], axis=1)
+    return raw, bounds.reshape(-1, 2, 2)
 
 
-def _codes(ids: dict[str, int], keys: list[str]) -> np.ndarray:
-    """Dense index of each key; new keys get the next indices in first-seen order."""
-    for key in dict.fromkeys(keys):
-        ids.setdefault(key, len(ids))
-    return np.fromiter(map(ids.__getitem__, keys), dtype=np.int64, count=len(keys))
+# bytes of an ID held by one key word; the word's top byte holds their count
+WORD_BYTES = 7
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(WORD_BYTES + 1)], dtype=np.uint64)
+_BYTE_COUNT = np.arange(WORD_BYTES + 1, dtype=np.uint64) << np.uint64(56)
 
 
-def _pair_codes(left: dict[str, int], right: dict[str, int], pairs: list[str]) -> np.ndarray:
-    """(left, right) indices of flattened pairs whose two columns index separate ID spaces."""
-    return np.stack([_codes(left, pairs[0::2]), _codes(right, pairs[1::2])], axis=1)
+def _index(columns: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """First-seen codes of the IDs of one ID space, and each code's first position.
+
+    Each column is a file's bytes and the ``[start, end)`` ranges of its IDs
+    (an ``(n, 2)`` array); the columns are read in order.  An ID becomes one
+    8-byte little-endian key word per 7 of its bytes, each holding the chunk
+    and, in the top byte, its byte count (0 past the end of the ID), so IDs
+    that differ only in trailing NUL bytes or in length never collide.  The
+    words of longer IDs are folded one by one into dense codes.
+    """
+    longest = max(int((bounds[:, 1] - bounds[:, 0]).max(initial=1)) for _, bounds in columns)
+    words = np.empty((-(-longest // WORD_BYTES), sum(len(bounds) for _, bounds in columns)),
+                     dtype=np.uint64)
+    row = 0
+    for raw, bounds in columns:
+        view = np.ndarray((raw.size - WORD_BYTES,), dtype="<u8", buffer=raw, strides=(1,))
+        start, end = bounds[:, 0], bounds[:, 1]
+        for word, out in enumerate(words[:, row:row + len(bounds)]):
+            at = np.minimum(start + word * WORD_BYTES, end)
+            count = np.minimum(end - at, WORD_BYTES)
+            np.bitwise_or(view[at] & _LOW_BYTES[count], _BYTE_COUNT[count], out=out)
+        row += len(bounds)
+    key = words[0]
+    for column in words[1:]:
+        low, low_first = first_seen(column)
+        key = first_seen(key)[0] * low_first.size + low
+    return first_seen(key)
+
+
+def _decode(columns: list[tuple[np.ndarray, np.ndarray]], positions: np.ndarray) -> list[str]:
+    """The IDs at ascending ``positions`` of the concatenated columns, decoded at once."""
+    pieces, offset = [], 0
+    for raw, bounds in columns:
+        local = positions[(positions >= offset) & (positions < offset + len(bounds))] - offset
+        start, end = bounds[local, 0], bounds[local, 1]
+        size = end - start + 1
+        out = np.cumsum(size) - size
+        piece = raw[np.arange(size.sum()) - np.repeat(out - start, size)]
+        piece[out + size - 1] = ord("\n")
+        pieces.append(piece)
+        offset += len(bounds)
+    # an ID holds no newline, but may hold what str.splitlines() also splits on
+    return np.concatenate(pieces).tobytes().decode("utf-8").split("\n")[:-1]
 
 
 def load_bundle(paths: DataPaths, hop_radius: int = HOP_RADIUS) -> tuple[DatasetBundle, LoadReport]:
@@ -136,50 +186,66 @@ def load_bundle(paths: DataPaths, hop_radius: int = HOP_RADIUS) -> tuple[Dataset
 
     IDs are indexed in first-seen order: users and items over the shared
     users' interactions (source first), then the item-entity maps (source
-    first), then the KG, dropped lines included.  Each ID list is its dict's
-    insertion order.
+    first), then the KG, dropped lines included.
     """
     report = LoadReport()
     raw = {SOURCE: _read_pairs(paths.source, report), TARGET: _read_pairs(paths.target, report)}
-    users_source, users_target = (set(pairs[0::2]) for pairs in raw.values())
-    shared = users_source & users_target
-    report.single_domain_users = len((users_source | users_target) - shared)
+    user_columns = [(data, lines[:, 0]) for data, lines in raw.values()]
+    user_codes, user_first = _index(user_columns)
+    per_domain = np.split(user_codes, [len(raw[SOURCE][1])])
+    seen = [np.bincount(codes, minlength=user_first.size) > 0 for codes in per_domain]
+    shared = seen[0] & seen[1]
+    report.single_domain_users = user_first.size - int(shared.sum())
+    # a shared user keeps every line, so renumbering keeps the first-seen order
+    renumbered = np.cumsum(shared) - 1
+    kept, users = {}, {}
+    for (domain, (data, lines)), codes in zip(raw.items(), per_domain):
+        keep = shared[codes]
+        report.raw_edges[domain] = len(lines)
+        report.single_domain_edges[domain] = len(lines) - int(keep.sum())
+        kept[domain], users[domain] = (data, lines[keep]), renumbered[codes[keep]]
 
-    users: dict[str, int] = {}
-    items: dict[str, dict[str, int]] = {SOURCE: {}, TARGET: {}}
-    entities: dict[str, int] = {}
-    tables = {}
-    for domain, pairs in raw.items():
-        report.raw_edges[domain] = len(pairs) // 2
-        keep = np.repeat(list(map(shared.__contains__, pairs[0::2])), 2)
-        pairs = list(compress(pairs, keep.tolist()))
-        report.single_domain_edges[domain] = report.raw_edges[domain] - len(pairs) // 2
-        tables[domain] = _pair_codes(users, items[domain], pairs)
-
-    if not tables[SOURCE].size or not tables[TARGET].size:
+    if not shared.any():
         raise ValueError(
             "no interactions left after requiring users to appear in both domains"
         )
 
-    for domain, name in ((SOURCE, "map_source"), (TARGET, "map_target")):
-        tables[name] = _pair_codes(items[domain], entities, _read_pairs(getattr(paths, name), report))
+    maps = {SOURCE: _read_pairs(paths.map_source, report),
+            TARGET: _read_pairs(paths.map_target, report)}
+    kg_data, kg_lines = _read_pairs(paths.kg, report, middle_optional=True)
+    item_columns, item_first, mapped_items, tables = {}, {}, {}, {}
+    for domain in (SOURCE, TARGET):
+        (data, lines), (map_data, map_lines) = kept[domain], maps[domain]
+        item_columns[domain] = [(data, lines[:, 1]), (map_data, map_lines[:, 0])]
+        codes, item_first[domain] = _index(item_columns[domain])
+        tables[domain] = np.stack([users[domain], codes[:len(lines)]], axis=1)
+        mapped_items[domain] = codes[len(lines):]
     # heads and tails share one ID space, so they are indexed in line order
-    kg_edges = _codes(entities, _read_pairs(paths.kg, report, middle_optional=True)).reshape(-1, 2)
+    entity_columns = [(data, lines[:, 1]) for data, lines in maps.values()]
+    entity_columns.append((kg_data, kg_lines.reshape(-1, 2)))
+    entity_codes, entity_first = _index(entity_columns)
+    map_ends = np.cumsum([len(lines) for _, lines in maps.values()])
+    *map_entities, kg_edges = np.split(entity_codes, map_ends)
+    for domain, entities in zip((SOURCE, TARGET), map_entities):
+        tables[f"map_{domain}"] = np.stack([mapped_items[domain], entities], axis=1)
+    kg_edges = kg_edges.reshape(-1, 2)
     loops = kg_edges[:, 0] == kg_edges[:, 1]
     tables["kg"], report.kg_self_loops = kg_edges[~loops], int(loops.sum())
     for name, codes in tables.items():
         tables[name], report.duplicate_edges[name] = unique_edges(codes)
-    kg = KnowledgeLinkage(len(entities), tables["kg"], tables["map_source"], tables["map_target"])
+    kg = KnowledgeLinkage(entity_first.size, tables["kg"],
+                          tables["map_source"], tables["map_target"])
     linkage, report.scoped_out_kg_edges = scope_entity_edges(kg, hop_radius)
 
+    user_ids = _decode(user_columns, user_first[shared])
     bundle = DatasetBundle(
-        source=InteractionGraph(SOURCE, len(users), len(items[SOURCE]), tables[SOURCE]),
-        target=InteractionGraph(TARGET, len(users), len(items[TARGET]), tables[TARGET]),
+        source=InteractionGraph(SOURCE, len(user_ids), item_first[SOURCE].size, tables[SOURCE]),
+        target=InteractionGraph(TARGET, len(user_ids), item_first[TARGET].size, tables[TARGET]),
         kg=linkage,
-        user_ids=list(users),
-        source_item_ids=list(items[SOURCE]),
-        target_item_ids=list(items[TARGET]),
-        entity_ids=list(entities),
+        user_ids=user_ids,
+        source_item_ids=_decode(item_columns[SOURCE], item_first[SOURCE]),
+        target_item_ids=_decode(item_columns[TARGET], item_first[TARGET]),
+        entity_ids=_decode(entity_columns, entity_first),
     )
     return bundle, report
 
@@ -191,14 +257,15 @@ def load_interactions(path: Path, report: LoadReport | None = None) -> tuple[Int
     lines and the repeated ones, which are dropped.
     """
     report = LoadReport() if report is None else report
-    users: dict[str, int] = {}
-    items: dict[str, int] = {}
-    pairs = _read_pairs(path, report)
-    report.raw_edges[SOURCE] = len(pairs) // 2
-    edges, report.duplicate_edges[SOURCE] = unique_edges(_pair_codes(users, items, pairs))
+    data, bounds = _read_pairs(path, report)
+    report.raw_edges[SOURCE] = len(bounds)
+    columns = [[(data, bounds[:, side])] for side in (0, 1)]
+    (users, user_first), (items, item_first) = map(_index, columns)
+    edges, report.duplicate_edges[SOURCE] = unique_edges(np.stack([users, items], axis=1))
     if not len(edges):
         raise ValueError(f"no interactions found in {path}")
-    return InteractionGraph(SOURCE, len(users), len(items), edges), list(users), list(items)
+    graph = InteractionGraph(SOURCE, user_first.size, item_first.size, edges)
+    return graph, _decode(columns[0], user_first), _decode(columns[1], item_first)
 
 
 def write_atomic(path: Path, content: str | bytes) -> None:

@@ -53,12 +53,36 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense codes of a 1-d ``keys`` numbered in first-seen order, and each code's first position.
+
+    A key first occurs at the head of a run of equal adjacent keys, so only
+    run heads are sorted: one default-kind argsort groups equal heads, the
+    least position in each group is that key's first occurrence, and ranking
+    those positions numbers the keys in the order they first appear.
+    """
+    head = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    order = np.argsort(keys[heads])
+    grouped = keys[heads[order]]
+    new = np.ones(order.size, dtype=bool)
+    np.not_equal(grouped[1:], grouped[:-1], out=new[1:])
+    groups = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, groups)
+    rank = np.argsort(first)
+    code = np.empty_like(rank)
+    code[rank] = np.arange(rank.size)
+    head_code = np.empty_like(order)
+    head_code[order] = np.repeat(code, np.diff(groups, append=order.size))
+    return np.repeat(head_code, np.diff(heads, append=keys.size)), heads[first[rank]]
+
+
 def unique_edges(edges) -> tuple[np.ndarray, int]:
     """The first occurrence of each (a, b) pair, in input order, and the count of repeats."""
     edges = _as_edge_array(edges)
-    key = edges[:, 0] * (int(edges[:, 1].max(initial=0)) + 1) + edges[:, 1]
-    _, first = np.unique(key, return_index=True)
-    return edges[np.sort(first)], edges.shape[0] - first.size
+    _, first = first_seen(edges[:, 0] * (int(edges[:, 1].max(initial=0)) + 1) + edges[:, 1])
+    return edges[first], edges.shape[0] - first.size
 
 
 @dataclass(frozen=True)
@@ -165,7 +189,8 @@ def assemble_adjacency(graph: InteractionGraph, kg: KnowledgeLinkage) -> SparseG
     Rows/columns are ordered ``[users | items | entities]``.  Interaction and
     item-entity blocks are mirrored, entity edges are symmetrized, and the
     diagonal stays empty.  A repeated edge, or one given both ways, collapses
-    to one weight-1 entry.
+    to one weight-1 entry.  The sorted unique keys are the CSR entries in row
+    order, so ``indptr`` and ``indices`` are built from them directly.
     """
     item_entity = kg.item_entity_for(graph.domain_tag)
     _check_range(item_entity, (graph.item_count, kg.entity_count), "item-entity")
@@ -177,7 +202,8 @@ def assemble_adjacency(graph: InteractionGraph, kg: KnowledgeLinkage) -> SparseG
     flat = sorted_unique(np.concatenate([edges[:, 0] * n + edges[:, 1],
                                          edges[:, 1] * n + edges[:, 0]]))
     r, c = np.divmod(flat, n)
-    matrix = sp.csr_matrix((np.ones(flat.size), (r, c)), shape=(n, n))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))))
+    matrix = sp.csr_matrix((np.ones(flat.size), c, indptr), shape=(n, n))
     return SparseGraph(n_u, n_i, n_e, matrix, normalized=False)
 
 

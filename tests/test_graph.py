@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from crossrec import graph as graph_module
 from crossrec.data import SynthSpec, generate_synthetic
@@ -11,6 +12,7 @@ from crossrec.graph import (
     KnowledgeLinkage,
     SparseGraph,
     assemble_adjacency,
+    first_seen,
     normalize_symmetric,
     scope_entity_edges,
     sorted_unique,
@@ -158,6 +160,74 @@ class TestAssembleAdjacency:
             for name in ("indptr", "indices", "data"):
                 actual, expected = getattr(built, name), getattr(oracle, name)
                 assert actual.dtype == expected.dtype and np.array_equal(actual, expected), name
+
+    @pytest.mark.parametrize("shape", ["tiny", "desk", "random"])
+    def test_csr_arrays_equal_a_coo_build(self, shape, tiny_bundle):
+        """The direct CSR build gives scipy's COO-to-CSR arrays, dtypes included."""
+        if shape == "random":
+            rng = np.random.default_rng(5)
+            instances = [random_instance(rng, 30, 40, 20) for _ in range(20)]
+        else:
+            bundle = tiny_bundle[0] if shape == "tiny" else generate_synthetic(SynthSpec(seed=1))[0]
+            instances = [(graph, bundle.kg) for graph in (bundle.source, bundle.target)]
+        for graph, kg in instances:
+            n_u, n_i = graph.user_count, graph.item_count
+            n = n_u + n_i + kg.entity_count
+            pairs = {(a, b) for edges, (da, db) in (
+                (graph.edges, (0, n_u)), (kg.item_entity_for(graph.domain_tag), (n_u, n_u + n_i)),
+                (kg.entity_edges, (n_u + n_i, n_u + n_i))) for a, b in (edges + (da, db)).tolist()}
+            pairs |= {(b, a) for a, b in pairs}
+            r, c = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+            oracle = sp.csr_matrix((np.ones(r.size), (r, c)), shape=(n, n))
+            built = assemble_adjacency(graph, kg).matrix
+            assert built.indices.dtype == np.int32
+            for name in ("indptr", "indices", "data"):
+                actual, expected = getattr(built, name), getattr(oracle, name)
+                assert actual.dtype == expected.dtype and np.array_equal(actual, expected), name
+
+
+def first_seen_oracle(keys):
+    """``np.unique``'s first indices and inverse, with the keys renumbered by first occurrence."""
+    _, index, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.argsort(index)
+    code = np.empty_like(rank)
+    code[rank] = np.arange(rank.size)
+    return code[inverse], index[rank]
+
+
+@pytest.mark.parametrize("case", ["empty", "one", "all-equal", "repeats", "runs", "near-2**62",
+                                  "uint64-top-bit"])
+def test_first_seen_equals_np_unique_ranked(case):
+    rng = np.random.default_rng(len(case))
+    keys = {
+        "empty": np.zeros(0, dtype=np.int64),
+        "one": np.array([-7], dtype=np.int64),
+        "all-equal": np.full(1000, 2**62, dtype=np.int64),
+        "repeats": rng.integers(-50, 50, size=5000),
+        "runs": np.repeat(rng.integers(0, 30, size=400), rng.integers(1, 6, size=400)),
+        "near-2**62": 2**62 + rng.integers(-2000, 2000, size=20000),
+        "uint64-top-bit": (rng.integers(0, 40, 6000).astype(np.uint64)
+                           + np.uint64(2**63) * rng.integers(0, 2, 6000).astype(np.uint64)),
+    }[case]
+    before = keys.copy()
+    codes, first = first_seen(keys)
+    expected_codes, expected_first = first_seen_oracle(keys)
+    assert codes.dtype == first.dtype == np.int64
+    assert np.array_equal(codes, expected_codes) and np.array_equal(first, expected_first)
+    assert np.array_equal(keys[first][codes], keys)
+    assert np.array_equal(keys, before)  # the input is left as it was
+
+
+@pytest.mark.parametrize("case", ["grouped", "scattered"])
+def test_unique_edges_are_the_first_seen_rows(case):
+    rng = np.random.default_rng(3)
+    edges = rng.integers(0, 9, size=(3000, 2))
+    if case == "grouped":  # runs of one repeated row, as in a file sorted by user
+        edges = np.repeat(edges[:500], rng.integers(1, 7, size=500), axis=0)
+    unique, removed = unique_edges(edges)
+    oracle = list(dict.fromkeys(map(tuple, edges.tolist())))
+    assert [tuple(row) for row in unique.tolist()] == oracle
+    assert removed == len(edges) - len(oracle)
 
 
 @pytest.mark.parametrize("case", ["empty", "one", "all-equal", "repeats", "near-2**62"])

@@ -8,7 +8,10 @@ headers, duplicate edges, single-domain users, map-only items, KG-only
 entities, three-column KG lines, KG self-loops, KG edges out of hop range),
 on clean sets that hold no malformed, blank or comment line, and on the
 error cases, both loaders must give the same IDs, edge arrays, report and
-exceptions.
+exceptions.  The randomized sets are also rewritten with hard IDs: 1-30
+bytes, multi-byte characters across 7-byte boundaries, shared 7- and 14-byte
+prefixes, IDs that are prefixes of others, NUL and line-separator-like
+characters inside IDs, and a byte-order mark opening a file.
 """
 
 import random
@@ -378,3 +381,107 @@ def test_missing_map_after_no_shared_users(tmp_path):
     paths = write_files(tmp_path, **dict(VALID, target="c\tt1\n"))
     paths.map_source.unlink()
     assert_same_loads(paths)
+
+
+# IDs whose bytes probe an indexer that reads IDs in fixed-size byte chunks:
+# shared 7- and 14-byte prefixes, a 2- or 3-byte character across byte 7 or
+# 14, characters str.splitlines() would split on, NUL, and 1-byte IDs
+HARD_PREFIXES = ["", "", "abcdefg", "abcdefghijklmn", "abcdefü", "abcdefghijklm€", "€€€",
+                 "x\x00"]
+HARD_CHARACTERS = ["a", "b", "z", "\x00", "\x0c", "\x1c", "\x85", "\u2028", "ü", "é", "€"]
+
+
+def hard_ids(rng: random.Random, count: int) -> list[str]:
+    """``count`` distinct IDs of 1-30 UTF-8 bytes, prefix chains included, in random order."""
+    ids = {"a", "b", "\x0c", "ab", "abc", "abcdefg", "abcdefg\x00", "abcdefga", "abcdefghijklmn",
+           "abcdefghijklmna", "€" * 10}
+    while len(ids) < count:
+        candidate = rng.choice(HARD_PREFIXES) + "".join(
+            rng.choice(HARD_CHARACTERS) for _ in range(rng.randint(0, 16)))
+        if 1 <= len(candidate.encode("utf-8")) <= 30:
+            ids.add(candidate)
+    ids = sorted(ids)
+    rng.shuffle(ids)
+    return ids
+
+
+def rewrite_with_hard_ids(paths: DataPaths, seed: int) -> None:
+    """Give every field of every non-comment line a hard ID, one to one across the files."""
+    rng = random.Random(seed)
+    texts = {path: path.read_bytes().decode("utf-8") for path in paths.all()}
+    lines = {path: text.split("\n") for path, text in texts.items()}
+    tokens = sorted({field_ for rows in lines.values() for line in rows if not line.startswith("#")
+                     for field_ in line.rstrip("\r").split("\t") if field_})
+    mapping = dict(zip(tokens, hard_ids(rng, 2 * len(tokens) + 40)))
+
+    def rewrite(line):
+        if line.startswith("#"):
+            return line
+        ending = "\r" if line.endswith("\r") else ""
+        return "\t".join(mapping.get(f, f) for f in line.rstrip("\r").split("\t")) + ending
+
+    for path, rows in lines.items():
+        text = "\n".join(map(rewrite, rows))
+        if rng.random() < 0.3:
+            text = "\ufeff" + text
+        path.write_bytes(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("seed", [*SEEDS[:20], *CLEAN_SEEDS[:20]])
+def test_hard_id_sets(tmp_path, seed):
+    paths = write_random_tsvs(tmp_path, seed, clean=seed in CLEAN_SEEDS)
+    rewrite_with_hard_ids(paths, seed)
+    assert_same_loads(paths)
+
+
+def test_hard_id_sets_reach_every_case(tmp_path):
+    """The hard sets hold every kind of ID the module docstring names."""
+    totals = {"1 byte": 0, "30 bytes": 0, "over 14 bytes": 0, "shared 7 bytes": 0,
+              "shared 14 bytes": 0, "prefix of another": 0, "across byte 7": 0,
+              "across byte 14": 0, "nul": 0, "\\x0c": 0, "\\u2028": 0, "bom": 0}
+    for seed in [*SEEDS[:20], *CLEAN_SEEDS[:20]]:
+        paths = write_random_tsvs(tmp_path, seed, clean=seed in CLEAN_SEEDS)
+        rewrite_with_hard_ids(paths, seed)
+        bundle, _ = load_bundle(paths)
+        ids = {*bundle.user_ids, *bundle.source_item_ids, *bundle.target_item_ids,
+               *bundle.entity_ids}
+        encoded = [i.encode("utf-8") for i in ids]
+        totals["1 byte"] += any(len(b) == 1 for b in encoded)
+        totals["30 bytes"] += any(len(b) == 30 for b in encoded)
+        totals["over 14 bytes"] += any(len(b) > 14 for b in encoded)
+        for size in (7, 14):
+            heads = [b[:size] for b in encoded if len(b) > size]
+            totals[f"shared {size} bytes"] += len(heads) > len(set(heads))
+            # a character whose bytes lie on both sides of the chunk edge
+            totals[f"across byte {size}"] += any(
+                len(b) > size and (b[size] & 0xC0) == 0x80 for b in encoded)
+        totals["prefix of another"] += any(
+            a != b and b.startswith(a) for a in encoded for b in encoded)
+        totals["nul"] += any("\x00" in i for i in ids)
+        totals["\\x0c"] += any("\x0c" in i for i in ids)
+        totals["\\u2028"] += any("\u2028" in i for i in ids)
+        totals["bom"] += any(path.read_bytes().startswith(b"\xef\xbb\xbf") for path in paths.all())
+    assert all(totals.values()), totals
+
+
+def test_one_byte_id_ends_the_entity_graph(tmp_path):
+    """The last token of the last file is 1 byte long, after 30-byte IDs, with no final newline."""
+    long_ids = ["é" * 15, "€" * 10, "abcdefghijklmnopqrstuvwxyz0123"]
+    texts = dict(VALID, kg=f"{long_ids[0]}\t{long_ids[1]}\n{long_ids[2]}\tq",
+                 map_source=f"s1\t{long_ids[0]}\n", map_target=f"t1\t{long_ids[2]}\n")
+    paths = write_files(tmp_path, **texts)
+    assert paths.kg.read_bytes().endswith(b"\tq")
+    assert_same_loads(paths)
+    bundle, _ = load_bundle(paths)
+    assert bundle.entity_ids == [long_ids[0], long_ids[2], long_ids[1], "q"]
+
+
+def test_byte_order_mark_opens_a_file(tmp_path):
+    """A BOM is part of the first field, as reading the file as UTF-8 text keeps it."""
+    paths = write_files(tmp_path, **dict(VALID, source="\ufeffa\ts1\nb\ts2\na\ts3\n",
+                                         kg="\ufeff# header\ne1\te2\n"))
+    assert_same_loads(paths)
+    bundle, report = load_bundle(paths)
+    assert bundle.user_ids == ["b", "a"]
+    assert report.single_domain_users == 1
+    assert [line for _, line, _ in report.malformed] == [1]
