@@ -2,10 +2,15 @@
 
 The encoder repeatedly applies the symmetric-normalized adjacency to an
 initial embedding matrix: ``E(l) = A_norm @ E(l-1)``.  There are no feature
-transforms or nonlinearities, so the whole map is linear and its adjoint is
-the same operator applied to the upstream gradient (the matrix is symmetric).
-Item rows of ``E(0)`` are held at zero when items carry no parameters of
-their own; their information enters purely through propagation.
+transforms or nonlinearities, so the whole map is linear.  ``E(0)`` is
+nonzero only in the *live* blocks, the ones that carry parameter tables, and
+only the final layer's user and item rows are read.  So each step multiplies
+the graph's block hop for that step (:meth:`SparseGraph.hops`): the matrix
+restricted to the blocks that can be nonzero there and that a later step
+needs.  The adjoint applies the same hops' transposes in reverse order, from
+the user and item rows back to the live blocks.  Item rows of ``E(0)`` are
+zero when items carry no parameters of their own; their information enters
+purely through propagation.
 """
 
 from __future__ import annotations
@@ -14,22 +19,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import SparseGraph
+from .graph import BLOCKS, SparseGraph
 
 
 @dataclass
 class EmbeddingState:
-    """The final layer of one propagation run and the number of layers.
+    """The user and item rows of one propagation run's final layer.
 
-    The map is linear and the adjacency symmetric, so the backward pass needs
-    no intermediate layer.  Downstream scoring reads the user and item rows.
+    ``live`` names the blocks that filled ``E(0)`` and ``layers`` the number
+    of steps.  The map is linear, so the backward pass needs no intermediate
+    layer.
     """
 
     user_count: int
     item_count: int
-    entity_count: int
     final: np.ndarray = field(repr=False)
     layers: int
+    live: tuple[int, ...]
 
     @property
     def users(self) -> np.ndarray:
@@ -37,48 +43,60 @@ class EmbeddingState:
 
     @property
     def items(self) -> np.ndarray:
-        return self.final[self.user_count : self.user_count + self.item_count]
+        return self.final[self.user_count :]
 
 
-def propagate(graph: SparseGraph, e0: np.ndarray, layers: int) -> EmbeddingState:
+def propagate(
+    graph: SparseGraph, e0: np.ndarray, layers: int, live: tuple[int, ...] = BLOCKS
+) -> EmbeddingState:
     """Run ``layers`` rounds of normalized neighborhood averaging.
 
-    Keeps only the final layer.  ``layers == 0`` returns the input unchanged.
+    ``e0`` stacks the rows of the ``live`` blocks in block order; every other
+    block of ``E(0)`` is zero.  Keeps only the final layer's user and item
+    rows.  ``layers == 0`` returns the input's, with zero rows for a block
+    that is not live.
     """
     if not graph.normalized:
         raise ValueError("propagate expects a normalized adjacency")
     if layers < 0:
         raise ValueError("layer count must be non-negative")
+    hops = graph.hops(live, layers)
     e0 = np.asarray(e0, dtype=np.float64)
-    if e0.ndim != 2 or e0.shape[0] != graph.node_count:
+    if e0.ndim != 2 or e0.shape[0] != hops.live_rows:
         raise ValueError(
-            f"embedding matrix has {e0.shape} rows, graph has {graph.node_count} nodes"
+            f"embedding matrix has {e0.shape} rows, the graph's live blocks {live} "
+            f"have {hops.live_rows}"
         )
-    current = e0
-    for _ in range(layers):
-        current = graph.matrix @ current
-    return EmbeddingState(graph.user_count, graph.item_count, graph.entity_count, current, layers)
+    if layers == 0:
+        current = np.zeros((graph.user_count + graph.item_count, e0.shape[1]))
+        current[hops.passed_to] = e0[hops.passed]
+    else:
+        current = e0
+        for hop in hops.forward:
+            current = hop @ current
+    return EmbeddingState(graph.user_count, graph.item_count, current, layers, live)
 
 
 def backprop_propagate(
     grad_at_z: np.ndarray, state: EmbeddingState, graph: SparseGraph
 ) -> np.ndarray:
-    """Pull a gradient at the user/item rows of the final layer back to E(0).
+    """Pull a gradient at the final layer's user and item rows back to E(0)'s live blocks.
 
-    The operator is symmetric, so the adjoint of ``A^L`` is ``A^L`` again.
-    Entity rows of the final layer receive no direct gradient (nothing reads
-    them), hence the zero padding.  The caller decides which rows of the
-    returned matrix feed learnable tables.
+    Each hop's adjoint is its transpose, so the transposed hops run in
+    reverse order.  Returns the live blocks' rows, stacked as ``propagate``
+    took them; a live block that no read reaches gets zero rows.  The caller
+    decides which rows feed learnable tables.
     """
     grad_at_z = np.asarray(grad_at_z, dtype=np.float64)
-    width = state.final.shape[1]
-    visible = state.user_count + state.item_count
-    if grad_at_z.shape != (visible, width):
+    if grad_at_z.shape != state.final.shape:
         raise ValueError(
-            f"gradient shape {grad_at_z.shape} does not match z shape {(visible, width)}"
+            f"gradient shape {grad_at_z.shape} does not match z shape {state.final.shape}"
         )
-    full = np.zeros((graph.node_count, width))
-    full[:visible] = grad_at_z
-    for _ in range(state.layers):
-        full = graph.matrix @ full
-    return full
+    hops = graph.hops(state.live, state.layers)
+    if state.layers == 0:
+        pulled = np.zeros((hops.live_rows, grad_at_z.shape[1]))
+        pulled[hops.passed] = grad_at_z[hops.passed_to]
+        return pulled
+    for hop in hops.adjoint:
+        grad_at_z = hop @ grad_at_z
+    return grad_at_z

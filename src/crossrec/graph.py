@@ -6,7 +6,13 @@ interactions and item-entity links are mirrored into both triangles,
 entity-entity edges are symmetrized, and the whole matrix is normalized
 as ``D^{-1/2} A D^{-1/2}`` where ``D`` counts structural nonzeros per
 row.  Repeated and self-looped input lines are dropped by the loader.
-Graphs are immutable once built and safe to share across threads.
+
+The encoder does not multiply the whole matrix.  For each set of *live*
+blocks (those its initial layer fills) and each layer count, a graph builds,
+once, the hops that propagation takes: hop ``l`` is the matrix restricted to
+the blocks that can be nonzero after ``l`` steps and that a later hop, or the
+reader of the user and item rows, needs.  Graphs are immutable once built
+(the hop cache only grows) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -18,6 +24,11 @@ import scipy.sparse as sp
 
 SOURCE = "source"
 TARGET = "target"
+
+# node blocks of a ``[users | items | entities]`` graph, in row order
+USERS, ITEMS, ENTITIES = BLOCKS = (0, 1, 2)
+# the blocks the encoder's readers take from its last layer
+READ = (USERS, ITEMS)
 
 
 class GraphBuildError(ValueError):
@@ -155,6 +166,25 @@ class KnowledgeLinkage:
 
 
 @dataclass(frozen=True)
+class BlockHops:
+    """The encoder's hops over one graph, for one set of live blocks and layer count.
+
+    ``forward[0]`` takes the live blocks' rows, stacked in block order, and
+    ``forward[-1]`` gives the user and item rows; every stacked layer keeps
+    its blocks in block order.  ``adjoint`` holds the same matrices'
+    transposes, in reverse order (CSC views sharing their arrays).  With no
+    hop, the live rows of the read blocks, ``live[passed]``, are
+    ``read[passed_to]``.
+    """
+
+    live_rows: int
+    forward: tuple[sp.csr_matrix, ...]
+    adjoint: tuple[sp.csc_matrix, ...]
+    passed: slice
+    passed_to: slice
+
+
+@dataclass(frozen=True)
 class SparseGraph:
     """CSR adjacency over ``[users | items | entities]``.
 
@@ -168,10 +198,19 @@ class SparseGraph:
     entity_count: int
     matrix: sp.csr_matrix = field(repr=False)
     normalized: bool = False
+    _hops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
         return self.user_count + self.item_count + self.entity_count
+
+    def hops(self, live: tuple[int, ...], layers: int) -> BlockHops:
+        """The block hops of ``layers`` propagation steps from the ``live`` blocks, built once."""
+        key = (live, layers)
+        hops = self._hops.get(key)
+        if hops is None:  # two threads may both build it; the builds are equal
+            hops = self._hops[key] = _block_hops(self, live, layers)
+        return hops
 
     @property
     def nnz(self) -> int:
@@ -181,6 +220,56 @@ class SparseGraph:
         pattern = self.matrix.copy()
         pattern.data = np.ones_like(pattern.data)
         return (pattern != pattern.T).nnz == 0
+
+
+def _block_hops(graph: SparseGraph, live: tuple[int, ...], layers: int) -> BlockHops:
+    """Restrict the matrix, per hop, to the blocks that can be nonzero and are needed.
+
+    Let ``S_0`` be the live blocks and ``S_l`` the blocks linked to ``S_{l-1}``;
+    let ``R_L`` be the read blocks and ``R_{l-1}`` those linked to ``R_l``.
+    Hop ``l`` is the matrix on rows ``S_l & R_l`` and columns
+    ``S_{l-1} & R_{l-1}``, except that the first hop takes every live column
+    and the last gives every read row; the extra ones hold no entry there, so
+    a read row outside ``S_L`` comes out zero.  A dropped entry either
+    multiplies a row that is exactly zero, or feeds a row nothing reads, so
+    each kept row sums the same nonzero terms in the same order.  Where a hop
+    keeps every row and column, it is the matrix itself.
+    """
+    if live != tuple(sorted(set(live) & set(BLOCKS))):
+        raise ValueError(f"live blocks must be distinct node blocks in block order, got {live}")
+    m = graph.matrix
+    bounds = np.cumsum([0, graph.user_count, graph.item_count, graph.entity_count])
+    row_block = np.repeat(BLOCKS, np.diff(m.indptr[bounds]))
+    col_block = np.searchsorted(bounds[1:], m.indices, side="right")
+    linked = np.bincount(row_block * 3 + col_block, minlength=9).reshape(3, 3) > 0
+
+    def neighbours(blocks):
+        return tuple(b for b in BLOCKS if linked[list(blocks), b].any())
+
+    def rows(blocks):
+        return np.concatenate([np.arange(0), *(np.arange(bounds[b], bounds[b + 1]) for b in blocks)])
+
+    reach, need = [live], [READ]
+    for _ in range(layers):
+        reach.append(neighbours(reach[-1]))
+        need.append(neighbours(need[-1]))
+    kept = [tuple(b for b in r if b in n) for r, n in zip(reach, reversed(need))]
+    kept[0], kept[-1] = live, READ
+    forward = []
+    for l in range(1, layers + 1):
+        r, c = rows(kept[l]), rows(kept[l - 1])
+        full = r.size == c.size == graph.node_count
+        forward.append(m if full else m[r][:, c])
+    passed = [b for b in live if b in READ]
+    count = sum(int(bounds[b + 1] - bounds[b]) for b in passed)
+    start = int(bounds[passed[0]]) if passed else 0
+    return BlockHops(
+        live_rows=rows(live).size,
+        forward=tuple(forward),
+        adjoint=tuple(hop.T for hop in reversed(forward)),
+        passed=slice(0, count),
+        passed_to=slice(start, start + count),
+    )
 
 
 def assemble_adjacency(graph: InteractionGraph, kg: KnowledgeLinkage) -> SparseGraph:

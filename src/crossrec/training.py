@@ -19,6 +19,7 @@ stochastic draws of any step can be replayed for gradient checking.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -34,8 +35,11 @@ from .data import DatasetBundle, write_atomic
 from .encoder import EmbeddingState, backprop_propagate, propagate
 from .evaluation import LeaveOneOutSplit, Scorer, UserItems, held_out_ranks, ndcg_gains
 from .graph import (
+    ENTITIES,
+    ITEMS,
     SOURCE,
     TARGET,
+    USERS,
     InteractionGraph,
     KnowledgeLinkage,
     SparseGraph,
@@ -192,10 +196,6 @@ class ModelParameters:
         return all(np.isfinite(v).all() for v in self.arrays.values())
 
 
-# node blocks of a ``[users | items | entities]`` graph
-_USERS, _ITEMS, _ENTITIES = range(3)
-
-
 def _table_layout(kind: str, use_kg: bool) -> dict[str, tuple[tuple[str, ...], int]]:
     """Learnable embedding tables in draw order: name -> (domains, node block).
 
@@ -203,20 +203,22 @@ def _table_layout(kind: str, use_kg: bool) -> dict[str, tuple[tuple[str, ...], i
     graphs and receives the sum of both domains' gradients.
     """
     if kind == TARGET_ONLY:
-        return {"user_t": ((TARGET,), _USERS), "item_t": ((TARGET,), _ITEMS)}
-    layout = {"user_s": ((SOURCE,), _USERS), "user_t": ((TARGET,), _USERS)}
+        return {"user_t": ((TARGET,), USERS), "item_t": ((TARGET,), ITEMS)}
+    layout = {"user_s": ((SOURCE,), USERS), "user_t": ((TARGET,), USERS)}
     if use_kg:
-        layout["entity"] = ((SOURCE, TARGET), _ENTITIES)
+        layout["entity"] = ((SOURCE, TARGET), ENTITIES)
     else:
-        layout["item_s"] = ((SOURCE,), _ITEMS)
-        layout["item_t_init"] = ((TARGET,), _ITEMS)
+        layout["item_s"] = ((SOURCE,), ITEMS)
+        layout["item_t_init"] = ((TARGET,), ITEMS)
     return layout
 
 
-def _block_rows(graph: SparseGraph | EmbeddingState, block: int) -> slice:
-    sizes = (graph.user_count, graph.item_count, graph.entity_count)
-    start = sum(sizes[:block])
-    return slice(start, start + sizes[block])
+@functools.cache
+def _live_tables(kind: str, use_kg: bool, domain: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The tables that fill ``domain``'s graph and the blocks they fill, both in block order."""
+    filled = sorted((block, name) for name, (domains, block) in _table_layout(kind, use_kg).items()
+                    if domain in domains)
+    return tuple(name for _, name in filled), tuple(block for block, _ in filled)
 
 
 def init_parameters(config: TrainConfig, bundle: DatasetBundle) -> ModelParameters:
@@ -265,20 +267,6 @@ class StepDraws:
         return cls(uniform=uniform, noise=rng.normal(size=(batch_size, dim)))
 
 
-def _initial_embeddings(
-    params: ModelParameters, graph: SparseGraph, domain: str, config: TrainConfig
-) -> np.ndarray:
-    e0 = np.zeros((graph.node_count, config.embedding_dim))
-    for name, (domains, block) in _table_layout(params.kind, config.use_kg).items():
-        if domain in domains:
-            rows, table = _block_rows(graph, block), params.arrays[name]
-            if table.shape[0] != rows.stop - rows.start:  # a checkpoint of other data
-                raise ValueError(f"parameter table {name!r} has {table.shape[0]} rows, but the "
-                                 f"{domain} graph block it fills has {rows.stop - rows.start}")
-            e0[rows] = table
-    return e0
-
-
 @dataclass
 class _ForwardCache:
     """Forward intermediates; the source-side ones are None for target-only."""
@@ -308,7 +296,16 @@ def _pred_loss(config: TrainConfig):
 
 
 def _propagate(params: ModelParameters, graph: SparseGraph, domain: str, config: TrainConfig):
-    return propagate(graph, _initial_embeddings(params, graph, domain, config), config.layers)
+    """Propagate ``domain``'s tables, stacked in block order as the rows of its live blocks."""
+    names, live = _live_tables(params.kind, config.use_kg, domain)
+    sizes = (graph.user_count, graph.item_count, graph.entity_count)
+    for name, block in zip(names, live):
+        rows = params.arrays[name].shape[0]
+        if rows != sizes[block]:  # a checkpoint of other data
+            raise ValueError(f"parameter table {name!r} has {rows} rows, but the "
+                             f"{domain} graph block it fills has {sizes[block]}")
+    return propagate(graph, np.concatenate([params.arrays[name] for name in names]),
+                     config.layers, live)
 
 
 def forward_losses(
@@ -415,11 +412,13 @@ def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
         g_eu_t = g_eu_t + g_merged
     np.add.at(g_z[TARGET], batch.users, g_eu_t)
 
-    g_e0 = {domain: backprop_propagate(g, states[domain], getattr(cache.graphs, domain))
-            for domain, g in g_z.items()}
-    for name, (domains, block) in _table_layout(params.kind, config.use_kg).items():
-        parts = [g_e0[domain][_block_rows(states[domain], block)] for domain in domains]
-        grads[name] = parts[0] if len(parts) == 1 else parts[0] + parts[1]
+    for domain, g in g_z.items():
+        pulled = backprop_propagate(g, states[domain], getattr(cache.graphs, domain))
+        start = 0
+        for name in _live_tables(params.kind, config.use_kg, domain)[0]:
+            stop = start + params.arrays[name].shape[0]
+            grads[name] = grads[name] + pulled[start:stop] if name in grads else pulled[start:stop]
+            start = stop
     return grads
 
 

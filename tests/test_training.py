@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from crossrec.data import DatasetBundle
-from crossrec.encoder import backprop_propagate, propagate
-from crossrec.graph import InteractionGraph, KnowledgeLinkage
+from crossrec.graph import ENTITIES, USERS, InteractionGraph, KnowledgeLinkage
 from crossrec.evaluation import split_leave_one_out
 from crossrec.transfer import (
     bpr_loss,
@@ -30,6 +29,7 @@ from crossrec.training import (
     TrainConfig,
     adagrad_update,
     backward_losses,
+    build_scorer,
     fit,
     forward_losses,
     init_parameters,
@@ -40,6 +40,7 @@ from crossrec.training import (
     train_step,
 )
 
+from full_matrix import full_matrix_training, full_power
 from gradcheck import gradient_check, pinned
 from metric_oracle import metrics_at
 
@@ -156,18 +157,44 @@ class TestTrainStep:
 
     def test_item_rows_stay_zero_under_kg(self, dense_micro_bundle):
         # items carry no parameters of their own when the entity bridge is
-        # on; the initial embedding rebuilt after training must keep their
-        # rows at exactly zero
-        from crossrec.training import _initial_embeddings
-
+        # on: after training no table fills the item block, so it is not a
+        # live block of either graph and E(0)'s item rows are exactly zero
         config = TrainConfig(embedding_dim=4, gate_hidden=4, layers=2, seed=5, batch_size=16)
         graphs, params, batch, _ = micro_setup(dense_micro_bundle, config)
         for step in range(5):
             draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 4)
             train_step(params, graphs, batch, draws, config)
-        e0 = _initial_embeddings(params, graphs.source, "source", config)
-        items = e0[graphs.source.user_count : graphs.source.user_count + graphs.source.item_count]
-        assert np.all(items == 0.0)
+        assert sorted(name for name in params.arrays if not name.startswith("gate")) == [
+            "entity", "user_s", "user_t"]
+        _, cache = forward_losses(params, graphs, batch, draws, replace(config, layers=0))
+        for state in cache.states.values():
+            assert state.live == (USERS, ENTITIES)
+            assert np.all(state.items == 0.0)
+
+    @pytest.mark.parametrize("layers", [0, 1, 2, 3])
+    @pytest.mark.parametrize("model, use_kg", [(CROSS, True), (CROSS, False), (TARGET_ONLY, True)],
+                             ids=["full", "no-kg", "target-only"])
+    def test_block_hops_train_as_the_full_matrix_does(self, dense_micro_bundle, model, use_kg,
+                                                       layers):
+        # a few steps through the block hops and through graph.matrix at every
+        # hop give the same parameters, accumulators and served scores, bit for bit
+        config = TrainConfig(embedding_dim=4, gate_hidden=4, layers=layers, seed=5,
+                             batch_size=16, model=model, use_kg=use_kg)
+        graphs, params, batch, _ = micro_setup(dense_micro_bundle, config)
+        reference = params.copy()
+        for step in range(4):
+            draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 4)
+            train_step(params, graphs, batch, draws, config)
+            with full_matrix_training():
+                train_step(reference, graphs, batch, draws, config)
+        for name in params.arrays:
+            assert np.array_equal(params.arrays[name], reference.arrays[name]), name
+            assert np.array_equal(params.accumulators[name], reference.accumulators[name]), name
+        served = build_scorer(params, graphs, config)
+        with full_matrix_training():
+            expected = build_scorer(params, graphs, config)
+        assert np.array_equal(served.users, expected.users)
+        assert np.array_equal(served.items, expected.items)
 
     def test_parameters_stay_finite_over_many_steps(self, dense_micro_bundle):
         config = TrainConfig(
@@ -223,27 +250,27 @@ def target_only_oracle(params, graphs, batch, config):
     else:
         loss_fn, loss_backward = cross_entropy_loss, cross_entropy_loss_backward
     graph = graphs.target
+    users = graph.user_count
     e0 = np.zeros((graph.node_count, config.embedding_dim))
-    e0[: graph.user_count] = params.arrays["user_t"]
-    e0[graph.user_count :] = params.arrays["item_t"]
-    state_t = propagate(graph, e0, config.layers)
-    fused = state_t.users[batch.users]
+    e0[:users] = params.arrays["user_t"]
+    e0[users:] = params.arrays["item_t"]
+    final = full_power(graph, e0, config.layers)
+    fused = final[:users][batch.users]
     pos_target, neg_target = batch.pairs["target"]
-    pos_vec = state_t.items[pos_target]
-    neg_vec = state_t.items[neg_target]
+    pos_vec = final[users:][pos_target]
+    neg_vec = final[users:][neg_target]
     pos_scores = np.sum(fused * pos_vec, axis=1)
     neg_scores = np.sum(fused * neg_vec, axis=1)
     pred_t = loss_fn(pos_scores, neg_scores)
 
     g_pos, g_neg = loss_backward(pos_scores, neg_scores)
     g_fused = g_pos[:, None] * pos_vec + g_neg[:, None] * neg_vec
-    g_z = np.zeros((state_t.user_count + state_t.item_count, config.embedding_dim))
+    g_z = np.zeros((graph.node_count, config.embedding_dim))
     np.add.at(g_z, batch.users, g_fused)
-    offset = state_t.user_count
-    np.add.at(g_z, offset + pos_target, g_pos[:, None] * fused)
-    np.add.at(g_z, offset + neg_target, g_neg[:, None] * fused)
-    g_e0 = backprop_propagate(g_z, state_t, graph)
-    return pred_t, {"user_t": g_e0[: state_t.user_count], "item_t": g_e0[state_t.user_count :]}
+    np.add.at(g_z, users + pos_target, g_pos[:, None] * fused)
+    np.add.at(g_z, users + neg_target, g_neg[:, None] * fused)
+    g_e0 = full_power(graph, g_z, config.layers)
+    return pred_t, {"user_t": g_e0[:users], "item_t": g_e0[users:]}
 
 
 def assert_matches_target_only_oracle(params, graphs, batch, draws, config):

@@ -19,11 +19,11 @@ from crossrec.training import (
     CROSS,
     TARGET_ONLY,
     TrainConfig,
-    _initial_embeddings,
     build_scorer,
     forward_losses,
 )
 
+from full_matrix import initial_embeddings
 from test_training import micro_setup
 
 
@@ -73,7 +73,7 @@ class TestScore:
                 if graph is None:
                     continue
                 final = np.linalg.matrix_power(graph.matrix.toarray(), config.layers) @ (
-                    _initial_embeddings(params, graph, domain, config)
+                    initial_embeddings(params, graph, domain, config)
                 )
                 users[domain] = final[: graph.user_count]
                 items[domain] = final[graph.user_count : graph.user_count + graph.item_count]
