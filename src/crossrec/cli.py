@@ -35,7 +35,6 @@ from numpy._core import _multiarray_umath
 
 from . import __version__
 from .data import (
-    HOP_RADIUS,
     DataPaths,
     LoadReport,
     SynthSpec,
@@ -51,6 +50,7 @@ from .evaluation import CUTOFFS, inject_source_noise, split_leave_one_out
 from .experiments import VARIANTS, evaluate_fit, run_ablation
 from .training import (
     PREDICTION_LOSSES,
+    VALIDATION_K,
     DomainGraphs,
     FitResult,
     NonFiniteLossError,
@@ -68,11 +68,11 @@ EXIT_MISSING_FILE = 2
 # Flag tables: flag -> config-file key (and manifest ``config`` key).  Each
 # key's default sets its flag's type; ``--seed`` (key ``seed``) is common to
 # every command.  Training keys name TrainConfig fields, but alpha1..alpha3
-# are the entries of ``alphas`` and ``hop_radius`` (a data flag) goes to
-# load_bundle.
+# are the entries of ``alphas``.
 _ALPHAS = ("alpha1", "alpha2", "alpha3")
 _TRAIN_FLAGS = {
-    "--embedding-dim": "embedding_dim", "--batch-size": "batch_size", "--epochs": "max_epochs",
+    "--hop-radius": "hop_radius", "--embedding-dim": "embedding_dim",
+    "--batch-size": "batch_size", "--epochs": "max_epochs",
     "--lr": "learning_rate", "--layers": "layers", "--gate-hidden": "gate_hidden",
     "--gumbel-t": "gumbel_temperature", "--tau": "contrastive_temperature",
     **{f"--{key}": key for key in _ALPHAS},
@@ -83,7 +83,6 @@ _TRAIN_DEFAULTS = {
     **{key: getattr(TrainConfig(), key) for key in _TRAIN_FLAGS.values() if key not in _ALPHAS},
     **dict(zip(_ALPHAS, TrainConfig().alphas)),
     "seed": TrainConfig().seed,
-    "hop_radius": HOP_RADIUS,
 }
 
 # gen-synth keys name SynthSpec fields, apart from the two in _SYNTH_RENAMED
@@ -231,8 +230,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _train_config(resolved: dict) -> TrainConfig:
-    not_fields = (*_ALPHAS, "hop_radius")
-    settings = {key: resolved[key] for key in _TRAIN_DEFAULTS if key not in not_fields}
+    settings = {key: resolved[key] for key in _TRAIN_DEFAULTS if key not in _ALPHAS}
     return TrainConfig(alphas=tuple(resolved[key] for key in _ALPHAS), **settings)
 
 
@@ -262,7 +260,6 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     for entry in fields(DataPaths):
         flag = "--" + entry.name.replace("_", "-")
         parser.add_argument(flag, required=True, dest=entry.name, help=_HELP.get(entry.name))
-    _add_flags(parser, {"--hop-radius": "hop_radius"}, _TRAIN_DEFAULTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,14 +313,15 @@ def _load_report(report: LoadReport) -> dict:
     return {**asdict(report), "malformed": len(report.malformed)}
 
 
-def _load_split(paths: DataPaths, hop_radius: int, seed: int, manifest: Manifest):
-    """Load the dataset, warning about skipped malformed lines, and split it by ``seed``.
+def _load_split(paths: DataPaths, config: TrainConfig, manifest: Manifest):
+    """Load the dataset at ``config.hop_radius``, warning about skipped malformed
+    lines, and split it by ``config.seed``.
 
     The manifest's ``load_report`` records what the loader and the split dropped.
     """
-    bundle, report = load_bundle(paths, hop_radius=hop_radius)
+    bundle, report = load_bundle(paths, hop_radius=config.hop_radius)
     counts = _load_report(report)
-    split = split_leave_one_out(bundle, seed)
+    split = split_leave_one_out(bundle, config.seed)
     manifest.payload["load_report"] = {**counts, "excluded_users": split.excluded_users}
     return bundle, split
 
@@ -336,8 +334,8 @@ def _metric_lines(aggregates: dict, variant: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _log_lines(log, validation_k: int) -> str:
-    header = f"epoch\tpred_target\tpred_source\tkl\tcontrastive\ttotal\tval_ndcg{validation_k}"
+def _log_lines(log) -> str:
+    header = f"epoch\tpred_target\tpred_source\tkl\tcontrastive\ttotal\tval_ndcg{VALIDATION_K}"
     rows = [header]
     for record in log:
         losses = record.losses
@@ -361,14 +359,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     paths = _data_paths(args)
     with Manifest(out_dir, "train", resolved, paths.all()) as manifest:
-        bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
+        bundle, split = _load_split(paths, config, manifest)
         result = fit(config, bundle, split)
         checkpoint = out_dir / "best.ckpt"
         meta = {"config": asdict(config), "best_epoch": result.best_epoch,
                 "best_validation_ndcg": result.best_validation}
         save_checkpoint(checkpoint, result.params, meta)
         manifest.record_output(checkpoint)
-        log = _log_lines(result.log, config.validation_k)
+        log = _log_lines(result.log)
         manifest.write_output(out_dir / "training_log.tsv", log)
         id_paths = save_bundle(bundle, out_dir / "data")
         for path in id_paths.values():
@@ -377,7 +375,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     summary = "no epoch ran, so the parameters are the initial ones"
     if result.log:
         summary = (f"best epoch {result.best_epoch} "
-                   f"(validation NDCG@{config.validation_k} = {result.best_validation:.4f})")
+                   f"(validation NDCG@{VALIDATION_K} = {result.best_validation:.4f})")
     print(f"trained {len(result.log)} epochs; {summary}; checkpoint at {checkpoint}")
     return EXIT_OK
 
@@ -387,17 +385,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     params, meta = load_checkpoint(checkpoint)
     try:
         stored = {**meta["config"], "alphas": tuple(meta["config"]["alphas"])}
-        # the config file shares the training keys; only seed and hop_radius apply
+        # the config file shares the training keys; only seed applies
         resolved = _resolve(args, {**_TRAIN_DEFAULTS, "seed": stored["seed"]})
         config = TrainConfig(**{**stored, "seed": resolved["seed"]})
     except (KeyError, TypeError) as error:
         raise ValueError(f"{checkpoint} has no usable training config: {error!r}") from None
     check_checkpoint(params, config)
-    applied = {**stored, "seed": config.seed, "hop_radius": resolved["hop_radius"], "k": args.k}
+    applied = {**stored, "seed": config.seed, "k": args.k}
     out_dir = Path(args.out)
     paths = _data_paths(args)
     with Manifest(out_dir, "evaluate", applied, paths.all() + [checkpoint]) as manifest:
-        bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
+        bundle, split = _load_split(paths, config, manifest)
         graphs = DomainGraphs.for_config(config, bundle, split)
         fitted = FitResult(params, 0, 0.0, [], graphs)  # evaluate_fit reads params, graphs only
         per_user, aggregates = evaluate_fit(fitted, split, bundle, config, args.k)
@@ -458,13 +456,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     paths = _data_paths(args)
     with Manifest(out_dir, "ablate", resolved, paths.all()) as manifest:
-        bundle, split = _load_split(paths, resolved["hop_radius"], config.seed, manifest)
+        bundle, split = _load_split(paths, config, manifest)
         result = run_ablation(args.variant, config, bundle, split, args.k)
         manifest.payload["best_epoch"] = result.fit_result.best_epoch
         manifest.payload["best_validation_ndcg"] = result.fit_result.best_validation
         metrics = _metric_lines(result.aggregates, args.variant)
         manifest.write_output(out_dir / "metrics.tsv", metrics)
-        log = _log_lines(result.fit_result.log, result.config.validation_k)
+        log = _log_lines(result.fit_result.log)
         manifest.write_output(out_dir / "training_log.tsv", log)
     if not result.fit_result.log:
         print(f"{args.variant}: no epoch ran, so the metrics are of the initial parameters")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+# floors of the noise std, of the KL bound's mass M and of the InfoNCE norms
 SIGMA_FLOOR = 1e-4
 M_FLOOR = 1e-6
 NORM_FLOOR = 1e-12
@@ -67,15 +68,13 @@ def gumbel_sigmoid(z, m, t: float):
     return expit((z + np.log(m / (1.0 - m))) / t)
 
 
-def batch_statistics(
-    h: np.ndarray, sigma_floor: float = SIGMA_FLOOR
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension mean and floored std of the merged representations.
+def batch_statistics(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dimension mean and std, floored at ``SIGMA_FLOOR``, of the merged representations.
 
     These define the noise prior; gradients never flow through them.
     """
     mu = h.mean(axis=0)
-    sigma = np.maximum(h.std(axis=0), sigma_floor)
+    sigma = np.maximum(h.std(axis=0), SIGMA_FLOOR)
     return mu, sigma
 
 
@@ -109,19 +108,13 @@ def compress_deterministic(h: np.ndarray, logits: np.ndarray, mu: np.ndarray) ->
     return gate[:, None] * h + (1.0 - gate[:, None]) * mu[None, :]
 
 
-def kl_upper_bound(
-    gate: np.ndarray,
-    h: np.ndarray,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    m_floor: float = M_FLOOR,
-) -> float:
+def kl_upper_bound(gate: np.ndarray, h: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> float:
     """Batch bound on information retained from the input representations.
 
     Per embedding dimension k, with M = sum_j (1-gate_j)^2 and
     Q_k = sum_j gate_j (h_jk - mu_k) / sigma_k:
 
-        loss_k = -log(max(M, m_floor))/2 + M/(2B) + Q_k^2/(2B)
+        loss_k = -log(max(M, M_FLOOR))/2 + M/(2B) + Q_k^2/(2B)
 
     and the result is the mean over dimensions (natural log).  The floor on M
     keeps the value finite when every gate saturates at 1.
@@ -133,16 +126,12 @@ def kl_upper_bound(
         raise ValueError("batch must contain at least one row")
     m_total = np.sum((1.0 - gate) ** 2)
     q = np.sum(gate[:, None] * (h - mu[None, :]) / sigma[None, :], axis=0)
-    per_dim = -0.5 * np.log(max(m_total, m_floor)) + m_total / (2 * b) + q**2 / (2 * b)
+    per_dim = -0.5 * np.log(max(m_total, M_FLOOR)) + m_total / (2 * b) + q**2 / (2 * b)
     return float(per_dim.mean())
 
 
 def kl_upper_bound_backward(
-    gate: np.ndarray,
-    h: np.ndarray,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-    m_floor: float = M_FLOOR,
+    gate: np.ndarray, h: np.ndarray, mu: np.ndarray, sigma: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of ``kl_upper_bound`` w.r.t. the gates and representations.
 
@@ -156,7 +145,7 @@ def kl_upper_bound_backward(
     q = np.sum(gate[:, None] * (h - mu[None, :]) / sigma[None, :], axis=0)
 
     g_m = 1.0 / (2 * b)
-    if m_total > m_floor:
+    if m_total > M_FLOOR:
         g_m -= 1.0 / (2 * m_total)
     g_q = q / (b * d)
 
@@ -166,8 +155,8 @@ def kl_upper_bound_backward(
     return g_gate, g_h
 
 
-def _floored_norms(x: np.ndarray, floor: float) -> np.ndarray:
-    return np.maximum(np.linalg.norm(x, axis=1), floor)
+def _floored_norms(x: np.ndarray) -> np.ndarray:
+    return np.maximum(np.linalg.norm(x, axis=1), NORM_FLOOR)
 
 
 class ForwardConsumedError(RuntimeError):
@@ -187,7 +176,6 @@ class InfoNceForward:
 
     loss: float
     tau: float
-    norm_floor: float
     n_m: np.ndarray
     n_t: np.ndarray
     shift: np.ndarray
@@ -212,12 +200,7 @@ def _diagonal(rows: slice) -> tuple[np.ndarray, np.ndarray]:
     return local, rows.start + local
 
 
-def info_nce(
-    e_target_users: np.ndarray,
-    mixed: np.ndarray,
-    tau: float,
-    norm_floor: float = NORM_FLOOR,
-) -> InfoNceForward:
+def info_nce(e_target_users: np.ndarray, mixed: np.ndarray, tau: float) -> InfoNceForward:
     """Contrastive alignment of mixed representations with target portraits.
 
     Each mixed row is the anchor; its paired target-user row is the positive
@@ -237,8 +220,8 @@ def info_nce(
     b = t_reps.shape[0]
     if b < 1:
         raise ValueError("batch must contain at least one row")
-    n_m = _floored_norms(mixed, norm_floor)
-    n_t = _floored_norms(t_reps, norm_floor)
+    n_m = _floored_norms(mixed)
+    n_t = _floored_norms(t_reps)
     cos = mixed @ t_reps.T
     shift = np.empty(b)
     positives = np.empty(b)
@@ -253,9 +236,7 @@ def info_nce(
         np.exp(scaled, out=scaled)
         denominator[rows] = scaled.sum(axis=1)
     losses = np.log(denominator) - positives
-    return InfoNceForward(
-        float(losses.mean()), tau, norm_floor, n_m, n_t, shift, denominator, cos
-    )
+    return InfoNceForward(float(losses.mean()), tau, n_m, n_t, shift, denominator, cos)
 
 
 def info_nce_backward(
@@ -308,8 +289,8 @@ def info_nce_backward(
 
     # cosine gradient: through the dot product and through each norm; rows at
     # the norm floor are treated as constant-norm (subgradient choice)
-    m_live = (n_m > forward.norm_floor).astype(np.float64)
-    t_live = (n_t > forward.norm_floor).astype(np.float64)
+    m_live = (n_m > NORM_FLOOR).astype(np.float64)
+    t_live = (n_t > NORM_FLOOR).astype(np.float64)
     g_mixed = g @ t_reps
     g_mixed -= (row_sums / n_m**2 * m_live)[:, None] * mixed
     g_target = g.T @ mixed

@@ -25,13 +25,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import compression, transfer
 from .compression import GateNetwork
-from .data import DatasetBundle, write_atomic
+from .data import HOP_RADIUS, DatasetBundle, write_atomic
 from .encoder import EmbeddingState, backprop_propagate, propagate
 from .evaluation import LeaveOneOutSplit, Scorer, UserItems, held_out_ranks, ndcg_gains
 from .graph import (
@@ -62,8 +62,14 @@ PREDICTION_LOSSES = ("bpr", "ce")
 # users per bulk draw of the negative sampler
 SAMPLE_WINDOW = 64
 
+# early stopping selects on validation NDCG at this cutoff
+VALIDATION_K = 100
+
+# the parameter array of each GateNetwork field, in field order
+GATE_ARRAYS = {entry.name: f"gate_{entry.name}" for entry in fields(GateNetwork)}
+
 CHECKPOINT_MAGIC = b"XRCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class NonFiniteLossError(RuntimeError):
@@ -94,13 +100,11 @@ class TrainConfig:
     patience: int = 10
     prediction_loss: str = "bpr"
     weight_decay: float = 0.0
-    sigma_floor: float = compression.SIGMA_FLOOR
-    m_floor: float = compression.M_FLOOR
-    norm_floor: float = compression.NORM_FLOOR
     init_std: float = 0.1
     use_kg: bool = True
     model: str = CROSS
-    validation_k: int = 100
+    # the entity-graph scope the data is loaded with (``data.load_bundle``)
+    hop_radius: int = HOP_RADIUS
 
     def __post_init__(self):
         for name, value in asdict(self).items():
@@ -108,8 +112,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.embedding_dim <= 0 or self.batch_size <= 0:
             raise ValueError("embedding_dim and batch_size must be positive")
-        if self.max_epochs < 0 or self.layers < 0 or self.patience < 0:
-            raise ValueError("max_epochs, layers and patience must be non-negative")
+        if min(self.max_epochs, self.layers, self.patience, self.hop_radius) < 0:
+            raise ValueError("max_epochs, layers, patience and hop_radius must be non-negative")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.gumbel_temperature <= 0 or self.contrastive_temperature <= 0:
@@ -169,7 +173,6 @@ class DomainGraphs:
 class ModelParameters:
     """Named parameter arrays plus their Adagrad squared-gradient state."""
 
-    kind: str
     arrays: dict[str, np.ndarray]
     accumulators: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -179,30 +182,24 @@ class ModelParameters:
 
     def copy(self) -> "ModelParameters":
         return ModelParameters(
-            self.kind,
             {k: v.copy() for k, v in self.arrays.items()},
             {k: v.copy() for k, v in self.accumulators.items()},
         )
 
     def gate(self) -> GateNetwork:
-        return GateNetwork(
-            self.arrays["gate_w1"],
-            self.arrays["gate_b1"],
-            self.arrays["gate_w2"],
-            self.arrays["gate_b2"],
-        )
+        return GateNetwork(**{key: self.arrays[name] for key, name in GATE_ARRAYS.items()})
 
     def all_finite(self) -> bool:
         return all(np.isfinite(v).all() for v in self.arrays.values())
 
 
-def _table_layout(kind: str, use_kg: bool) -> dict[str, tuple[tuple[str, ...], int]]:
+def _table_layout(model: str, use_kg: bool) -> dict[str, tuple[tuple[str, ...], int]]:
     """Learnable embedding tables in draw order: name -> (domains, node block).
 
     A table shared by two domains (the entity table) fills that block of both
     graphs and receives the sum of both domains' gradients.
     """
-    if kind == TARGET_ONLY:
+    if model == TARGET_ONLY:
         return {"user_t": ((TARGET,), USERS), "item_t": ((TARGET,), ITEMS)}
     layout = {"user_s": ((SOURCE,), USERS), "user_t": ((TARGET,), USERS)}
     if use_kg:
@@ -214,9 +211,9 @@ def _table_layout(kind: str, use_kg: bool) -> dict[str, tuple[tuple[str, ...], i
 
 
 @functools.cache
-def _live_tables(kind: str, use_kg: bool, domain: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+def _live_tables(model: str, use_kg: bool, domain: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """The tables that fill ``domain``'s graph and the blocks they fill, both in block order."""
-    filled = sorted((block, name) for name, (domains, block) in _table_layout(kind, use_kg).items()
+    filled = sorted((block, name) for name, (domains, block) in _table_layout(model, use_kg).items()
                     if domain in domains)
     return tuple(name for _, name in filled), tuple(block for block, _ in filled)
 
@@ -232,11 +229,8 @@ def init_parameters(config: TrainConfig, bundle: DatasetBundle) -> ModelParamete
         arrays[name] = rng.normal(0.0, config.init_std, size=(rows, d))
     if config.model == CROSS:
         gate = GateNetwork.initialize(d, config.gate_hidden, rng)
-        arrays["gate_w1"] = gate.w1
-        arrays["gate_b1"] = gate.b1
-        arrays["gate_w2"] = gate.w2
-        arrays["gate_b2"] = np.asarray(gate.b2, dtype=np.float64)
-    return ModelParameters(config.model, arrays)
+        arrays.update({name: getattr(gate, key) for key, name in GATE_ARRAYS.items()})
+    return ModelParameters(arrays)
 
 
 @dataclass(frozen=True)
@@ -297,7 +291,7 @@ def _pred_loss(config: TrainConfig):
 
 def _propagate(params: ModelParameters, graph: SparseGraph, domain: str, config: TrainConfig):
     """Propagate ``domain``'s tables, stacked in block order as the rows of its live blocks."""
-    names, live = _live_tables(params.kind, config.use_kg, domain)
+    names, live = _live_tables(config.model, config.use_kg, domain)
     sizes = (graph.user_count, graph.item_count, graph.entity_count)
     for name, block in zip(names, live):
         rows = params.arrays[name].shape[0]
@@ -335,17 +329,15 @@ def forward_losses(
     merged = hidden = gate = eps = mixed = mu = sigma = contrastive = None
     kl = contrastive_loss = 0.0
 
-    if params.kind == CROSS:
+    if config.model == CROSS:
         merged = compression.merge_representations(states[SOURCE].users[batch.users], eu_t)
         logits, hidden = params.gate().forward(merged)
         gate = compression.gumbel_sigmoid(logits, draws.uniform, config.gumbel_temperature)
-        mu, sigma = compression.batch_statistics(merged, config.sigma_floor)
+        mu, sigma = compression.batch_statistics(merged)
         mixed, eps = compression.mix_noise(merged, gate, mu, sigma, draws.noise)
         fused = mixed + eu_t
-        kl = compression.kl_upper_bound(gate, merged, mu, sigma, config.m_floor)
-        contrastive = compression.info_nce(
-            eu_t, mixed, config.contrastive_temperature, config.norm_floor
-        )
+        kl = compression.kl_upper_bound(gate, merged, mu, sigma)
+        contrastive = compression.info_nce(eu_t, mixed, config.contrastive_temperature)
         contrastive_loss = contrastive.loss
 
     scores = {
@@ -385,7 +377,7 @@ def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
 
     grads: dict[str, np.ndarray] = {}
     g_eu_t = g_fused
-    if params.kind == CROSS:
+    if config.model == CROSS:
         g_mixed = g_fused.copy()
         if a3 != 0.0:
             g_t_cl, g_mixed_cl = compression.info_nce_backward(
@@ -398,7 +390,7 @@ def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
         g_merged = g_mixed * cache.gate[:, None]
         if a2 != 0.0:
             g_gate_kl, g_merged_kl = compression.kl_upper_bound_backward(
-                cache.gate, cache.merged, cache.mu, cache.sigma, config.m_floor
+                cache.gate, cache.merged, cache.mu, cache.sigma
             )
             g_gate += a2 * g_gate_kl
             g_merged += a2 * g_merged_kl
@@ -407,7 +399,7 @@ def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
         gate_grads, g_merged_net = params.gate().backward(cache.merged, cache.hidden, g_logits)
         g_merged += g_merged_net
         for key, value in gate_grads.items():
-            grads[f"gate_{key}"] = value
+            grads[GATE_ARRAYS[key]] = value
         np.add.at(g_z[SOURCE], batch.users, g_merged)
         g_eu_t = g_eu_t + g_merged
     np.add.at(g_z[TARGET], batch.users, g_eu_t)
@@ -415,7 +407,7 @@ def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
     for domain, g in g_z.items():
         pulled = backprop_propagate(g, states[domain], getattr(cache.graphs, domain))
         start = 0
-        for name in _live_tables(params.kind, config.use_kg, domain)[0]:
+        for name in _live_tables(config.model, config.use_kg, domain)[0]:
             stop = start + params.arrays[name].shape[0]
             grads[name] = grads[name] + pulled[start:stop] if name in grads else pulled[start:stop]
             start = stop
@@ -473,11 +465,11 @@ def build_scorer(params: ModelParameters, graphs: DomainGraphs, config: TrainCon
     """
     target = _propagate(params, graphs.target, TARGET, config)
     fused_all = target.users
-    if params.kind == CROSS:
+    if config.model == CROSS:
         source = _propagate(params, graphs.source, SOURCE, config)
         merged = compression.merge_representations(source.users, target.users)
         logits, _ = params.gate().forward(merged)
-        mu, _ = compression.batch_statistics(merged, config.sigma_floor)
+        mu, _ = compression.batch_statistics(merged)
         mixed = compression.compress_deterministic(merged, logits, mu)
         fused_all = mixed + target.users
     return Scorer(fused_all, target.items)
@@ -599,7 +591,7 @@ def _validation_metric(
 ) -> float:
     scorer = build_scorer(params, graphs, config)
     ranks = held_out_ranks(scorer, split.users, split.validation_items, excluded_by_user)
-    k = config.validation_k
+    k = VALIDATION_K
     gains = ndcg_gains(k)
     # summed left to right: np.mean differs in the last bits of best_validation;
     # a miss would add 0.0, which leaves the sum as it is
@@ -621,6 +613,11 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
         raise ValueError("training set is empty")
     if config.model == CROSS and split.train_source.size == 0:
         raise ValueError("training set is empty")
+    if config.model == CROSS and config.use_kg and config.layers < 2:
+        # items have no table under the bridge: E(0)'s item rows are zero, so
+        # at 0 layers every item row and at 1 every user row serves as zero
+        raise ValueError(f"layers must be at least 2 under the entity bridge (got "
+                         f"{config.layers}): with fewer, every served score is 0")
 
     graphs = DomainGraphs.for_config(config, bundle, split)
     params = init_parameters(config, bundle)
@@ -693,9 +690,7 @@ def save_checkpoint(path, params: ModelParameters, meta: dict | None = None) -> 
     (name, shape header, raw little-endian float64 data).  The format contains
     no timestamps, so identical parameters produce identical bytes.
     """
-    meta = dict(meta or {})
-    meta["kind"] = params.kind
-    meta_bytes = json.dumps(meta, sort_keys=True, allow_nan=False).encode("utf-8")
+    meta_bytes = json.dumps(meta or {}, sort_keys=True, allow_nan=False).encode("utf-8")
     handle = io.BytesIO()
     handle.write(CHECKPOINT_MAGIC)
     handle.write(struct.pack("<II", CHECKPOINT_VERSION, len(meta_bytes)))
@@ -730,8 +725,8 @@ def load_checkpoint(path) -> tuple[ModelParameters, dict]:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         meta = json.loads(_read_exact(handle, meta_len).decode("utf-8"))
-        if not isinstance(meta, dict) or meta.get("kind") not in (CROSS, TARGET_ONLY):
-            raise ValueError(f"checkpoint metadata is not an object with kind {CROSS!r} or {TARGET_ONLY!r}")
+        if not isinstance(meta, dict):
+            raise ValueError("checkpoint metadata is not an object")
         (count,) = struct.unpack("<I", _read_exact(handle, 4))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -745,13 +740,13 @@ def load_checkpoint(path) -> tuple[ModelParameters, dict]:
             arrays[name] = data.reshape(shape)
         if handle.read(1):
             raise ValueError("trailing bytes after the last checkpoint array")
-    return ModelParameters(meta["kind"], arrays), meta
+    return ModelParameters(arrays), meta
 
 
 def check_checkpoint(params: ModelParameters, config: TrainConfig) -> None:
-    """Raise ``ValueError`` unless ``params`` holds the model and tables ``config`` trains."""
-    gate = ["gate_w1", "gate_b1", "gate_w2", "gate_b2"] if config.model == CROSS else []
+    """Raise ``ValueError`` unless ``params`` holds the tables ``config`` trains."""
+    gate = GATE_ARRAYS.values() if config.model == CROSS else ()
     names = sorted([*_table_layout(config.model, config.use_kg), *gate])
-    if params.kind != config.model or sorted(params.arrays) != names:
-        raise ValueError(f"checkpoint holds a {params.kind!r} model with tables {sorted(params.arrays)}, "
+    if sorted(params.arrays) != names:
+        raise ValueError(f"checkpoint holds tables {sorted(params.arrays)}, "
                          f"but its config trains a {config.model!r} model with tables {names}")

@@ -51,7 +51,7 @@ def full_pullback(graph, grad: np.ndarray, layers: int, live) -> np.ndarray:
 
 def filled_blocks(params, domain: str, config) -> dict[int, str]:
     """Block -> the table that fills it in ``domain``'s graph, in block order."""
-    layout = training._table_layout(params.kind, config.use_kg)
+    layout = training._table_layout(config.model, config.use_kg)
     return dict(sorted((block, name) for name, (domains, block) in layout.items()
                        if domain in domains))
 

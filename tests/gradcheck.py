@@ -40,7 +40,7 @@ def pinned(stats: tuple[np.ndarray, np.ndarray] | None = None, open_gates: bool 
     """
     saved = compression.batch_statistics, compression.gumbel_sigmoid
     if stats is not None:
-        compression.batch_statistics = lambda merged, floor: stats
+        compression.batch_statistics = lambda merged: stats
     if open_gates:
         compression.gumbel_sigmoid = lambda logits, uniform, temperature: np.ones_like(logits)
     try:
@@ -67,13 +67,13 @@ def _detect_non_smooth(cache: _ForwardCache, config: TrainConfig, open_gates: bo
     reasons = []
     if cache.gate is not None and not open_gates:
         m_total = float(np.sum((1.0 - cache.gate) ** 2))
-        if m_total <= 2.0 * config.m_floor:
+        if m_total <= 2.0 * compression.M_FLOOR:
             reasons.append(f"KL mass floor active (M={m_total:.2e})")
         if np.any(cache.gate >= 1.0 - 1e-12) or np.any(cache.gate <= 1e-12):
             reasons.append("gate saturated to 0/1 at float precision")
     if cache.mixed is not None:
         norms = np.linalg.norm(cache.mixed, axis=1)
-        if np.any(norms <= 10.0 * config.norm_floor):
+        if np.any(norms <= 10.0 * compression.NORM_FLOOR):
             reasons.append("cosine norm floor active")
     return reasons
 
@@ -102,7 +102,7 @@ def gradient_check(
         raise ValueError("order must be 2 or 4")
     with pinned(open_gates=open_gates):
         _, base_cache = forward_losses(params, graphs, batch, draws, config)
-    frozen = (base_cache.mu, base_cache.sigma) if params.kind == CROSS else None
+    frozen = (base_cache.mu, base_cache.sigma) if config.model == CROSS else None
     reasons = _detect_non_smooth(base_cache, config, open_gates)
 
     with pinned(frozen, open_gates):

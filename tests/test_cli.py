@@ -5,7 +5,7 @@ import json
 import os
 import shutil
 import struct
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,8 @@ from crossrec.data import (
 from crossrec.evaluation import split_leave_one_out
 from crossrec.experiments import evaluate_fit
 from crossrec.training import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     DomainGraphs,
     FitResult,
     StepDraws,
@@ -293,6 +295,33 @@ class TestTrain:
         assert f"error: {key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_negative_hop_radius_exits_one_before_any_output(self, synth_dir, tmp_path, capsys,
+                                                             command):
+        out = tmp_path / "out"
+        variant = ["--variant", "full"] if command == "ablate" else []
+        code = main([command, *variant, *data_flags(synth_dir), "--out", str(out), *FAST_TRAIN,
+                     "--hop-radius", "-1"])
+        assert code == 1
+        assert ("error: max_epochs, layers, patience and hop_radius must be non-negative"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_fewer_than_two_layers_under_the_entity_bridge_exit_one(self, synth_dir, tmp_path,
+                                                                    capsys):
+        # items have no table under the bridge, so one layer serves every user as zero
+        run_dir = tmp_path / "run"
+        code = main(["train", *data_flags(synth_dir), "--out", str(run_dir), *FAST_TRAIN,
+                     "--layers", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: layers must be at least 2 under the entity bridge (got 1): "
+            "with fewer, every served score is 0\n"
+        )
+        manifest = strict_json(run_dir / "manifest.json")
+        assert manifest["status"] == "failed" and manifest["outputs"] == []
+        assert not (run_dir / "best.ckpt").exists()
+
     def test_zero_epochs_record_null(self, synth_dir, tmp_path, capsys):
         run_dir = tmp_path / "run"
         code = main(["train", *data_flags(synth_dir), "--out", str(run_dir), *FAST_TRAIN,
@@ -371,8 +400,8 @@ class TestEvaluate:
         self.evaluate(synth_dir, trained, tmp_path / "eval", "--k", "5,20")
         _, meta = load_checkpoint(trained / "best.ckpt")
         recorded = json.loads((tmp_path / "eval" / "manifest.json").read_text())["config"]
-        assert recorded == {**meta["config"], "seed": 3, "hop_radius": 1, "k": [5, 20]}
-        assert recorded["embedding_dim"] == 8
+        assert recorded == {**meta["config"], "seed": 3, "k": [5, 20]}
+        assert recorded["embedding_dim"] == 8 and recorded["hop_radius"] == 1
 
     def test_ranks_equal_evaluate_fit(self, synth_dir, trained, tmp_path):
         ranks = self.evaluate(synth_dir, trained, tmp_path / "eval")
@@ -427,6 +456,57 @@ class TestEvaluate:
         assert manifest["outputs"] == []
 
 
+def test_evaluate_loads_the_data_at_the_checkpoint_hop_radius(tmp_path):
+    # xa, xb and xc are linked to no item and hang off es0 as a chain: radius
+    # 0 drops all three chain edges, the default radius 1 keeps es0-xa
+    files = {
+        "source": [f"u{u}\ts{(u + i) % 8}" for u in range(4) for i in range(4)],
+        "target": [f"u{u}\tt{(u + i) % 8}" for u in range(4) for i in range(5)],
+        "kg": [f"es{i}\tet{i}" for i in range(8)] + ["es0\txa", "xa\txb", "xb\txc"],
+        "map_source": [f"s{i}\tes{i}" for i in range(8)],
+        "map_target": [f"t{i}\tet{i}" for i in range(8)],
+    }
+    for name, lines in files.items():
+        (tmp_path / f"{name}.tsv").write_text("\n".join(lines) + "\n")
+    run, evaluated = tmp_path / "run", tmp_path / "eval"
+    assert main(["train", *data_flags(tmp_path), "--hop-radius", "0", "--out", str(run),
+                 *FAST_TRAIN]) == 0
+    assert main(["evaluate", "--checkpoint", str(run / "best.ckpt"), *data_flags(tmp_path),
+                 "--out", str(evaluated)]) == 0
+    trained_at, evaluated_at = (strict_json(out / "manifest.json") for out in (run, evaluated))
+    assert evaluated_at["config"]["hop_radius"] == 0
+    assert trained_at["load_report"]["scoped_out_kg_edges"] == 3
+    assert evaluated_at["load_report"]["scoped_out_kg_edges"] == 3
+
+
+def test_checkpoint_metadata_is_the_config_and_the_best_epoch(trained):
+    payload = (trained / "best.ckpt").read_bytes()
+    assert payload[:4] == CHECKPOINT_MAGIC
+    assert struct.unpack_from("<I", payload, 4) == (CHECKPOINT_VERSION,) == (2,)
+    _, meta = load_checkpoint(trained / "best.ckpt")
+    assert sorted(meta) == ["best_epoch", "best_validation_ndcg", "config"]
+    assert sorted(meta["config"]) == sorted(entry.name for entry in fields(TrainConfig))
+
+
+def test_version_one_checkpoint_exits_one_by_name(synth_dir, trained, tmp_path, capsys):
+    # the version-1 layout: the model kind beside the config, which held the
+    # numerical floors and the validation cutoff but no hop radius
+    payload = (trained / "best.ckpt").read_bytes()
+    (meta_len,) = struct.unpack_from("<I", payload, 8)
+    _, meta = load_checkpoint(trained / "best.ckpt")
+    config = {key: value for key, value in meta["config"].items() if key != "hop_radius"}
+    config.update(sigma_floor=1e-4, m_floor=1e-6, norm_floor=1e-12, validation_k=100)
+    old_meta = json.dumps({**meta, "config": config, "kind": "cross"}, sort_keys=True).encode()
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(old_meta)) + old_meta
+                    + payload[12 + meta_len:])
+    code = main(["evaluate", "--checkpoint", str(old), *data_flags(synth_dir),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: unsupported checkpoint version 1\n"
+    assert not (tmp_path / "eval").exists()
+
+
 def rewrite_checkpoint(path, out, meta, arrays=None):
     """The checkpoint at ``path`` with raw ``meta`` bytes and, if given, raw ``arrays`` bytes."""
     payload = path.read_bytes()
@@ -442,32 +522,21 @@ HUGE_TABLE = (struct.pack("<IH", 1, 6) + b"user_t"
 
 
 CROSS_TABLES = "['entity', 'gate_b1', 'gate_b2', 'gate_w1', 'gate_w2', 'user_s', 'user_t']"
-NOT_A_MODEL = "checkpoint metadata is not an object with kind 'cross' or 'target_only'"
 
 
 @pytest.mark.parametrize("damage, message", [
-    ("no kind", NOT_A_MODEL),
-    ("list", NOT_A_MODEL),
-    ("bogus kind", NOT_A_MODEL),
+    ("list", "checkpoint metadata is not an object"),
     ("huge table", "truncated checkpoint: wanted 9223372036854775808 bytes, 0 left"),
-    ("target-only kind", f"checkpoint holds a 'target_only' model with tables {CROSS_TABLES}, "
-                         f"but its config trains a 'cross' model with tables {CROSS_TABLES}"),
-    ("target-only config", f"checkpoint holds a 'target_only' model with tables {CROSS_TABLES}, "
-                           "but its config trains a 'target_only' model with tables "
-                           "['item_t', 'user_t']"),
+    ("target-only config", f"checkpoint holds tables {CROSS_TABLES}, but its config trains a "
+                           "'target_only' model with tables ['item_t', 'user_t']"),
 ])
 def test_malformed_checkpoint_exits_one_by_name(synth_dir, trained, tmp_path, capsys,
                                                 damage, message):
     _, meta = load_checkpoint(trained / "best.ckpt")
-    target_only = {**meta, "kind": "target_only"}
     meta = {
-        "no kind": {key: value for key, value in meta.items() if key != "kind"},
         "list": [meta],
-        "bogus kind": {**meta, "kind": "bogus"},
         "huge table": meta,
-        "target-only kind": target_only,
-        "target-only config": {**target_only,
-                               "config": {**meta["config"], "model": "target_only"}},
+        "target-only config": {**meta, "config": {**meta["config"], "model": "target_only"}},
     }[damage]
     damaged = rewrite_checkpoint(trained / "best.ckpt", tmp_path / "damaged.ckpt",
                                  json.dumps(meta).encode("utf-8"),
@@ -676,6 +745,13 @@ class TestAblate:
         manifest = strict_json(out / "manifest.json")
         assert manifest["best_epoch"] == 0 and manifest["best_validation_ndcg"] is None
 
+    @pytest.mark.parametrize("variant, layers", [("target-only", "1"), ("no-kg", "0")])
+    def test_fewer_than_two_layers_train_without_the_entity_bridge(self, synth_dir, tmp_path,
+                                                                    variant, layers):
+        code = main(["ablate", "--variant", variant, *data_flags(synth_dir),
+                     "--out", str(tmp_path / "ablation"), *FAST_TRAIN, "--layers", layers])
+        assert code == 0
+
     def test_rejects_unknown_variant(self, synth_dir, tmp_path):
         with pytest.raises(SystemExit):
             main([
@@ -717,9 +793,9 @@ _DATA_OPTIONS = [
     ("--kg", "kg", None, None, None, True, "entity-edge TSV"),
     ("--map-source", "map_source", None, None, None, True, None),
     ("--map-target", "map_target", None, None, None, True, None),
-    ("--hop-radius", "hop_radius", int, None, None, False, None),
 ]
 _TRAIN_OPTIONS = [
+    ("--hop-radius", "hop_radius", int, None, None, False, None),
     ("--embedding-dim", "embedding_dim", int, None, None, False, None),
     ("--batch-size", "batch_size", int, None, None, False, None),
     ("--epochs", "max_epochs", int, None, None, False, None),
@@ -786,7 +862,7 @@ PARSER_OPTIONS = {
 SETTING_VALUES = {
     "train": {
         "embedding_dim": "6", "batch_size": "8", "max_epochs": "2", "learning_rate": "0.05",
-        "layers": "1", "gate_hidden": "6", "gumbel_temperature": "0.7",
+        "layers": "3", "gate_hidden": "6", "gumbel_temperature": "0.7",
         "contrastive_temperature": "0.3", "alpha1": "0.5", "alpha2": "0.6", "alpha3": "0.7",
         "patience": "1", "prediction_loss": "ce", "weight_decay": "0.001", "init_std": "0.05",
         "hop_radius": "2", "seed": "5",

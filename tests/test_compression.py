@@ -9,7 +9,9 @@ from scipy.special import expit
 
 from crossrec import compression
 from crossrec.compression import (
+    M_FLOOR,
     NORM_FLOOR,
+    SIGMA_FLOOR,
     ForwardConsumedError,
     GateNetwork,
     batch_statistics,
@@ -126,9 +128,9 @@ class TestKlUpperBound:
     def test_open_gates_hit_floor_finite(self):
         h = np.random.default_rng(1).normal(size=(3, 2))
         mu, sigma = batch_statistics(h)
-        value = kl_upper_bound(np.ones(3), h, mu, sigma, m_floor=1e-6)
+        value = kl_upper_bound(np.ones(3), h, mu, sigma)
         assert np.isfinite(value)
-        assert value >= -0.5 * math.log(1e-6) / 2  # log term alone is large
+        assert value >= -0.5 * math.log(M_FLOOR) / 2  # log term alone is large
 
     def test_single_row_matches_gaussian_kl_plus_half(self):
         # the bound exceeds the exact KL between the mixed and prior Gaussians
@@ -442,7 +444,7 @@ class TestGateNetwork:
 class TestBatchStatistics:
     def test_floor_applied(self):
         h = np.ones((4, 3))  # zero variance
-        mu, sigma = batch_statistics(h, sigma_floor=1e-4)
+        mu, sigma = batch_statistics(h)
         assert np.array_equal(mu, np.ones(3))
-        assert np.all(sigma == 1e-4)
+        assert np.all(sigma == SIGMA_FLOOR)
 

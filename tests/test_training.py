@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from crossrec.compression import SIGMA_FLOOR
 from crossrec.data import DatasetBundle
 from crossrec.graph import ENTITIES, USERS, InteractionGraph, KnowledgeLinkage
 from crossrec.evaluation import split_leave_one_out
@@ -21,6 +22,7 @@ from crossrec.training import (
     CHECKPOINT_VERSION,
     CROSS,
     TARGET_ONLY,
+    VALIDATION_K,
     Batch,
     DomainGraphs,
     ModelParameters,
@@ -79,20 +81,20 @@ def micro_setup(bundle, config, seed=7):
 
 class TestAdagrad:
     def test_first_step_closed_form(self):
-        params = ModelParameters("cross", {"w": np.zeros(1)})
+        params = ModelParameters({"w": np.zeros(1)})
         adagrad_update(params, {"w": np.ones(1)}, learning_rate=0.1)
         assert params.arrays["w"][0] == pytest.approx(-0.1 / (1.0 + 1e-10), rel=1e-12)
         assert params.accumulators["w"][0] == 1.0
 
     def test_zero_gradient_is_noop(self):
-        params = ModelParameters("cross", {"w": np.full(3, 2.5)})
+        params = ModelParameters({"w": np.full(3, 2.5)})
         adagrad_update(params, {"w": np.zeros(3)}, learning_rate=0.5)
         assert np.array_equal(params.arrays["w"], np.full(3, 2.5))
         assert np.array_equal(params.accumulators["w"], np.zeros(3))
 
     def test_step_magnitude_bounded_by_learning_rate(self):
         rng = np.random.default_rng(0)
-        params = ModelParameters("cross", {"w": rng.normal(size=50)})
+        params = ModelParameters({"w": rng.normal(size=50)})
         lr = 0.07
         for _ in range(20):
             before = params.arrays["w"].copy()
@@ -101,7 +103,7 @@ class TestAdagrad:
 
     def test_accumulator_monotone(self):
         rng = np.random.default_rng(1)
-        params = ModelParameters("cross", {"w": np.zeros(10)})
+        params = ModelParameters({"w": np.zeros(10)})
         previous = np.zeros(10)
         for _ in range(10):
             adagrad_update(params, {"w": rng.normal(size=10)}, learning_rate=0.1)
@@ -235,7 +237,7 @@ class TestForwardCache:
         gate = cache.gate[:, None]
         assert np.allclose(cache.mixed, gate * cache.merged + (1 - gate) * cache.eps)
         assert np.all((cache.gate > 0) & (cache.gate < 1))
-        assert np.all(cache.sigma >= config.sigma_floor)
+        assert np.all(cache.sigma >= SIGMA_FLOOR)
         assert np.allclose(cache.eps, cache.mu + cache.sigma * draws.noise)
 
 
@@ -536,7 +538,7 @@ def validation_oracle(params, graphs, config, split, excluded_by_user):
     from crossrec.training import build_scorer
 
     score_fn = build_scorer(params, graphs, config)
-    k = config.validation_k
+    k = VALIDATION_K
     total = 0.0
     for user, held in zip(split.users, split.validation_items):
         scores = score_fn(int(user))
@@ -595,8 +597,7 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, {"note": "test"})
         loaded, meta = load_checkpoint(path)
-        assert meta["kind"] == "cross"
-        assert meta["note"] == "test"
+        assert meta == {"note": "test"}
         assert set(loaded.arrays) == set(params.arrays)
         for name in params.arrays:
             assert np.array_equal(loaded.arrays[name], params.arrays[name])
@@ -635,7 +636,7 @@ class TestCheckpoints:
         ((2**40, 2**20), 2**63),  # one past the largest size a read accepts
     ])
     def test_declared_size_checked_before_reading(self, tmp_path, shape, wanted):
-        meta = b'{"kind": "cross"}'
+        meta = b"{}"
         path = tmp_path / "model.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(meta))
                          + meta + struct.pack("<IH", 1, 6) + b"user_t"
