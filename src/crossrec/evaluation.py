@@ -137,23 +137,17 @@ def ndcg_gains(top: int) -> list[float]:
     return [1.0 / math.log2(rank + 1) for rank in range(1, top + 1)]
 
 
-def rank_of_held_out(
-    scores: np.ndarray, held_item: int | np.ndarray, excluded_items
-) -> int | np.ndarray:
-    """1-based rank of the held-out item among non-excluded candidates.
+def rank_of_held_out(scores: np.ndarray, held_item: np.ndarray, excluded_items) -> np.ndarray:
+    """1-based rank of each row's held-out item among its non-excluded candidates.
 
-    The rank is one plus the count of candidates that strictly beat the
-    held-out item's score, plus the count of equal-scored candidates with a
-    smaller index: ties go to the lower item index.  A NaN score beats
-    nothing and ties with nothing, so a NaN held-out score ranks 1; ``inf``
-    ties with ``inf``.
-
-    For one user, ``scores`` is a vector, ``held_item`` an item index,
-    ``excluded_items`` an array of item indices, and the rank an ``int``.  For
-    a block of users, ``scores`` has one row per user, ``held_item`` one item
-    per row, ``excluded_items`` is a (row, item) pair of index arrays, and the
-    ranks come back as an integer array.  A held-out item that is excluded
-    raises ``ValueError`` naming the item of the first such row.
+    ``scores`` has one row per user, ``held_item`` one item per row, and
+    ``excluded_items`` is a (row, item) pair of index arrays; the ranks come
+    back as an integer array.  The rank is one plus the count of candidates
+    that strictly beat the held-out item's score, plus the count of
+    equal-scored candidates with a smaller index: ties go to the lower item
+    index.  A NaN score beats nothing and ties with nothing, so a NaN
+    held-out score ranks 1; ``inf`` ties with ``inf``.  A held-out item that
+    is excluded raises ``ValueError`` naming the item of the first such row.
 
     A block is ranked with two comparison passes against each row's held-out
     score, ``greater`` and ``equal``.  The excluded pairs are cleared from
@@ -161,10 +155,6 @@ def rank_of_held_out(
     counted per row through its bytes.  The lower-index ties are counted only
     in the rows that have one.  ``scores`` is never written to.
     """
-    if scores.ndim == 1:
-        items = np.asarray(excluded_items, dtype=np.intp)
-        ranks = rank_of_held_out(scores[None], np.array([held_item]), (np.zeros_like(items), items))
-        return int(ranks[0])
     held = np.asarray(held_item)
     rows, items = excluded_items
     held_excluded = items == held[rows]

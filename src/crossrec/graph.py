@@ -154,11 +154,7 @@ class KnowledgeLinkage:
         self.entity_edges.setflags(write=False)
 
     def item_entity_for(self, domain_tag: str) -> np.ndarray:
-        if domain_tag == SOURCE:
-            return self.item_entity_source
-        if domain_tag == TARGET:
-            return self.item_entity_target
-        raise GraphBuildError(f"unknown domain tag {domain_tag!r}")
+        return self.item_entity_source if domain_tag == SOURCE else self.item_entity_target
 
     @classmethod
     def empty(cls) -> "KnowledgeLinkage":
@@ -215,11 +211,6 @@ class SparseGraph:
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
-
-    def is_structurally_symmetric(self) -> bool:
-        pattern = self.matrix.copy()
-        pattern.data = np.ones_like(pattern.data)
-        return (pattern != pattern.T).nnz == 0
 
 
 def _block_hops(graph: SparseGraph, live: tuple[int, ...], layers: int) -> BlockHops:
@@ -299,12 +290,12 @@ def assemble_adjacency(graph: InteractionGraph, kg: KnowledgeLinkage) -> SparseG
 def normalize_symmetric(graph: SparseGraph) -> SparseGraph:
     """Reweight every stored entry to ``1/sqrt(deg(row) * deg(col))``.
 
-    Degrees count structural nonzeros, so the result is idempotent under
-    repeated normalization of the same pattern.  Zero-degree rows have no
-    entries and are skipped; no division by zero can occur.
+    ``graph`` is an :func:`assemble_adjacency` output, whose pattern is
+    symmetric because every key is mirrored; the result is then symmetric
+    too.  Degrees count structural nonzeros, so the result is idempotent
+    under repeated normalization of the same pattern.  Zero-degree rows have
+    no entries and are skipped; no division by zero can occur.
     """
-    if not graph.is_structurally_symmetric():
-        raise GraphBuildError("normalization requires a structurally symmetric matrix")
     m = graph.matrix
     counts = np.diff(m.indptr)
     inv_sqrt = np.zeros(graph.node_count)

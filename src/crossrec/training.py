@@ -23,6 +23,7 @@ import functools
 import io
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -85,6 +86,21 @@ class NonFiniteLossError(RuntimeError):
         self.step = step
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# the values a TrainConfig field admits, by its annotation, and their name
+_ADMITTED = {
+    "int": (lambda value: _is_real(value) and isinstance(value, numbers.Integral), "an integer"),
+    "float": (_is_real, "a real number"),
+    "bool": (lambda value: isinstance(value, bool), "a bool"),
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "tuple[float, float, float]": (lambda value: isinstance(value, tuple) and len(value) == 3
+                                   and all(map(_is_real, value)), "a tuple of three real numbers"),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     embedding_dim: int = 32
@@ -107,9 +123,13 @@ class TrainConfig:
     hop_radius: int = HOP_RADIUS
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
+        for entry in fields(self):
+            value = getattr(self, entry.name)
+            admits, kind = _ADMITTED[entry.type]
+            if not admits(value):
+                raise ValueError(f"{entry.name} must be {kind}, got {value!r}")
             if isinstance(value, (float, tuple)) and not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValueError(f"{entry.name} must be finite, got {value}")
         if self.embedding_dim <= 0 or self.batch_size <= 0:
             raise ValueError("embedding_dim and batch_size must be positive")
         if min(self.max_epochs, self.layers, self.patience, self.hop_radius) < 0:
@@ -139,8 +159,13 @@ class DomainGraphs:
     def for_config(
         cls, config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit
     ) -> "DomainGraphs":
-        """The graphs ``config`` trains on: target-only has no source graph or KG."""
+        """The graphs ``config`` trains and evaluates on: target-only has no source graph or KG."""
         cross = config.model == CROSS
+        if cross and config.use_kg and config.layers < 2:
+            # items have no table under the bridge: E(0)'s item rows are zero, so
+            # at 0 layers every item row and at 1 every user row serves as zero
+            raise ValueError(f"layers must be at least 2 under the entity bridge (got "
+                             f"{config.layers}): with fewer, every served score is 0")
         return cls.from_training_edges(
             bundle, split.train_source, split.train_target,
             use_kg=config.use_kg and cross, include_source=cross,
@@ -609,15 +634,8 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
     per-epoch loss and metric log.  ``max_epochs == 0`` returns the freshly
     initialized parameters untouched, with no best validation metric (None).
     """
-    if split.train_target.size == 0:
+    if split.train_target.size == 0 or (config.model == CROSS and split.train_source.size == 0):
         raise ValueError("training set is empty")
-    if config.model == CROSS and split.train_source.size == 0:
-        raise ValueError("training set is empty")
-    if config.model == CROSS and config.use_kg and config.layers < 2:
-        # items have no table under the bridge: E(0)'s item rows are zero, so
-        # at 0 layers every item row and at 1 every user row serves as zero
-        raise ValueError(f"layers must be at least 2 under the entity bridge (got "
-                         f"{config.layers}): with fewer, every served score is 0")
 
     graphs = DomainGraphs.for_config(config, bundle, split)
     params = init_parameters(config, bundle)

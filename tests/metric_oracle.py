@@ -1,9 +1,12 @@
 """Per-user ranks and ranking metrics: the oracles the ranking, aggregate and
-validation tests compare against."""
+validation tests compare against, and one user's ranking arguments as a
+one-row block."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def metrics_at(rank: int, ks: tuple[int, ...]) -> dict[tuple[str, int], float]:
@@ -36,3 +39,9 @@ def brute_force_rank(scores, held_item, excluded_items) -> int:
         key=lambda item: (-scores[item], item),
     )
     return order.index(held_item) + 1
+
+
+def one_row(scores, held_item, excluded_items):
+    """``rank_of_held_out``'s arguments ranking one user: a one-row block."""
+    items = np.asarray(excluded_items, dtype=np.int64)
+    return np.asarray(scores)[None], np.array([held_item]), (np.zeros_like(items), items)

@@ -36,7 +36,7 @@ from crossrec.training import (
 )
 
 from gradcheck import gradient_check
-from metric_oracle import metrics_at
+from metric_oracle import metrics_at, one_row
 
 # configuration of the desk-scale benchmark used by criteria 6 and 7; the
 # dataset shape (500 users, 300+300 items, k=8, rho=0.3) is fixed by the
@@ -248,7 +248,7 @@ class TestCriterion5MetricIdentities:
                 (i for i in candidates), key=lambda i: (-scores[i], i)
             )
             oracle_rank = order.index(held) + 1
-            rank = rank_of_held_out(scores, held, excluded)
+            rank = rank_of_held_out(*one_row(scores, held, excluded))[0]
             values = metrics_at(rank, (10, 100))
             for k in (10, 100):
                 hit = 1.0 if oracle_rank <= k else 0.0

@@ -548,6 +548,45 @@ def test_malformed_checkpoint_exits_one_by_name(synth_dir, trained, tmp_path, ca
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("layers", [0, 1])
+def test_evaluate_refuses_fewer_than_two_layers_under_the_entity_bridge(synth_dir, trained,
+                                                                         tmp_path, capsys, layers):
+    # every score such a checkpoint serves is 0, an all-ties ranking
+    _, meta = load_checkpoint(trained / "best.ckpt")
+    meta = {**meta, "config": {**meta["config"], "layers": layers}}
+    shallow = rewrite_checkpoint(trained / "best.ckpt", tmp_path / "shallow.ckpt",
+                                 json.dumps(meta).encode("utf-8"))
+    code = main(["evaluate", "--checkpoint", str(shallow), *data_flags(synth_dir),
+                 "--out", str(tmp_path / "eval"), "--seed", "3"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: layers must be at least 2 under the entity bridge (got {layers}): "
+        "with fewer, every served score is 0\n")
+    manifest = strict_json(tmp_path / "eval" / "manifest.json")
+    assert manifest["status"] == "failed" and manifest["outputs"] == []
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("layers", 2.5, "an integer"),
+    ("hop_radius", 1.5, "an integer"),
+    ("seed", 1.5, "an integer"),
+    ("layers", True, "an integer"),
+    ("use_kg", "yes", "a bool"),
+])
+def test_wrongly_typed_checkpoint_config_exits_one_by_name(synth_dir, trained, tmp_path, capsys,
+                                                           key, value, kind):
+    # no --seed, so the split seed is the checkpoint's
+    _, meta = load_checkpoint(trained / "best.ckpt")
+    meta = {**meta, "config": {**meta["config"], key: value}}
+    damaged = rewrite_checkpoint(trained / "best.ckpt", tmp_path / "damaged.ckpt",
+                                 json.dumps(meta).encode("utf-8"))
+    code = main(["evaluate", "--checkpoint", str(damaged), *data_flags(synth_dir),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {key} must be {kind}, got {value!r}\n"
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "inject-noise"])
 def test_malformed_lines_warned(synth_dir, trained, tmp_path, capsys, command):
     data = tmp_path / "data"

@@ -10,7 +10,6 @@ from crossrec.graph import (
     GraphBuildError,
     InteractionGraph,
     KnowledgeLinkage,
-    SparseGraph,
     assemble_adjacency,
     first_seen,
     normalize_symmetric,
@@ -298,13 +297,6 @@ class TestNormalizeSymmetric:
         normalized = normalize_symmetric(assemble_adjacency(graph, kg))
         assert np.isfinite(normalized.matrix.data).all()
         assert normalized.matrix.getrow(1).nnz == 0  # user 1 has no edges
-
-    def test_requires_symmetry(self):
-        import scipy.sparse as sp
-
-        lopsided = SparseGraph(1, 1, 0, sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
-        with pytest.raises(GraphBuildError):
-            normalize_symmetric(lopsided)
 
 
 class TestEntityScoping:

@@ -44,13 +44,15 @@ from crossrec.training import (
 
 from full_matrix import full_matrix_training, full_power
 from gradcheck import gradient_check, pinned
-from metric_oracle import metrics_at
+from metric_oracle import metrics_at, one_row
 
 
 def micro_setup(bundle, config, seed=7):
     """Graphs, parameters, and one deterministic batch over all users."""
     every_edge = SimpleNamespace(train_source=bundle.source.edges, train_target=bundle.target.edges)
-    graphs = DomainGraphs.for_config(config, bundle, every_edge)
+    # the graphs do not depend on the layer count; at 2 the entity bridge's
+    # check passes, so steps can run at 0 or 1 layers too
+    graphs = DomainGraphs.for_config(replace(config, layers=2), bundle, every_edge)
     params = init_parameters(config, bundle)
     rng = np.random.default_rng(seed)
     users = np.arange(bundle.user_count)
@@ -532,6 +534,21 @@ class TestFit:
         assert len(result.log) < 50
 
 
+@pytest.mark.parametrize("setting", [
+    {"learning_rate": True}, {"embedding_dim": 8.0}, {"alphas": (1.0, 2.0)},
+    {"alphas": [0.01, 1.0, 1.0]}, {"alphas": (0.01, False, 1.0)}, {"model": 1},
+    {"use_kg": 1},
+], ids=str)
+def test_config_refuses_a_value_of_the_wrong_type(setting):
+    with pytest.raises(ValueError, match=f"^{next(iter(setting))} must be "):
+        TrainConfig(**setting)
+
+
+def test_config_admits_numpy_scalars_and_integer_reals():
+    config = TrainConfig(seed=np.int64(3), learning_rate=1, alphas=(0, 1, np.float64(0.5)))
+    assert (config.seed, config.learning_rate, config.alphas) == (3, 1, (0, 1, 0.5))
+
+
 def validation_oracle(params, graphs, config, split, excluded_by_user):
     """The per-user validation loop from before ranking had one routine."""
     from crossrec.evaluation import rank_of_held_out
@@ -542,7 +559,7 @@ def validation_oracle(params, graphs, config, split, excluded_by_user):
     total = 0.0
     for user, held in zip(split.users, split.validation_items):
         scores = score_fn(int(user))
-        rank = rank_of_held_out(scores, int(held), excluded_by_user[int(user)])
+        rank = rank_of_held_out(*one_row(scores, int(held), excluded_by_user[int(user)]))[0]
         total += metrics_at(rank, (k,))[("ndcg", k)]
     return 100.0 * total / split.users.size
 
@@ -582,7 +599,7 @@ class TestTestRanksOracle:
         scorer = build_scorer(result.params, result.graphs, config)
         excluded = tiny_split.train_target_items_by_user(bundle.user_count)
         expected = [
-            rank_of_held_out(scorer(int(user)), int(held), excluded[int(user)])
+            rank_of_held_out(*one_row(scorer(int(user)), int(held), excluded[int(user)]))[0]
             for user, held in zip(tiny_split.users, tiny_split.test_items)
         ]
         assert [r.rank for r in per_user] == expected
