@@ -10,15 +10,15 @@ representation aligned with the user's target-domain portrait.
 
 All functions take their random draws as explicit arguments, so any
 caller-managed stream reproduces results exactly.  They are pure, except that
-``info_nce_backward`` reuses the buffer of the forward record it is given.
+``info_nce_backward`` drops the buffer from the forward record it is given.
 
-InfoNCE holds one B x B float64 buffer per step: the cosine matrix, which
-the backward overwrites with the gradient of the dot products.  Its
-elementwise passes run over row blocks of ``INFO_NCE_BLOCK`` values: the
-backward recomputes ``exp`` from the stored cosines and row shifts instead
-of keeping it, and carries the column sums from block to block.  Each block
-repeats the whole-matrix operations on the same values, so losses and
-gradients are bit-identical at any block size.
+InfoNCE holds one B x B float64 buffer per step.  The forward reads it once,
+over row blocks of ``INFO_NCE_BLOCK`` values: each block becomes cosines,
+then the loss's shifted ``exp`` and softmax, then, from the same values,
+the gradient of the dot products, which overwrites the block; the column
+sums the norm terms need are carried from block to block.  The backward is
+then two matrix products.  Each block repeats the whole-matrix operations on
+the same values, so losses and gradients are bit-identical at any block size.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ M_FLOOR = 1e-6
 NORM_FLOOR = 1e-12
 # keeps logit(m) finite; uniform draws are clipped into the open interval
 UNIFORM_EPS = 1e-12
-# InfoNCE's elementwise passes work on row blocks of at most this many float64
-# values (256 KiB), so the four block arrays the backward keeps live stay in a
-# core's L2 cache; the similarity matrix itself is one B x B buffer
+# InfoNCE's elementwise pass works on row blocks of at most this many float64
+# values (256 KiB), so the three block arrays it keeps live stay in a core's
+# L2 cache; the similarity matrix itself is one B x B buffer
 INFO_NCE_BLOCK = 1 << 15
 
 
@@ -167,20 +167,19 @@ class ForwardConsumedError(RuntimeError):
 class InfoNceForward:
     """What ``info_nce_backward`` needs from the forward pass.
 
-    ``cos`` is the one B x B buffer: the normalized cosine matrix, which the
-    backward overwrites in place with the cosine gradient, so a record serves
-    exactly one backward.  ``shift`` is each row's max of ``cos/tau``; with
-    it the backward recomputes ``exp(cos/tau - shift)`` bit for bit instead
-    of keeping a second B x B matrix.
+    ``g_dot`` is the one B x B buffer: the loss gradient w.r.t. the dot
+    products ``mixed @ t_reps.T``, which the forward writes over the cosine
+    matrix.  ``row_sums`` and ``col_sums`` are the row and column sums of
+    the cosines times their gradient, which the norm terms need.  The
+    backward drops the buffer, so a record serves exactly one backward.
     """
 
     loss: float
-    tau: float
     n_m: np.ndarray
     n_t: np.ndarray
-    shift: np.ndarray
-    denominator: np.ndarray
-    cos: np.ndarray | None
+    row_sums: np.ndarray
+    col_sums: np.ndarray
+    g_dot: np.ndarray | None
 
 
 def _block_rows(b: int) -> int:
@@ -207,9 +206,11 @@ def info_nce(e_target_users: np.ndarray, mixed: np.ndarray, tau: float) -> InfoN
     and the other target rows in the batch are negatives.  Similarity is
     cosine, scaled by ``1/tau``.  The loss is ``.loss`` of the returned record.
 
-    One matrix product builds the B x B similarity buffer; normalization,
-    the shifted ``exp`` and the softmax denominators then run over row blocks
-    of ``INFO_NCE_BLOCK`` elements, so the buffer is the only B x B array.
+    One matrix product builds the B x B buffer.  Each row block of
+    ``INFO_NCE_BLOCK`` elements is then read once: normalization, the
+    shifted ``exp`` and the softmax denominators give the loss, and the same
+    values go on to the cosine gradient, its row and column sums, and the
+    gradient of the dot products, which overwrites the block.
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
@@ -222,21 +223,36 @@ def info_nce(e_target_users: np.ndarray, mixed: np.ndarray, tau: float) -> InfoN
         raise ValueError("batch must contain at least one row")
     n_m = _floored_norms(mixed)
     n_t = _floored_norms(t_reps)
-    cos = mixed @ t_reps.T
-    shift = np.empty(b)
+    buffer = mixed @ t_reps.T
     positives = np.empty(b)
     denominator = np.empty(b)
+    row_sums = np.empty(b)
+    # row 0 of the scratch holds the column sums of cos * g over the rows done
+    # so far; summing it with the next rows continues numpy's row-by-row
+    # axis-0 sum
+    scratch = np.zeros((min(b, _block_rows(b)) + 1, b))
     for rows in _row_blocks(b):
-        block = cos[rows]
-        block /= n_m[rows, None] * n_t[None, :]
-        scaled = block / tau
-        shift[rows] = scaled.max(axis=1)
-        scaled -= shift[rows, None]
-        positives[rows] = scaled[_diagonal(rows)]
-        np.exp(scaled, out=scaled)
-        denominator[rows] = scaled.sum(axis=1)
+        n = rows.stop - rows.start
+        diagonal = _diagonal(rows)
+        cos = buffer[rows]
+        norms = n_m[rows, None] * n_t[None, :]
+        cos /= norms
+        g = cos / tau
+        g -= g.max(axis=1, keepdims=True)
+        positives[rows] = g[diagonal]
+        np.exp(g, out=g)
+        denominator[rows] = g.sum(axis=1)
+        # d(mean_i loss_i)/d cos[i, j] = (softmax - I) / (tau B)
+        g /= denominator[rows, None]
+        g[diagonal] -= 1.0
+        g /= tau * b
+        products = np.multiply(cos, g, out=scratch[1 : n + 1])
+        row_sums[rows] = products.sum(axis=1)
+        scratch[0] = np.sum(scratch[: n + 1], axis=0)
+        np.divide(1.0, norms, out=norms)
+        np.multiply(g, norms, out=cos)
     losses = np.log(denominator) - positives
-    return InfoNceForward(float(losses.mean()), tau, n_m, n_t, shift, denominator, cos)
+    return InfoNceForward(float(losses.mean()), n_m, n_t, row_sums, scratch[0], buffer)
 
 
 def info_nce_backward(
@@ -246,55 +262,31 @@ def info_nce_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of ``info_nce`` w.r.t. target rows and mixed rows.
 
-    Consumes ``forward``: row block by row block it recomputes the softmax
-    from the stored cosines and shifts, takes the cosine gradient's row sums
-    and carries its column sums in the first row of a block scratch, then
-    overwrites the cosine rows with the gradient of the dot products.  The
-    buffer is dropped from the record, so a second call on the same record
-    raises ``ForwardConsumedError``.
+    Consumes ``forward``: two matrix products carry the dot products'
+    gradient to the rows, and the norm terms are subtracted.  The buffer is
+    dropped from the record, so a second call on the same record raises
+    ``ForwardConsumedError``.
     """
-    if forward.cos is None:
+    if forward.g_dot is None:
         raise ForwardConsumedError("InfoNCE forward record was already used by a backward pass")
-    cos, n_m, n_t = forward.cos, forward.n_m, forward.n_t
-    forward.cos = None
+    g, n_m, n_t = forward.g_dot, forward.n_m, forward.n_t
+    forward.g_dot = None
     t_reps = np.asarray(e_target_users, dtype=np.float64)
     mixed = np.asarray(mixed, dtype=np.float64)
     b = t_reps.shape[0]
-    if mixed.shape != t_reps.shape or cos.shape != (b, b):
+    if mixed.shape != t_reps.shape or g.shape != (b, b):
         raise ValueError(
-            f"inputs {mixed.shape}, {t_reps.shape} do not match the forward's {cos.shape}"
+            f"inputs {mixed.shape}, {t_reps.shape} do not match the forward's {g.shape}"
         )
-
-    # d(mean_i loss_i)/d cos[i, j] = (softmax - I) / (tau B); row 0 of the
-    # scratch holds the column sums of cos * g over the rows done so far, and
-    # summing it with the next rows continues numpy's row-by-row axis-0 sum
-    row_sums = np.empty(b)
-    scratch = np.zeros((min(b, _block_rows(b)) + 1, b))
-    for rows in _row_blocks(b):
-        n = rows.stop - rows.start
-        g = cos[rows] / forward.tau
-        g -= forward.shift[rows, None]
-        np.exp(g, out=g)
-        g /= forward.denominator[rows, None]
-        g[_diagonal(rows)] -= 1.0
-        g /= forward.tau * b
-        products = np.multiply(cos[rows], g, out=scratch[1 : n + 1])
-        row_sums[rows] = products.sum(axis=1)
-        scratch[0] = np.sum(scratch[: n + 1], axis=0)
-        inv = n_m[rows, None] * n_t[None, :]
-        np.divide(1.0, inv, out=inv)
-        np.multiply(g, inv, out=cos[rows])
-    # cos now holds the gradient w.r.t. the dot products mixed @ t_reps.T
-    g, col_sums = cos, scratch[0]
 
     # cosine gradient: through the dot product and through each norm; rows at
     # the norm floor are treated as constant-norm (subgradient choice)
     m_live = (n_m > NORM_FLOOR).astype(np.float64)
     t_live = (n_t > NORM_FLOOR).astype(np.float64)
     g_mixed = g @ t_reps
-    g_mixed -= (row_sums / n_m**2 * m_live)[:, None] * mixed
+    g_mixed -= (forward.row_sums / n_m**2 * m_live)[:, None] * mixed
     g_target = g.T @ mixed
-    g_target -= (col_sums / n_t**2 * t_live)[:, None] * t_reps
+    g_target -= (forward.col_sums / n_t**2 * t_live)[:, None] * t_reps
     return g_target, g_mixed
 
 
@@ -317,7 +309,8 @@ class GateNetwork:
         return cls(
             w1=rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, hidden)),
             b1=np.zeros(hidden),
-            w2=rng.normal(0.0, 1.0 / np.sqrt(hidden), size=hidden),
+            # at width 0 nothing is drawn; the max keeps the unused scale finite
+            w2=rng.normal(0.0, 1.0 / np.sqrt(max(hidden, 1)), size=hidden),
             b2=np.zeros(()),
         )
 

@@ -134,8 +134,13 @@ class TrainConfig:
             raise ValueError("embedding_dim and batch_size must be positive")
         if min(self.max_epochs, self.layers, self.patience, self.hop_radius) < 0:
             raise ValueError("max_epochs, layers, patience and hop_radius must be non-negative")
+        if self.gate_hidden < 0:
+            raise ValueError(f"gate_hidden must be non-negative, got {self.gate_hidden}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.init_std <= 0:
+            # at 0 every embedding starts at zero, which target-only never leaves
+            raise ValueError(f"init_std must be positive, got {self.init_std}")
         if self.gumbel_temperature <= 0 or self.contrastive_temperature <= 0:
             raise ValueError("temperatures must be positive")
         if min(self.alphas) < 0:

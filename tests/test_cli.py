@@ -307,6 +307,23 @@ class TestTrain:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--init-std", "0", "init_std must be positive, got 0.0"),
+        ("--init-std", "-0.1", "init_std must be positive, got -0.1"),
+        ("--gate-hidden", "-1", "gate_hidden must be non-negative, got -1"),
+    ])
+    def test_out_of_range_initialization_exits_one_before_any_output(
+        self, synth_dir, tmp_path, capsys, command, flag, value, message
+    ):
+        out = tmp_path / "out"
+        variant = ["--variant", "target-only"] if command == "ablate" else []
+        code = main([command, *variant, *data_flags(synth_dir), "--out", str(out), *FAST_TRAIN,
+                     flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_fewer_than_two_layers_under_the_entity_bridge_exit_one(self, synth_dir, tmp_path,
                                                                     capsys):
         # items have no table under the bridge, so one layer serves every user as zero

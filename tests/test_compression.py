@@ -25,6 +25,8 @@ from crossrec.compression import (
     mix_noise,
 )
 
+import two_pass_info_nce
+
 
 class TestMerge:
     def test_zero_source_passthrough(self):
@@ -294,6 +296,51 @@ class TestInfoNce:
         assert np.array_equal(g_t, o_t)
         assert np.array_equal(g_m, o_m)
 
+    # rows per block: None keeps INFO_NCE_BLOCK; otherwise the block constant
+    # is patched to rows * b elements
+    @pytest.mark.parametrize(
+        "b, rows",
+        [
+            pytest.param(1, None, id="1"),
+            pytest.param(2, None, id="2"),
+            pytest.param(5, None, id="5"),
+            pytest.param(100, None, id="100"),
+            pytest.param(257, None, id="257"),
+            pytest.param(2, 1, id="2-one-row-blocks"),
+            pytest.param(5, 2, id="5-partial-last-block"),
+            pytest.param(100, 10, id="100-exact-multiple"),
+            pytest.param(257, 1, id="257-one-row-blocks"),
+            pytest.param(257, 16, id="257-partial-last-block"),
+        ],
+    )
+    # at 1e-3 the shifted logits reach -2000, so exp underflows to 0 and
+    # through the subnormals; at 0.01 they stop at -200
+    @pytest.mark.parametrize("tau", [0.2, 0.01, 1e-3])
+    def test_bit_identical_to_the_two_pass_code(self, b, rows, tau, monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(compression, "INFO_NCE_BLOCK", rows * b)
+        rng = np.random.default_rng(100 + b)
+        t_reps = rng.normal(size=(b, 6))
+        mixed = rng.normal(size=(b, 6))
+        if b > 1:
+            # rows 0 and 1 of every cosine row tie, and in row 0 they are its maximum
+            t_reps[1] = t_reps[0]
+            mixed[0] = t_reps[0]
+        if b > 4:
+            mixed[b // 2] = 0.0  # rows at the norm floor
+            t_reps[b // 2 + 1] = 0.0
+        if tau == 1e-3 and b > 4:
+            cos = (mixed @ t_reps.T) / (_oracle_norms(mixed)[:, None] * _oracle_norms(t_reps))
+            scaled = cos / tau
+            assert np.any(np.exp(scaled - scaled.max(axis=1, keepdims=True)) == 0.0)
+        forward = info_nce(t_reps, mixed, tau)
+        reference = two_pass_info_nce.info_nce(t_reps, mixed, tau)
+        assert forward.loss == reference.loss
+        g_t, g_m = info_nce_backward(t_reps, mixed, forward)
+        r_t, r_m = two_pass_info_nce.info_nce_backward(t_reps, mixed, reference)
+        assert np.array_equal(g_t, r_t)
+        assert np.array_equal(g_m, r_m)
+
     def test_second_backward_on_one_record_raises(self):
         rng = np.random.default_rng(14)
         t_reps = rng.normal(size=(4, 3))
@@ -317,7 +364,7 @@ class TestInfoNce:
             ]
 
         forward = info_nce(t_reps, mixed, tau=0.2)
-        assert square_fields(forward) == ["cos"]
+        assert square_fields(forward) == ["g_dot"]
         info_nce_backward(t_reps, mixed, forward)
         assert square_fields(forward) == []
         with pytest.raises(ForwardConsumedError):
@@ -401,6 +448,20 @@ class TestGateNetwork:
         assert hidden.shape == (9, 4)
         assert np.isfinite(logits).all()
         assert np.all((expit(logits) > 0) & (expit(logits) < 1))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hidden", [0, 1, 32])
+    def test_initialize_keeps_the_stream_at_every_width(self, hidden):
+        # width 0 draws nothing and divides by no zero
+        rng = np.random.default_rng(3)
+        gate = GateNetwork.initialize(dim=6, hidden=hidden, rng=rng)
+        expected = np.random.default_rng(3)
+        w1 = expected.normal(0.0, 1.0 / np.sqrt(6), size=(6, hidden))
+        with np.errstate(divide="ignore"):
+            w2 = expected.normal(0.0, 1.0 / np.sqrt(hidden), size=hidden)
+        assert np.array_equal(gate.w1, w1)
+        assert np.array_equal(gate.w2, w2)
+        assert rng.normal() == expected.normal()
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(13)

@@ -1,7 +1,7 @@
 """Optimizer behavior, exact gradients, determinism, checkpoints."""
 
 import struct
-from dataclasses import asdict, astuple, replace
+from dataclasses import asdict, astuple, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +11,7 @@ from crossrec.compression import SIGMA_FLOOR
 from crossrec.data import DatasetBundle
 from crossrec.graph import ENTITIES, USERS, InteractionGraph, KnowledgeLinkage
 from crossrec.evaluation import split_leave_one_out
+from crossrec.experiments import config_for_variant
 from crossrec.transfer import (
     bpr_loss,
     bpr_loss_backward,
@@ -45,6 +46,7 @@ from crossrec.training import (
 from full_matrix import full_matrix_training, full_power
 from gradcheck import gradient_check, pinned
 from metric_oracle import metrics_at, one_row
+from two_pass_info_nce import two_pass_training
 
 
 def micro_setup(bundle, config, seed=7):
@@ -200,6 +202,32 @@ class TestTrainStep:
         assert np.array_equal(served.users, expected.users)
         assert np.array_equal(served.items, expected.items)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_gate_without_hidden_units_trains_without_warnings(self, dense_micro_bundle):
+        config = TrainConfig(embedding_dim=4, gate_hidden=0, layers=2, seed=5, batch_size=16)
+        graphs, params, batch, _ = micro_setup(dense_micro_bundle, config)
+        for step in range(4):
+            draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 4)
+            train_step(params, graphs, batch, draws, config)
+        assert params.all_finite()
+        assert np.isfinite(build_scorer(params, graphs, config)(0)).all()
+
+    @pytest.mark.parametrize("variant", ["full", "no-cl"])
+    def test_info_nce_trains_as_the_two_pass_code_does(self, dense_micro_bundle, variant):
+        # no-cl runs the forward and discards its gradient work
+        config = config_for_variant(variant, TrainConfig(embedding_dim=4, gate_hidden=4,
+                                                         layers=2, seed=5, batch_size=16))
+        graphs, params, batch, _ = micro_setup(dense_micro_bundle, config)
+        reference = params.copy()
+        for step in range(4):
+            draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 4)
+            train_step(params, graphs, batch, draws, config)
+            with two_pass_training():
+                train_step(reference, graphs, batch, draws, config)
+        for name in params.arrays:
+            assert np.array_equal(params.arrays[name], reference.arrays[name]), name
+            assert np.array_equal(params.accumulators[name], reference.accumulators[name]), name
+
     def test_parameters_stay_finite_over_many_steps(self, dense_micro_bundle):
         config = TrainConfig(
             embedding_dim=4, gate_hidden=4, layers=2, seed=5,
@@ -232,6 +260,22 @@ class TestTrainStep:
 
 
 class TestForwardCache:
+    def test_backward_releases_the_info_nce_buffer(self, dense_micro_bundle):
+        # the B x B buffer must not stay alive through the adjoint propagation
+        # and the Adagrad update that follow the backward
+        config = TrainConfig(embedding_dim=4, gate_hidden=4, layers=2, seed=5)
+        graphs, params, batch, draws = micro_setup(dense_micro_bundle, config)
+        _, cache = forward_losses(params, graphs, batch, draws, config)
+        b = batch.users.size
+
+        def square_fields(record):
+            return [entry.name for entry in fields(record)
+                    if np.shape(getattr(record, entry.name)) == (b, b)]
+
+        assert square_fields(cache.contrastive) == ["g_dot"]
+        backward_losses(cache)
+        assert square_fields(cache.contrastive) == []
+
     def test_compression_invariants(self, dense_micro_bundle):
         config = TrainConfig(embedding_dim=4, gate_hidden=4, layers=2, seed=5)
         graphs, params, batch, draws = micro_setup(dense_micro_bundle, config)
@@ -547,6 +591,14 @@ def test_config_refuses_a_value_of_the_wrong_type(setting):
 def test_config_admits_numpy_scalars_and_integer_reals():
     config = TrainConfig(seed=np.int64(3), learning_rate=1, alphas=(0, 1, np.float64(0.5)))
     assert (config.seed, config.learning_rate, config.alphas) == (3, 1, (0, 1, 0.5))
+
+
+@pytest.mark.parametrize("setting", [
+    {"init_std": 0.0}, {"init_std": -0.1}, {"gate_hidden": -1},
+], ids=str)
+def test_config_refuses_an_out_of_range_value_by_name(setting):
+    with pytest.raises(ValueError, match=f"^{next(iter(setting))} must be "):
+        TrainConfig(**setting)
 
 
 def validation_oracle(params, graphs, config, split, excluded_by_user):
