@@ -11,6 +11,10 @@ representation aligned with the user's target-domain portrait.
 All functions take their random draws as explicit arguments, so any
 caller-managed stream reproduces results exactly.  They are pure, except that
 ``info_nce_backward`` drops the buffer from the forward record it is given.
+They check nothing: their arrays are float64 of matching shapes, built by
+``training.forward_losses`` or ``training.build_scorer`` over non-empty
+batches; ``TrainConfig`` checks the temperatures, and ``StepDraws`` clips the
+uniform draws into the open interval (0, 1).
 
 InfoNCE holds one B x B float64 buffer per step.  The forward reads it once,
 over row blocks of ``INFO_NCE_BLOCK`` values: each block becomes cosines,
@@ -44,11 +48,7 @@ def merge_representations(
     e_source_users: np.ndarray, e_target_users: np.ndarray
 ) -> np.ndarray:
     """Element-wise sum of the two domains' user representations."""
-    a = np.asarray(e_source_users, dtype=np.float64)
-    b = np.asarray(e_target_users, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
+    return e_source_users + e_target_users
 
 
 def gumbel_sigmoid(z, m, t: float):
@@ -59,12 +59,6 @@ def gumbel_sigmoid(z, m, t: float):
     concentrates on {0, 1} with P(gate -> 1) = sigmoid(z); at any ``t`` the
     map is differentiable in ``z``.
     """
-    if t <= 0:
-        raise ValueError(f"temperature must be positive, got {t}")
-    z = np.asarray(z, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    if np.any(m <= 0.0) or np.any(m >= 1.0):
-        raise ValueError("uniform draw must lie strictly inside (0, 1)")
     return expit((z + np.log(m / (1.0 - m))) / t)
 
 
@@ -91,12 +85,6 @@ def mix_noise(
     N(mu, sigma^2) per dimension.  Output is ``gate*h + (1-gate)*eps`` with
     the gate broadcast across dimensions.
     """
-    h = np.asarray(h, dtype=np.float64)
-    gate = np.asarray(gate, dtype=np.float64)
-    if noise_draws.shape != h.shape:
-        raise ValueError(f"noise shape {noise_draws.shape} != representation shape {h.shape}")
-    if gate.shape != (h.shape[0],):
-        raise ValueError(f"gate shape {gate.shape} != batch size {h.shape[0]}")
     eps = mu[None, :] + sigma[None, :] * noise_draws
     mixed = gate[:, None] * h + (1.0 - gate[:, None]) * eps
     return mixed, eps
@@ -104,7 +92,7 @@ def mix_noise(
 
 def compress_deterministic(h: np.ndarray, logits: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Noise-free serving path: gate at its expectation, noise at its mean."""
-    gate = expit(np.asarray(logits, dtype=np.float64))
+    gate = expit(logits)
     return gate[:, None] * h + (1.0 - gate[:, None]) * mu[None, :]
 
 
@@ -119,11 +107,7 @@ def kl_upper_bound(gate: np.ndarray, h: np.ndarray, mu: np.ndarray, sigma: np.nd
     and the result is the mean over dimensions (natural log).  The floor on M
     keeps the value finite when every gate saturates at 1.
     """
-    gate = np.asarray(gate, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
     b = gate.shape[0]
-    if b < 1:
-        raise ValueError("batch must contain at least one row")
     m_total = np.sum((1.0 - gate) ** 2)
     q = np.sum(gate[:, None] * (h - mu[None, :]) / sigma[None, :], axis=0)
     per_dim = -0.5 * np.log(max(m_total, M_FLOOR)) + m_total / (2 * b) + q**2 / (2 * b)
@@ -138,8 +122,6 @@ def kl_upper_bound_backward(
     ``mu`` and ``sigma`` are constants of the batch.  Inside the floored
     region the log term contributes no gradient.
     """
-    gate = np.asarray(gate, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
     b, d = h.shape
     m_total = np.sum((1.0 - gate) ** 2)
     q = np.sum(gate[:, None] * (h - mu[None, :]) / sigma[None, :], axis=0)
@@ -212,15 +194,8 @@ def info_nce(e_target_users: np.ndarray, mixed: np.ndarray, tau: float) -> InfoN
     values go on to the cosine gradient, its row and column sums, and the
     gradient of the dot products, which overwrites the block.
     """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    t_reps = np.asarray(e_target_users, dtype=np.float64)
-    mixed = np.asarray(mixed, dtype=np.float64)
-    if t_reps.shape != mixed.shape:
-        raise ValueError(f"shape mismatch: {t_reps.shape} vs {mixed.shape}")
+    t_reps = e_target_users
     b = t_reps.shape[0]
-    if b < 1:
-        raise ValueError("batch must contain at least one row")
     n_m = _floored_norms(mixed)
     n_t = _floored_norms(t_reps)
     buffer = mixed @ t_reps.T
@@ -271,13 +246,7 @@ def info_nce_backward(
         raise ForwardConsumedError("InfoNCE forward record was already used by a backward pass")
     g, n_m, n_t = forward.g_dot, forward.n_m, forward.n_t
     forward.g_dot = None
-    t_reps = np.asarray(e_target_users, dtype=np.float64)
-    mixed = np.asarray(mixed, dtype=np.float64)
-    b = t_reps.shape[0]
-    if mixed.shape != t_reps.shape or g.shape != (b, b):
-        raise ValueError(
-            f"inputs {mixed.shape}, {t_reps.shape} do not match the forward's {g.shape}"
-        )
+    t_reps = e_target_users
 
     # cosine gradient: through the dot product and through each norm; rows at
     # the norm floor are treated as constant-norm (subgradient choice)

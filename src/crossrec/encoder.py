@@ -11,6 +11,10 @@ needs.  The adjoint applies the same hops' transposes in reverse order, from
 the user and item rows back to the live blocks.  Item rows of ``E(0)`` are
 zero when items carry no parameters of their own; their information enters
 purely through propagation.
+
+Neither function checks its input: graphs are the normalized ones of
+``training.DomainGraphs``, ``TrainConfig`` checks the layer count, and
+``training._propagate`` checks that the tables fill the live blocks' rows.
 """
 
 from __future__ import annotations
@@ -56,17 +60,7 @@ def propagate(
     rows.  ``layers == 0`` returns the input's, with zero rows for a block
     that is not live.
     """
-    if not graph.normalized:
-        raise ValueError("propagate expects a normalized adjacency")
-    if layers < 0:
-        raise ValueError("layer count must be non-negative")
     hops = graph.hops(live, layers)
-    e0 = np.asarray(e0, dtype=np.float64)
-    if e0.ndim != 2 or e0.shape[0] != hops.live_rows:
-        raise ValueError(
-            f"embedding matrix has {e0.shape} rows, the graph's live blocks {live} "
-            f"have {hops.live_rows}"
-        )
     if layers == 0:
         current = np.zeros((graph.user_count + graph.item_count, e0.shape[1]))
         current[hops.passed_to] = e0[hops.passed]
@@ -87,11 +81,6 @@ def backprop_propagate(
     took them; a live block that no read reaches gets zero rows.  The caller
     decides which rows feed learnable tables.
     """
-    grad_at_z = np.asarray(grad_at_z, dtype=np.float64)
-    if grad_at_z.shape != state.final.shape:
-        raise ValueError(
-            f"gradient shape {grad_at_z.shape} does not match z shape {state.final.shape}"
-        )
     hops = graph.hops(state.live, state.layers)
     if state.layers == 0:
         pulled = np.zeros((hops.live_rows, grad_at_z.shape[1]))

@@ -182,18 +182,15 @@ class BlockHops:
 
 @dataclass(frozen=True)
 class SparseGraph:
-    """CSR adjacency over ``[users | items | entities]``.
+    """CSR adjacency over ``[users | items | entities]``, raw 0/1 or normalized.
 
-    ``normalized`` distinguishes the raw 0/1 matrix from the
-    ``D^{-1/2} A D^{-1/2}`` form fed to the encoder.  Zero-degree rows simply
-    have no stored entries.
+    Zero-degree rows simply have no stored entries.
     """
 
     user_count: int
     item_count: int
     entity_count: int
     matrix: sp.csr_matrix = field(repr=False)
-    normalized: bool = False
     _hops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -226,8 +223,6 @@ def _block_hops(graph: SparseGraph, live: tuple[int, ...], layers: int) -> Block
     each kept row sums the same nonzero terms in the same order.  Where a hop
     keeps every row and column, it is the matrix itself.
     """
-    if live != tuple(sorted(set(live) & set(BLOCKS))):
-        raise ValueError(f"live blocks must be distinct node blocks in block order, got {live}")
     m = graph.matrix
     bounds = np.cumsum([0, graph.user_count, graph.item_count, graph.entity_count])
     row_block = np.repeat(BLOCKS, np.diff(m.indptr[bounds]))
@@ -284,7 +279,7 @@ def assemble_adjacency(graph: InteractionGraph, kg: KnowledgeLinkage) -> SparseG
     r, c = np.divmod(flat, n)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n))))
     matrix = sp.csr_matrix((np.ones(flat.size), c, indptr), shape=(n, n))
-    return SparseGraph(n_u, n_i, n_e, matrix, normalized=False)
+    return SparseGraph(n_u, n_i, n_e, matrix)
 
 
 def normalize_symmetric(graph: SparseGraph) -> SparseGraph:
@@ -306,9 +301,7 @@ def normalize_symmetric(graph: SparseGraph) -> SparseGraph:
     normalized = sp.csr_matrix(
         (values, m.indices.copy(), m.indptr.copy()), shape=m.shape
     )
-    return SparseGraph(
-        graph.user_count, graph.item_count, graph.entity_count, normalized, normalized=True
-    )
+    return SparseGraph(graph.user_count, graph.item_count, graph.entity_count, normalized)
 
 
 def scope_entity_edges(kg: KnowledgeLinkage, hop_radius: int) -> tuple[KnowledgeLinkage, int]:

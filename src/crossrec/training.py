@@ -130,27 +130,22 @@ class TrainConfig:
                 raise ValueError(f"{entry.name} must be {kind}, got {value!r}")
             if isinstance(value, (float, tuple)) and not np.isfinite(value).all():
                 raise ValueError(f"{entry.name} must be finite, got {value}")
-        if self.embedding_dim <= 0 or self.batch_size <= 0:
-            raise ValueError("embedding_dim and batch_size must be positive")
-        if min(self.max_epochs, self.layers, self.patience, self.hop_radius) < 0:
-            raise ValueError("max_epochs, layers, patience and hop_radius must be non-negative")
-        if self.gate_hidden < 0:
-            raise ValueError(f"gate_hidden must be non-negative, got {self.gate_hidden}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.init_std <= 0:
-            # at 0 every embedding starts at zero, which target-only never leaves
-            raise ValueError(f"init_std must be positive, got {self.init_std}")
-        if self.gumbel_temperature <= 0 or self.contrastive_temperature <= 0:
-            raise ValueError("temperatures must be positive")
-        if min(self.alphas) < 0:
-            raise ValueError(f"loss weights must be non-negative: {self.alphas}")
-        if self.prediction_loss not in PREDICTION_LOSSES:
-            raise ValueError(f"unknown prediction loss {self.prediction_loss!r}")
-        if self.model not in (CROSS, TARGET_ONLY):
-            raise ValueError(f"unknown model kind {self.model!r}")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        # init_std 0 starts every embedding at zero, which target-only never leaves
+        positive = ("embedding_dim", "batch_size", "learning_rate", "gumbel_temperature",
+                    "contrastive_temperature", "init_std")
+        non_negative = ("max_epochs", "layers", "gate_hidden", "alphas", "patience",
+                        "weight_decay", "hop_radius")
+        for name in positive + non_negative:
+            value = getattr(self, name)
+            low = min(value) if isinstance(value, tuple) else value
+            if low < 0 or (low == 0 and name in positive):
+                bound = "positive" if name in positive else "non-negative"
+                raise ValueError(f"{name} must be {bound}, got {value}")
+        for name, allowed in (("prediction_loss", PREDICTION_LOSSES),
+                              ("model", (CROSS, TARGET_ONLY))):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 @dataclass

@@ -4,6 +4,10 @@ Both domains are scored with the same fused user vector: the compressed
 source-conditioned representation plus the user's target representation.
 Scoring a source item with that fused vector is what lets source feedback
 supervise the compression gates.
+
+These functions check nothing: scores and representations are float64
+arrays of matching shapes, built by ``training.forward_losses``, and
+``TrainConfig`` checks the loss weights.
 """
 
 from __future__ import annotations
@@ -15,16 +19,8 @@ from scipy.special import expit
 
 
 def score(fused_user, e_item):
-    """Inner product of the fused user vector with an item representation.
-
-    Accepts single vectors or row-aligned batches.
-    """
-    u = np.asarray(fused_user, dtype=np.float64)
-    i = np.asarray(e_item, dtype=np.float64)
-    if u.shape != i.shape:
-        raise ValueError(f"shape mismatch: {u.shape} vs {i.shape}")
-    result = np.sum(u * i, axis=-1)
-    return float(result) if result.ndim == 0 else result
+    """Row-wise inner products of fused user vectors with item representations."""
+    return np.sum(fused_user * e_item, axis=-1)
 
 
 def softplus(x):
@@ -37,33 +33,24 @@ def bpr_loss(pos_scores, neg_scores) -> float:
     Numerically stable for arbitrarily large score gaps; equals ln 2 when the
     scores tie and decays to zero as the positive pulls ahead.
     """
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    if pos.shape != neg.shape:
-        raise ValueError(f"shape mismatch: {pos.shape} vs {neg.shape}")
-    return float(softplus(neg - pos).mean())
+    return float(softplus(neg_scores - pos_scores).mean())
 
 
 def bpr_loss_backward(pos_scores, neg_scores) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of ``bpr_loss`` w.r.t. the positive and negative scores."""
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    g = expit(neg - pos) / pos.size
+    g = expit(neg_scores - pos_scores) / pos_scores.size
     return -g, g
 
 
 def cross_entropy_loss(pos_scores, neg_scores) -> float:
     """Point-wise alternative: positives labelled 1, negatives 0."""
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    return float((softplus(-pos).sum() + softplus(neg).sum()) / (pos.size + neg.size))
+    n = pos_scores.size + neg_scores.size
+    return float((softplus(-pos_scores).sum() + softplus(neg_scores).sum()) / n)
 
 
 def cross_entropy_loss_backward(pos_scores, neg_scores) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    n = pos.size + neg.size
-    return (expit(pos) - 1.0) / n, expit(neg) / n
+    n = pos_scores.size + neg_scores.size
+    return (expit(pos_scores) - 1.0) / n, expit(neg_scores) / n
 
 
 @dataclass(frozen=True)
@@ -86,8 +73,6 @@ def total_loss(
 ) -> LossBundle:
     """Combine the components: pred_target + a1*pred_source + a2*kl + a3*contrastive."""
     a1, a2, a3 = (float(a) for a in alphas)
-    if min(a1, a2, a3) < 0:
-        raise ValueError(f"loss weights must be non-negative, got {alphas}")
     total = pred_target + a1 * pred_source + a2 * kl + a3 * contrastive
     return LossBundle(
         pred_target=float(pred_target),

@@ -61,17 +61,6 @@ class TestGumbelSigmoid:
             0.9084284688124459, abs=1e-12
         )
 
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(ValueError):
-            gumbel_sigmoid(0.0, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            gumbel_sigmoid(0.0, 0.5, -1.0)
-
-    def test_draw_must_be_interior(self):
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                gumbel_sigmoid(0.0, bad, 1.0)
-
     def test_empirical_mean_matches_sigmoid(self):
         # for small t, the fraction of draws above 1/2 estimates sigmoid(z)
         rng = np.random.default_rng(123)
@@ -234,10 +223,6 @@ class TestInfoNce:
                 value, abs=1e-12
             )
 
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(ValueError):
-            info_nce(np.ones((2, 2)), np.ones((2, 2)), tau=0.0)
-
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         t_reps = rng.normal(size=(5, 3))
@@ -259,10 +244,6 @@ class TestInfoNce:
                 denom = max(abs(numeric), abs(flat_grad[i]), 1e-8)
                 worst = max(worst, abs(numeric - flat_grad[i]) / denom)
         assert worst <= 1e-5
-
-    def test_empty_batch_is_rejected(self):
-        with pytest.raises(ValueError, match="batch must contain at least one row"):
-            info_nce(np.empty((0, 3)), np.empty((0, 3)), tau=0.2)
 
     # rows per block: None keeps INFO_NCE_BLOCK; otherwise the block constant
     # is patched to rows * b elements

@@ -102,19 +102,6 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(normalized, np.zeros((normalized.node_count, 3)), 1, (USERS, ENTITIES))
 
-    def test_requires_normalized_graph(self):
-        graph = InteractionGraph("source", 1, 1, [(0, 0)])
-        raw = assemble_adjacency(graph, KnowledgeLinkage.empty())
-        with pytest.raises(ValueError):
-            propagate(raw, np.zeros((2, 2)), 1)
-
-    def test_live_blocks_must_be_distinct_and_in_block_order(self):
-        rng = np.random.default_rng(9)
-        normalized, _ = build_normalized(rng)
-        for live in [(ENTITIES, USERS), (USERS, USERS), (USERS, 3)]:
-            with pytest.raises(ValueError, match="block order"):
-                propagate(normalized, np.zeros((normalized.node_count, 2)), 1, live)
-
 
 class TestBackpropPropagate:
     def test_zero_layers_passthrough(self):

@@ -345,7 +345,8 @@ class TestTargetOnlyOracle:
         assert list(params.arrays) == ["user_t", "item_t"]
         assert_matches_target_only_oracle(params, graphs, batch, draws, config)
 
-    @pytest.mark.parametrize("batch_size", [1, 4, 16])
+    # the split has 12 users, so batches of 11 leave a one-user last batch
+    @pytest.mark.parametrize("batch_size", [1, 4, 11, 16])
     def test_tiny_split_batches(self, tiny_bundle, tiny_split, batch_size):
         # one epoch of the real sampler; the oracle's gradients drive the
         # Adagrad steps, so later batches are checked away from the init
@@ -362,6 +363,9 @@ class TestTargetOnlyOracle:
         batches = _sample_batches(np.random.default_rng(3), tiny_split.users, batch_size, owned,
                                   keys)
         assert batches[0].users.size == min(batch_size, tiny_split.users.size)
+        # the losses divide by the batch size, so no batch may be empty
+        sizes = [batch.users.size for batch in batches]
+        assert min(sizes) >= 1 and sum(sizes) == tiny_split.users.size
         for step, batch in enumerate(batches):
             draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 8)
             grads = assert_matches_target_only_oracle(params, graphs, batch, draws, config)
@@ -593,12 +597,31 @@ def test_config_admits_numpy_scalars_and_integer_reals():
     assert (config.seed, config.learning_rate, config.alphas) == (3, 1, (0, 1, 0.5))
 
 
-@pytest.mark.parametrize("setting", [
-    {"init_std": 0.0}, {"init_std": -0.1}, {"gate_hidden": -1},
-], ids=str)
-def test_config_refuses_an_out_of_range_value_by_name(setting):
-    with pytest.raises(ValueError, match=f"^{next(iter(setting))} must be "):
+@pytest.mark.parametrize("setting, message", [
+    pytest.param(setting, message, id=str(setting)) for setting, message in [
+        ({"embedding_dim": 0}, "embedding_dim must be positive, got 0"),
+        ({"batch_size": 0}, "batch_size must be positive, got 0"),
+        ({"learning_rate": 0.0}, "learning_rate must be positive, got 0.0"),
+        ({"gumbel_temperature": 0.0}, "gumbel_temperature must be positive, got 0.0"),
+        ({"contrastive_temperature": 0.0}, "contrastive_temperature must be positive, got 0.0"),
+        ({"init_std": 0.0}, "init_std must be positive, got 0.0"),
+        ({"init_std": -0.1}, "init_std must be positive, got -0.1"),
+        ({"max_epochs": -1}, "max_epochs must be non-negative, got -1"),
+        ({"layers": -1}, "layers must be non-negative, got -1"),
+        ({"gate_hidden": -1}, "gate_hidden must be non-negative, got -1"),
+        ({"alphas": (0.01, -1.0, 1.0)}, "alphas must be non-negative, got (0.01, -1.0, 1.0)"),
+        ({"patience": -1}, "patience must be non-negative, got -1"),
+        ({"weight_decay": -1.0}, "weight_decay must be non-negative, got -1.0"),
+        ({"hop_radius": -1}, "hop_radius must be non-negative, got -1"),
+        ({"prediction_loss": "hinge"},
+         "prediction_loss must be one of ('bpr', 'ce'), got 'hinge'"),
+        ({"model": "dense"}, "model must be one of ('cross', 'target_only'), got 'dense'"),
+    ]
+])
+def test_config_refuses_an_out_of_range_value_by_name(setting, message):
+    with pytest.raises(ValueError) as refused:
         TrainConfig(**setting)
+    assert str(refused.value) == message
 
 
 def validation_oracle(params, graphs, config, split, excluded_by_user):
@@ -732,6 +755,13 @@ class TestStepDraws:
         b = StepDraws.for_step(3, 5, 3, 16, 8)
         assert not np.array_equal(a.uniform, b.uniform)
 
-    def test_uniform_draws_interior(self):
+    def test_uniform_draws_interior(self, monkeypatch):
         draws = StepDraws.for_step(0, 1, 0, 1000, 4)
         assert np.all(draws.uniform > 0.0) and np.all(draws.uniform < 1.0)
+        # gumbel_sigmoid takes logit(m) unchecked, so the clip must catch a
+        # generator that returns the interval's ends
+        ends = SimpleNamespace(random=lambda size: np.array([0.0, 1.0]),
+                               normal=lambda size: np.zeros(size))
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ends)
+        uniform = StepDraws.for_step(0, 1, 0, 2, 4).uniform
+        assert np.isfinite(np.log(uniform / (1.0 - uniform))).all()
