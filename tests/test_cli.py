@@ -5,6 +5,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -107,6 +109,33 @@ class TestGenSynth:
         assert environment["simd_baseline"] and all(isinstance(name, str)
                                                     for name in environment["simd_baseline"])
         assert set(environment["simd_dispatch"]) <= set(_multiarray_umath.__cpu_dispatch__)
+
+    def test_outputs_do_not_depend_on_the_simd_dispatch_level(self, tmp_path):
+        # numpy picks its ufunc loops by CPU feature at import; the entity
+        # kNN orders each entity's neighbours by argmax's first-maximum rule,
+        # which every loop keeps, so no table moves with all dispatch targets
+        # disabled
+        source_dir = str(Path(cli.__file__).parents[1])
+        runs = {"default": None, "baseline": " ".join(_multiarray_umath.__cpu_dispatch__)}
+        for name, disabled in runs.items():
+            env = {key: value for key, value in os.environ.items()
+                   if key != "NPY_DISABLE_CPU_FEATURES"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_dir, env.get("PYTHONPATH")]))
+            if disabled is not None:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            subprocess.run([sys.executable, "-m", "crossrec.cli", "gen-synth", "--seed", "7",
+                            "--out", str(tmp_path / name)], env=env, check=True,
+                           stdout=subprocess.DEVNULL, timeout=300)
+        baseline_manifest = strict_json(tmp_path / "baseline" / "manifest.json")
+        assert baseline_manifest["environment"]["simd_dispatch"] == []
+        # the manifest records the dispatch level and wall times, so only it differs
+        written = sorted(path.name for path in (tmp_path / "default").iterdir())
+        assert written == sorted(path.name for path in (tmp_path / "baseline").iterdir())
+        tables = [name for name in written if name != "manifest.json"]
+        assert "kg.tsv" in tables and "flags.tsv" in tables
+        for name in tables:
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "baseline" / name).read_bytes(), name
 
     def test_training_key_in_config_file_rejected(self, tmp_path, capsys):
         config = tmp_path / "synth.conf"

@@ -12,6 +12,7 @@ from crossrec.data import (
     DataPaths,
     SynthSpec,
     _choice_by_cdf,
+    _nearest_neighbors,
     choice_from_complement,
     generate_synthetic,
     load_bundle,
@@ -27,12 +28,20 @@ def _softmax(logits):
     return exp / exp.sum()
 
 
+def dense_knn_oracle(unit, count):
+    """Each row's ``count`` most cosine-similar other rows of ``unit``, from the
+    dense similarity matrix with one stable sort per row: descending
+    similarity, ties to the lower index."""
+    similarity = unit @ unit.T
+    np.fill_diagonal(similarity, -np.inf)
+    return np.stack([np.argsort(-row, kind="stable")[:count] for row in similarity])
+
+
 def generate_synthetic_oracle(spec, dense_knn=True):
     """Reference generator: one ``rng.choice(p=softmax)`` per user and
     domain, each uniform draw's pool from ``np.setdiff1d``, and the entity
-    kNN from the dense similarity matrix with one ``argpartition`` per row.
-    Returns (source edges, target edges, entity edges, flags); the entity
-    edges are None without ``dense_knn``."""
+    kNN from :func:`dense_knn_oracle`.  Returns (source edges, target edges,
+    entity edges, flags); the entity edges are None without ``dense_knn``."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     k, n_clusters = spec.latent_dim, spec.entity_clusters
     centers = rng.normal(size=(n_clusters, k))
@@ -72,15 +81,11 @@ def generate_synthetic_oracle(spec, dense_knn=True):
     if dense_knn:
         all_latents = np.concatenate([item_latents["source"], item_latents["target"]], axis=0)
         unit = all_latents / np.linalg.norm(all_latents, axis=1, keepdims=True)
-        similarity = unit @ unit.T
-        np.fill_diagonal(similarity, -np.inf)
         n_entities = all_latents.shape[0]
         neighbor_count = min(spec.entity_neighbors, n_entities - 1)
-        kg_edges = []
-        for entity in range(n_entities):
-            nearest = np.argpartition(-similarity[entity], neighbor_count)[:neighbor_count]
-            kg_edges.extend((entity, int(other)) for other in nearest)
-        kg = as_edges(kg_edges)
+        nearest = dense_knn_oracle(unit, neighbor_count)
+        kg = as_edges([(entity, int(other)) for entity in range(n_entities)
+                       for other in nearest[entity]])
     return as_edges(edges["source"]), as_edges(edges["target"]), kg, np.asarray(flags, dtype=bool)
 
 
@@ -360,6 +365,31 @@ class TestGenerateSynthetic:
             assert np.array_equal(actual, expected)
         assert bundle.kg.entity_count == n_entities == len(bundle.entity_ids)
 
+    # coordinates of 0, ±1/2 and ±1 make every dot product exact in any
+    # summation order, so equal similarities stay equal in every row block
+    TIED_DIRECTIONS = np.array([
+        [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+        [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5], [0.5, 0.5, -0.5, -0.5],
+    ])
+
+    @pytest.mark.parametrize("rows, count", [
+        (6, 5),  # a clamped count: every other row
+        (40, 4),
+        (KNN_BLOCK + 37, 7),  # two row blocks
+    ])
+    def test_nearest_neighbors_break_exact_ties_to_the_lower_index(self, rows, count):
+        # duplicate directions tie at similarity 1, and the others at 0 or ±1/2
+        rng = np.random.default_rng(rows)
+        unit = self.TIED_DIRECTIONS[rng.integers(0, len(self.TIED_DIRECTIONS), size=rows)]
+        nearest = _nearest_neighbors(unit, count)
+        assert nearest.dtype == np.int64
+        assert np.array_equal(nearest, dense_knn_oracle(unit, count))
+
+    def test_nearest_neighbors_of_identical_rows_are_the_others_in_index_order(self):
+        unit = np.tile(self.TIED_DIRECTIONS[3], (5, 1))
+        expected = [[other for other in range(5) if other != row] for row in range(5)]
+        assert _nearest_neighbors(unit, 4).tolist() == expected
+
     def test_user_counts_support_leave_one_out(self, tiny_bundle):
         bundle, _ = tiny_bundle
         source_counts = np.bincount(bundle.source.edges[:, 0], minlength=bundle.user_count)
@@ -402,7 +432,7 @@ def test_choice_with_p_draws_as_a_cdf_search_with_retries():
         probe = np.random.default_rng(seed)
         retries += len(set(cdf.searchsorted(probe.random(size), side="right").tolist())) < size
         expected = choice.choice(n, size, replace=False, p=p)
-        assert _choice_by_cdf(search, p, cdf, positive, size) == expected.tolist()
+        assert _choice_by_cdf(search, p, cdf, size) == expected.tolist()
         assert choice.bit_generator.state == search.bit_generator.state
         assert choice.integers(1000) == search.integers(1000)
     assert retries > 100
@@ -412,7 +442,7 @@ def test_choice_with_p_draws_as_a_cdf_search_with_retries():
     step = float(np.random.default_rng(seed).random())
     p = np.array([step, 1.0 - step])
     assert np.random.default_rng(seed).choice(2, 1, replace=False, p=p).tolist() == [1]
-    assert _choice_by_cdf(np.random.default_rng(seed), p, _cdf(p), 2, 1) == [1]
+    assert _choice_by_cdf(np.random.default_rng(seed), p, _cdf(p), 1) == [1]
 
 
 def test_choice_from_a_pool_draws_as_a_choice_over_its_size():
@@ -460,4 +490,4 @@ def test_too_few_nonzero_probabilities_raise_as_in_numpy():
     with pytest.raises(ValueError, match=message):
         np.random.default_rng(0).choice(4, 3, replace=False, p=p)
     with deadline(10), pytest.raises(ValueError, match=message):
-        _choice_by_cdf(np.random.default_rng(0), p, _cdf(p), 2, 3)
+        _choice_by_cdf(np.random.default_rng(0), p, _cdf(p), 3)
