@@ -416,8 +416,9 @@ def _nearest_neighbors(unit: np.ndarray, count: int) -> np.ndarray:
     ``unit`` holds one unit vector per row, and ``count`` is below its row
     count.  Row ``i`` of the result lists its neighbours by descending
     similarity, ties to the lower index: ``np.argsort(-similarity[i],
-    kind="stable")[:count]`` with ``i`` itself left out.  The similarities
-    are computed for ``KNN_BLOCK`` rows at a time, and ``count`` passes of
+    kind="stable")[:count]`` with ``i`` itself left out.  The similarities are
+    computed for ``KNN_BLOCK`` rows at a time into one reused buffer (a fresh
+    array per block would fault in its pages anew), and ``count`` passes of
     ``argmax``, which returns the first maximum, each take one neighbour per
     row and set it to -inf.  Each pass reads the whole block, so the cost
     grows with ``count``.  With one thread on an AVX-512 host, a block with
@@ -429,11 +430,12 @@ def _nearest_neighbors(unit: np.ndarray, count: int) -> np.ndarray:
     """
     n_rows = unit.shape[0]
     nearest = np.empty((n_rows, count), dtype=np.int64)
+    buffer = np.empty((min(KNN_BLOCK, n_rows), n_rows))
     for start in range(0, n_rows, KNN_BLOCK):
         rows = np.arange(start, min(start + KNN_BLOCK, n_rows))
         block = rows - start
         # cosine similarity, each entity infinitely far from itself
-        similarity = unit[rows] @ unit.T
+        similarity = np.matmul(unit[rows], unit.T, out=buffer[: rows.size])
         similarity[block, rows] = -np.inf
         for column in range(count):
             picked = similarity.argmax(axis=1)

@@ -7,10 +7,11 @@ nonzero only in the *live* blocks, the ones that carry parameter tables, and
 only the final layer's user and item rows are read.  So each step multiplies
 the graph's block hop for that step (:meth:`SparseGraph.hops`): the matrix
 restricted to the blocks that can be nonzero there and that a later step
-needs.  The adjoint applies the same hops' transposes in reverse order, from
-the user and item rows back to the live blocks.  Item rows of ``E(0)`` are
-zero when items carry no parameters of their own; their information enters
-purely through propagation.
+needs.  Zero steps are one hop too, the selection of the live blocks' user
+and item rows.  The adjoint applies the same hops' transposes in reverse
+order, from the user and item rows back to the live blocks.  Item rows of
+``E(0)`` are zero when items carry no parameters of their own; their
+information enters purely through propagation.
 
 Neither function checks its input: graphs are the normalized ones of
 ``training.DomainGraphs``, ``TrainConfig`` checks the layer count, and
@@ -57,17 +58,11 @@ def propagate(
 
     ``e0`` stacks the rows of the ``live`` blocks in block order; every other
     block of ``E(0)`` is zero.  Keeps only the final layer's user and item
-    rows.  ``layers == 0`` returns the input's, with zero rows for a block
-    that is not live.
+    rows.
     """
-    hops = graph.hops(live, layers)
-    if layers == 0:
-        current = np.zeros((graph.user_count + graph.item_count, e0.shape[1]))
-        current[hops.passed_to] = e0[hops.passed]
-    else:
-        current = e0
-        for hop in hops.forward:
-            current = hop @ current
+    current = e0
+    for hop in graph.hops(live, layers).forward:
+        current = hop @ current
     return EmbeddingState(graph.user_count, graph.item_count, current, layers, live)
 
 
@@ -81,11 +76,6 @@ def backprop_propagate(
     took them; a live block that no read reaches gets zero rows.  The caller
     decides which rows feed learnable tables.
     """
-    hops = graph.hops(state.live, state.layers)
-    if state.layers == 0:
-        pulled = np.zeros((hops.live_rows, grad_at_z.shape[1]))
-        pulled[hops.passed] = grad_at_z[hops.passed_to]
-        return pulled
-    for hop in hops.adjoint:
+    for hop in graph.hops(state.live, state.layers).adjoint:
         grad_at_z = hop @ grad_at_z
     return grad_at_z

@@ -11,8 +11,9 @@ The encoder does not multiply the whole matrix.  For each set of *live*
 blocks (those its initial layer fills) and each layer count, a graph builds,
 once, the hops that propagation takes: hop ``l`` is the matrix restricted to
 the blocks that can be nonzero after ``l`` steps and that a later hop, or the
-reader of the user and item rows, needs.  Graphs are immutable once built
-(the hop cache only grows) and safe to share across threads.
+reader of the user and item rows, needs.  Zero layers take one hop, the
+identity from the live rows to the user and item rows.  Graphs are immutable
+once built (the hop cache only grows) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -168,16 +169,13 @@ class BlockHops:
     ``forward[0]`` takes the live blocks' rows, stacked in block order, and
     ``forward[-1]`` gives the user and item rows; every stacked layer keeps
     its blocks in block order.  ``adjoint`` holds the same matrices'
-    transposes, in reverse order (CSC views sharing their arrays).  With no
-    hop, the live rows of the read blocks, ``live[passed]``, are
-    ``read[passed_to]``.
+    transposes, in reverse order (CSC views sharing their arrays).  Zero
+    layers have one hop, a 0/1 selection that copies each live user or item
+    row and leaves the rows of a read block that is not live zero.
     """
 
-    live_rows: int
     forward: tuple[sp.csr_matrix, ...]
     adjoint: tuple[sp.csc_matrix, ...]
-    passed: slice
-    passed_to: slice
 
 
 @dataclass(frozen=True)
@@ -221,7 +219,8 @@ def _block_hops(graph: SparseGraph, live: tuple[int, ...], layers: int) -> Block
     a read row outside ``S_L`` comes out zero.  A dropped entry either
     multiplies a row that is exactly zero, or feeds a row nothing reads, so
     each kept row sums the same nonzero terms in the same order.  Where a hop
-    keeps every row and column, it is the matrix itself.
+    keeps every row and column, it is the matrix itself.  Zero layers take
+    the identity on rows ``R_0`` and columns ``S_0``.
     """
     m = graph.matrix
     bounds = np.cumsum([0, graph.user_count, graph.item_count, graph.entity_count])
@@ -246,16 +245,9 @@ def _block_hops(graph: SparseGraph, live: tuple[int, ...], layers: int) -> Block
         r, c = rows(kept[l]), rows(kept[l - 1])
         full = r.size == c.size == graph.node_count
         forward.append(m if full else m[r][:, c])
-    passed = [b for b in live if b in READ]
-    count = sum(int(bounds[b + 1] - bounds[b]) for b in passed)
-    start = int(bounds[passed[0]]) if passed else 0
-    return BlockHops(
-        live_rows=rows(live).size,
-        forward=tuple(forward),
-        adjoint=tuple(hop.T for hop in reversed(forward)),
-        passed=slice(0, count),
-        passed_to=slice(start, start + count),
-    )
+    if not layers:
+        forward.append(sp.identity(graph.node_count, format="csr")[rows(READ)][:, rows(live)])
+    return BlockHops(tuple(forward), tuple(hop.T for hop in reversed(forward)))
 
 
 def assemble_adjacency(graph: InteractionGraph, kg: KnowledgeLinkage) -> SparseGraph:

@@ -102,6 +102,14 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(normalized, np.zeros((normalized.node_count, 3)), 1, (USERS, ENTITIES))
 
+    def test_zero_layers_reject_a_mis_sized_input(self):
+        rng = np.random.default_rng(7)
+        normalized, _ = build_normalized(rng)
+        for live in LIVE_SETS:
+            for rows in (live_count(normalized, live) - 1, live_count(normalized, live) + 1):
+                with pytest.raises(ValueError):
+                    propagate(normalized, np.zeros((rows, 3)), 0, live)
+
 
 class TestBackpropPropagate:
     def test_zero_layers_passthrough(self):
@@ -214,6 +222,18 @@ class TestBlockHops:
             x = rng.normal(size=(live_count(normalized, live), 3))
             assert np.all(propagate(normalized, x, 0, live).items == 0)
             assert np.all(propagate(normalized, x, 1, live).users == 0)
+
+    def test_zero_layers_are_one_selection_hop_and_its_transpose(self):
+        rng = np.random.default_rng(14)
+        normalized, _ = build_normalized(rng)
+        eye = np.eye(normalized.node_count)
+        for live in LIVE_SETS:
+            hops = normalized.hops(live, 0)
+            assert len(hops.forward) == len(hops.adjoint) == 1
+            (hop,), (adjoint,) = hops.forward, hops.adjoint
+            selection = eye[np.ix_(block_rows(normalized, READ_ROWS), block_rows(normalized, live))]
+            assert np.array_equal(hop.toarray(), selection)
+            assert adjoint.format == "csc" and np.array_equal(adjoint.toarray(), selection.T)
 
     def test_every_block_live_uses_the_matrix_itself(self):
         rng = np.random.default_rng(12)

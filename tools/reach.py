@@ -7,8 +7,9 @@ with a ``sys.settrace`` line recorder on the package's code (Python 3.11 has
 no ``sys.monitoring``):
 
 - the command block of README.md's "Command line" section, as one process;
-- ``ablate`` for every variant with ``--loss bpr`` and ``--loss ce``, at
-  ``--epochs 3`` on the data that block generated;
+- ``ablate`` for every variant with ``--loss bpr`` and ``--loss ce``, and
+  for ``target-only`` and ``no-kg`` (the variants that allow it) at
+  ``--layers 0``, at ``--epochs 3`` on the data that block generated;
 - every demo under ``demos/``;
 - ``bench/run.py --seed 1 --seconds 2`` for every workload in
   BENCHMARK.json, with ``--trace 0`` and ``--trace 1``, one at a time (it
@@ -139,6 +140,10 @@ def callers() -> tuple[dict, list[dict], list[dict]]:
         "ablate", "--variant", variant, "--loss", loss, "--epochs", ABLATE_EPOCHS, *data,
         "--out", f"ablate-{variant}-{loss}/", "--seed", "7"]]}
         for variant in VARIANTS for loss in PREDICTION_LOSSES]
+    rest += [{"name": f"ablate {variant} layers 0", "kind": "cli", "argvs": [[
+        "ablate", "--variant", variant, "--layers", "0", "--epochs", ABLATE_EPOCHS, *data,
+        "--out", f"ablate-{variant}-layers-0/", "--seed", "7"]]}
+        for variant in ("target-only", "no-kg")]
     rest += [{"name": demo.name, "kind": "script", "path": str(demo), "argv": []}
              for demo in sorted((ROOT / "demos").glob("*.py"))]
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
