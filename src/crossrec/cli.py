@@ -25,7 +25,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,6 +39,7 @@ from .data import (
     LoadReport,
     SynthSpec,
     format_pairs,
+    format_rows,
     generate_synthetic,
     load_bundle,
     load_interactions,
@@ -60,6 +61,7 @@ from .training import (
     load_checkpoint,
     save_checkpoint,
 )
+from .transfer import LossBundle
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -184,9 +186,7 @@ class Manifest:
         self.write()
 
     def record_output(self, path: Path) -> None:
-        name = str(path)
-        if name not in self.payload["outputs"]:
-            self.payload["outputs"].append(name)
+        self.payload["outputs"].append(str(path))
 
     def write_output(self, path: Path, text: str) -> None:
         write_atomic(path, text)
@@ -327,30 +327,24 @@ def _load_split(paths: DataPaths, config: TrainConfig, manifest: Manifest):
 
 
 def _metric_lines(aggregates: dict, variant: str | None = None) -> str:
-    lines = []
-    for (metric, k), value in sorted(aggregates.items()):
-        prefix = f"{variant}\t" if variant else ""
-        lines.append(f"{prefix}{metric}\t{k}\t{value:.4f}")
-    return "\n".join(lines) + "\n"
+    prefix = [variant] if variant else []
+    return format_rows([*prefix, metric, str(k), f"{value:.4f}"]
+                       for (metric, k), value in sorted(aggregates.items()))
 
 
 def _log_lines(log) -> str:
-    header = f"epoch\tpred_target\tpred_source\tkl\tcontrastive\ttotal\tval_ndcg{VALIDATION_K}"
+    header = ["epoch", *(entry.name for entry in fields(LossBundle)), f"val_ndcg{VALIDATION_K}"]
     rows = [header]
     for record in log:
-        losses = record.losses
-        rows.append(
-            f"{record.epoch}\t{losses.pred_target:.10g}\t{losses.pred_source:.10g}"
-            f"\t{losses.kl:.10g}\t{losses.contrastive:.10g}\t{losses.total:.10g}"
-            f"\t{record.validation_metric:.10g}"
-        )
-    return "\n".join(rows) + "\n"
+        values = [*astuple(record.losses), record.validation_metric]
+        rows.append([str(record.epoch), *(f"{value:.10g}" for value in values)])
+    return format_rows(rows)
 
 
 def _ranks_lines(per_user, user_ids) -> str:
-    rows = ["user\trank"]
-    rows.extend(f"{user_ids[r.user]}\t{r.rank}" for r in per_user)
-    return "\n".join(rows) + "\n"
+    rows = [["user", "rank"]]
+    rows.extend([user_ids[r.user], str(r.rank)] for r in per_user)
+    return format_rows(rows)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -366,8 +360,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "best_validation_ndcg": result.best_validation}
         save_checkpoint(checkpoint, result.params, meta)
         manifest.record_output(checkpoint)
-        log = _log_lines(result.log)
-        manifest.write_output(out_dir / "training_log.tsv", log)
+        manifest.write_output(out_dir / "training_log.tsv", _log_lines(result.log))
         id_paths = save_bundle(bundle, out_dir / "data")
         for path in id_paths.values():
             manifest.record_output(path)
@@ -460,10 +453,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         result = run_ablation(args.variant, config, bundle, split, args.k)
         manifest.payload["best_epoch"] = result.fit_result.best_epoch
         manifest.payload["best_validation_ndcg"] = result.fit_result.best_validation
-        metrics = _metric_lines(result.aggregates, args.variant)
-        manifest.write_output(out_dir / "metrics.tsv", metrics)
-        log = _log_lines(result.fit_result.log)
-        manifest.write_output(out_dir / "training_log.tsv", log)
+        manifest.write_output(out_dir / "metrics.tsv", _metric_lines(result.aggregates, args.variant))
+        manifest.write_output(out_dir / "training_log.tsv", _log_lines(result.fit_result.log))
     if not result.fit_result.log:
         print(f"{args.variant}: no epoch ran, so the metrics are of the initial parameters")
     for (metric, k), value in sorted(result.aggregates.items()):

@@ -2,9 +2,9 @@
 
 File boundary uses arbitrary string IDs; everything downstream runs on dense
 indices assigned in first-seen order.  Each TSV is read in bulk: the whole
-file as UTF-8 bytes (universal newlines, so CRLF reads as LF), and one numpy
-pass over its newline and tab bytes that finds blank lines, ``#`` headers and
-malformed lines (a well-formed one has two non-empty tab-separated fields, or
+file as UTF-8 bytes (a leading byte-order mark dropped, CRLF read as LF), and
+one numpy pass over its newline and tab bytes that finds blank lines, ``#``
+headers and malformed lines (a well-formed one has two non-empty fields, or
 three in the entity graph) and the byte range of each kept field.  No string
 is made per field: each ID space turns its fields' bytes into integer keys,
 one 8-byte word per 7 bytes of an ID with the byte count in its top byte,
@@ -19,14 +19,15 @@ fraction of source interactions is drawn uniformly at random instead of from
 the user's preference ("irrelevant" edges).  Ground-truth per-edge flags are
 emitted for diagnostics only and never reach the model.
 
-Every file the package writes goes through :func:`write_atomic`, and every
-``left_id<TAB>right_id`` table through :func:`format_pairs`.
+Every file the package writes goes through :func:`write_atomic`, and the
+text of every table it writes through :func:`format_rows`.
 """
 
 from __future__ import annotations
 
 import os
 import secrets
+from collections.abc import Iterable
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
@@ -101,6 +102,7 @@ def _read_pairs(path: Path, report: LoadReport,
     """
     data = Path(path).read_bytes()
     data.decode("utf-8")  # refuse a file that is not UTF-8, as reading it as text would
+    data = data.removeprefix(b"\xef\xbb\xbf")  # a byte-order mark, as utf-8-sig drops it
     if b"\r" in data:  # universal newlines, so CRLF reads as LF
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     raw = np.frombuffer(data + b"\n" + bytes(7), dtype=np.uint8)
@@ -288,11 +290,16 @@ def write_atomic(path: Path, content: str | bytes) -> None:
         raise
 
 
+def format_rows(rows: Iterable[Iterable[str]]) -> str:
+    """The text of a table: each row's fields joined by tabs, every row ending in a newline."""
+    return "\n".join([*map("\t".join, rows), ""])
+
+
 def format_pairs(pairs: np.ndarray, left_ids: list[str], right_ids: list[str]) -> str:
     """``left_id<TAB>right_id`` lines, one per row of (left, right) indices."""
     left = map(left_ids.__getitem__, pairs[:, 0].tolist())
     right = map(right_ids.__getitem__, pairs[:, 1].tolist())
-    return "\n".join([*map("\t".join, zip(left, right)), ""])
+    return format_rows(zip(left, right))
 
 
 def save_bundle(bundle: DatasetBundle, out_dir: Path) -> dict[str, Path]:
@@ -313,7 +320,7 @@ def save_bundle(bundle: DatasetBundle, out_dir: Path) -> dict[str, Path]:
         ("items_target", bundle.target_item_ids),
         ("entities", entities),
     ):
-        tables[f"ids_{name}"] = "".join(f"{raw_id}\t{index}\n" for index, raw_id in enumerate(ids))
+        tables[f"ids_{name}"] = format_rows(zip(ids, map(str, range(len(ids)))))
     paths = {key: out_dir / f"{key}.tsv" for key in tables}
     for key, text in tables.items():
         write_atomic(paths[key], text)
@@ -571,4 +578,4 @@ def write_flags(path: Path, bundle: DatasetBundle, flags: np.ndarray) -> None:
     users = map(bundle.user_ids.__getitem__, edges[:, 0].tolist())
     items = map(bundle.source_item_ids.__getitem__, edges[:, 1].tolist())
     labels = map(("relevant", "irrelevant").__getitem__, flags.tolist())
-    write_atomic(path, "\n".join([*map("\t".join, zip(users, items, labels)), ""]))
+    write_atomic(path, format_rows(zip(users, items, labels)))

@@ -181,17 +181,14 @@ class DomainGraphs:
         include_source: bool = True,
     ) -> "DomainGraphs":
         kg = bundle.kg if use_kg else KnowledgeLinkage.empty()
-        target_graph = InteractionGraph(
-            TARGET, bundle.user_count, bundle.target.item_count, train_target
-        )
-        normalized_target = normalize_symmetric(assemble_adjacency(target_graph, kg))
-        normalized_source = None
-        if include_source:
-            source_graph = InteractionGraph(
-                SOURCE, bundle.user_count, bundle.source.item_count, train_source
-            )
-            normalized_source = normalize_symmetric(assemble_adjacency(source_graph, kg))
-        return cls(normalized_source, normalized_target)
+
+        def build(domain: str, item_count: int, edges: np.ndarray) -> SparseGraph:
+            graph = InteractionGraph(domain, bundle.user_count, item_count, edges)
+            return normalize_symmetric(assemble_adjacency(graph, kg))
+
+        target = build(TARGET, bundle.target.item_count, train_target)
+        source = build(SOURCE, bundle.source.item_count, train_source) if include_source else None
+        return cls(source, target)
 
 
 @dataclass
@@ -665,8 +662,7 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
     for epoch in range(1, config.max_epochs + 1):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_EPOCH, epoch]))
         batches = _sample_batches(rng, split.users, config.batch_size, owned, keys)
-        sums = np.zeros(5)
-        weight = 0
+        sums = np.zeros(len(fields(transfer.LossBundle)))
         for step, batch in enumerate(batches):
             draws = None  # only the cross step reads the gate and noise draws
             if config.model == CROSS:
@@ -679,8 +675,7 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
                 raise NonFiniteLossError(f"{error} at epoch {epoch}, step {step}",
                                          epoch=epoch, step=step) from None
             sums += batch.users.size * np.array(astuple(losses))
-            weight += batch.users.size
-        mean = sums / weight
+        mean = sums / split.users.size  # an epoch batches each split user once
         epoch_losses = transfer.LossBundle(*mean)
         metric = _validation_metric(params, graphs, config, split, excluded_by_user)
         log.append(EpochRecord(epoch, epoch_losses, metric))

@@ -74,10 +74,4 @@ def total_loss(
     """Combine the components: pred_target + a1*pred_source + a2*kl + a3*contrastive."""
     a1, a2, a3 = (float(a) for a in alphas)
     total = pred_target + a1 * pred_source + a2 * kl + a3 * contrastive
-    return LossBundle(
-        pred_target=float(pred_target),
-        pred_source=float(pred_source),
-        kl=float(kl),
-        contrastive=float(contrastive),
-        total=float(total),
-    )
+    return LossBundle(pred_target, pred_source, kl, contrastive, total)

@@ -28,19 +28,23 @@ from crossrec.cli import (
 )
 from crossrec.data import (
     DataPaths,
+    DatasetBundle,
     LoadReport,
     SynthSpec,
+    format_pairs,
     generate_synthetic,
     load_bundle,
     save_bundle,
     write_flags,
 )
-from crossrec.evaluation import split_leave_one_out
+from crossrec.evaluation import RankingResult, split_leave_one_out
 from crossrec.experiments import evaluate_fit
+from crossrec.graph import InteractionGraph, KnowledgeLinkage
 from crossrec.training import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     DomainGraphs,
+    EpochRecord,
     FitResult,
     StepDraws,
     TrainConfig,
@@ -48,6 +52,7 @@ from crossrec.training import (
     load_checkpoint,
     save_checkpoint,
 )
+from crossrec.transfer import LossBundle
 
 FAST_TRAIN = [
     "--embedding-dim", "8", "--gate-hidden", "8", "--epochs", "4",
@@ -699,6 +704,48 @@ def test_k_must_be_positive_integers(synth_dir, tmp_path, command, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header", [False, True], ids=["rows", "header"])
+@pytest.mark.parametrize("marked", [*(entry.name for entry in fields(DataPaths)), "inject-noise"])
+def test_a_leading_byte_order_mark_is_dropped(synth_dir, tmp_path, marked, header):
+    """A file that opens with a UTF-8 byte-order mark, before a row or a ``#``
+    header, loads to the IDs, edges and load report of the file without it."""
+    opened = "source" if marked == "inject-noise" else marked
+    dirs = {}
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        dirs[name] = tmp_path / name
+        dirs[name].mkdir()
+        for entry in fields(DataPaths):
+            text = (synth_dir / f"{entry.name}.tsv").read_bytes()
+            text = b"# header\n" + text if header else text
+            if entry.name == opened:
+                text = mark + text
+            (dirs[name] / f"{entry.name}.tsv").write_bytes(text)
+
+    if marked == "inject-noise":
+        outs = {}
+        for name, directory in dirs.items():
+            outs[name] = tmp_path / f"noisy-{name}"
+            assert main(["inject-noise", "--source", str(directory / "source.tsv"),
+                         "--ratio", "0.1", "--seed", "4", "--out", str(outs[name])]) == 0
+        # the header line names the source's digest, which the mark changes
+        bodies = [(out / "noisy_source.tsv").read_text().split("\n", 1)[1] for out in outs.values()]
+        reports = [strict_json(out / "manifest.json")["load_report"] for out in outs.values()]
+        assert bodies[0] == bodies[1] and reports[0] == reports[1]
+        assert reports[0]["malformed"] == 0
+        return
+
+    loads = []
+    for directory in dirs.values():
+        bundle, report = load_bundle(DataPaths(*(directory / f"{entry.name}.tsv"
+                                                 for entry in fields(DataPaths))))
+        edges = [bundle.source.edges, bundle.target.edges, bundle.kg.entity_edges,
+                 bundle.kg.item_entity_source, bundle.kg.item_entity_target]
+        ids = [bundle.user_ids, bundle.source_item_ids, bundle.target_item_ids, bundle.entity_ids]
+        loads.append((ids, [array.tolist() for array in edges], asdict(report)))
+    assert loads[0] == loads[1]
+    assert loads[0][2]["malformed"] == []
+
+
 class TestInjectNoise:
     def test_exact_ten_percent(self, synth_dir, tmp_path):
         out = tmp_path / "noise"
@@ -1100,3 +1147,46 @@ class TestWritePath:
         monkeypatch.undo()
         write(2)
         assert contents().keys() == before.keys() and contents() != before
+
+
+def test_every_table_writer_gives_its_exact_text(tmp_path):
+    """Each table's whole text on a tiny input: tab-separated fields, every row
+    newline-ended, an empty table as no text and a header-only log as one line."""
+    bundle = DatasetBundle(
+        source=InteractionGraph("source", 2, 2, [(1, 0), (0, 1)]),
+        target=InteractionGraph("target", 2, 1, [(0, 0)]),
+        kg=KnowledgeLinkage(2, [(0, 1)], [(1, 0)], [(0, 1)]),
+        user_ids=["u0", "u1"], source_item_ids=["s0", "s1"], target_item_ids=["t0"],
+        entity_ids=["e0", "e1"],
+    )
+    assert format_pairs(bundle.source.edges, bundle.user_ids, bundle.source_item_ids) == (
+        "u1\ts0\nu0\ts1\n")
+    assert format_pairs(np.empty((0, 2), dtype=np.int64), [], []) == ""
+
+    written = save_bundle(bundle, tmp_path / "data")
+    assert {key: path.read_text(encoding="utf-8") for key, path in written.items()} == {
+        "source": "u1\ts0\nu0\ts1\n", "target": "u0\tt0\n", "kg": "e0\te1\n",
+        "map_source": "s1\te0\n", "map_target": "t0\te1\n",
+        "ids_users": "u0\t0\nu1\t1\n", "ids_items_source": "s0\t0\ns1\t1\n",
+        "ids_items_target": "t0\t0\n", "ids_entities": "e0\t0\ne1\t1\n",
+    }
+    write_flags(tmp_path / "flags.tsv", bundle, np.array([False, True]))
+    assert (tmp_path / "flags.tsv").read_text(encoding="utf-8") == (
+        "u1\ts0\trelevant\nu0\ts1\tirrelevant\n")
+
+    aggregates = {("ndcg", 10): 0.5, ("hit", 10): 1.0, ("hit", 5): 0.125}
+    assert cli._metric_lines(aggregates) == "hit\t5\t0.1250\nhit\t10\t1.0000\nndcg\t10\t0.5000\n"
+    assert cli._metric_lines(aggregates, "no-kl") == (
+        "no-kl\thit\t5\t0.1250\nno-kl\thit\t10\t1.0000\nno-kl\tndcg\t10\t0.5000\n")
+
+    header = "epoch\tpred_target\tpred_source\tkl\tcontrastive\ttotal\tval_ndcg100\n"
+    assert cli._log_lines([]) == header
+    log = [EpochRecord(1, LossBundle(0.5, 0.25, 0.125, 1 / 3, 2.0), 12.5),
+           EpochRecord(2, LossBundle(0.1, 1e-12, 0.0, 2 / 3, 123456.789), 0.0)]
+    assert cli._log_lines(log) == header + (
+        "1\t0.5\t0.25\t0.125\t0.3333333333\t2\t12.5\n"
+        "2\t0.1\t1e-12\t0\t0.6666666667\t123456.789\t0\n")
+
+    assert cli._ranks_lines([], bundle.user_ids) == "user\trank\n"
+    ranks = [RankingResult(1, 3), RankingResult(0, 1)]
+    assert cli._ranks_lines(ranks, bundle.user_ids) == "user\trank\nu1\t3\nu0\t1\n"

@@ -11,7 +11,8 @@ error cases, both loaders must give the same IDs, edge arrays, report and
 exceptions.  The randomized sets are also rewritten with hard IDs: 1-30
 bytes, multi-byte characters across 7-byte boundaries, shared 7- and 14-byte
 prefixes, IDs that are prefixes of others, NUL and line-separator-like
-characters inside IDs, and a byte-order mark opening a file.
+characters inside IDs, and a byte-order mark opening a file, which both
+loaders drop.
 """
 
 import random
@@ -51,7 +52,7 @@ class OracleReport:
 
 def oracle_read_rows(path, report, columns, middle_optional=False):
     rows = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line or line.startswith("#"):
@@ -477,11 +478,12 @@ def test_one_byte_id_ends_the_entity_graph(tmp_path):
 
 
 def test_byte_order_mark_opens_a_file(tmp_path):
-    """A BOM is part of the first field, as reading the file as UTF-8 text keeps it."""
+    """A BOM is dropped, as reading the file as utf-8-sig text drops it: the
+    first field keeps its ID, and a ``#`` header on the first line is skipped."""
     paths = write_files(tmp_path, **dict(VALID, source="\ufeffa\ts1\nb\ts2\na\ts3\n",
                                          kg="\ufeff# header\ne1\te2\n"))
     assert_same_loads(paths)
     bundle, report = load_bundle(paths)
-    assert bundle.user_ids == ["b", "a"]
-    assert report.single_domain_users == 1
-    assert [line for _, line, _ in report.malformed] == [1]
+    assert bundle.user_ids == ["a", "b"]
+    assert report.single_domain_users == 0
+    assert report.malformed == []

@@ -10,16 +10,26 @@ no ``sys.monitoring``):
 - ``ablate`` for every variant with ``--loss bpr`` and ``--loss ce``, and
   for ``target-only`` and ``no-kg`` (the variants that allow it) at
   ``--layers 0``, at ``--epochs 3`` on the data that block generated;
-- every demo under ``demos/``;
+- every demo under ``demos/``, the only callers of the public API outside
+  the tests;
 - ``bench/run.py --seed 1 --seconds 2`` for every workload in
   BENCHMARK.json, with ``--trace 0`` and ``--trace 1``, one at a time (it
-  writes only to ``.bench_out/``).
+  writes only to ``.bench_out/``).  The benchmark reaches into the library
+  by name (the traced functions, the per-user item index).  Traced
+  ``desk-full`` runs the cross step, so the check that every expected layer
+  records calls sees compression; ``target-only`` never calls it.
+  ``mid-cli`` brute-forces the ranks that ``crossrec evaluate`` wrote to
+  ``ranks.tsv`` from the checkpoint; it is the only workload that reaches
+  the cli commands and the checkpoint reader and writer by name, so it runs
+  traced as well.
 
 Commands and demos run in a temporary directory.  The report lists, per
 module, the executable lines (from the code objects' ``co_lines()``) that no
-caller reached, with their text.  It exits 1 if a caller exits nonzero, since
-its reach would then be partial.  Tracing makes the callers several times
-slower; the whole run takes some minutes on two cores.
+caller reached, with their text.  It exits 1 if a caller exits nonzero, or a
+benchmark run's last line of output is not a JSON object with ``"correct":
+true``: the callers then did not run as they should, and their reach would
+be partial.  Tracing makes the callers several times slower; the whole run
+takes some minutes on two cores.
 """
 
 from __future__ import annotations
@@ -147,7 +157,7 @@ def callers() -> tuple[dict, list[dict], list[dict]]:
     rest += [{"name": demo.name, "kind": "script", "path": str(demo), "argv": []}
              for demo in sorted((ROOT / "demos").glob("*.py"))]
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
-    bench = [{"name": f"bench {workload['name']} trace {trace}", "kind": "script",
+    bench = [{"name": f"bench {workload['name']} trace {trace}", "kind": "script", "bench": True,
               "path": str(ROOT / "bench" / "run.py"),
               "argv": ["--workload", workload["name"], "--seed", "1", "--seconds", "2",
                        "--trace", trace]}
@@ -156,21 +166,35 @@ def callers() -> tuple[dict, list[dict], list[dict]]:
     return readme, rest, bench
 
 
+def reports_correct(stdout: str) -> bool:
+    """Whether the last line of a benchmark run's output is a JSON object with ``"correct": true``."""
+    try:
+        result = json.loads(stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        return False
+    return isinstance(result, dict) and result.get("correct") is True
+
+
 def launch(caller: dict, index: int, work: Path) -> dict:
-    """Run one caller in a child process; its record, exit code and wall time."""
+    """Run one caller in a child process; its record, exit code and wall time.
+
+    A benchmark run that does not report ``"correct": true`` counts as exit 1.
+    """
     record = work / f"reach-{index}.json"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     start = time.perf_counter()
     command = [sys.executable, str(Path(__file__).resolve()), "--record", str(record),
                json.dumps(caller)]
     child = subprocess.run(
-        command, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        command, cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     seconds = time.perf_counter() - start
     result = json.loads(record.read_text(encoding="utf-8")) if record.is_file() else {}
     code = result.get("exit", child.returncode) or child.returncode
+    if not code and caller.get("bench") and not reports_correct(child.stdout):
+        code = 1
     print(f"{caller['name']}: exit {code}, {seconds:.0f} s", flush=True)
     if code:
-        print(child.stderr[-2000:], file=sys.stderr)
+        print(child.stdout[-2000:] + child.stderr[-2000:], file=sys.stderr)
     return {"exit": code, "lines": result.get("lines", {})}
 
 
