@@ -175,12 +175,6 @@ def _row_blocks(b: int):
         yield slice(start, min(start + rows, b))
 
 
-def _diagonal(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the whole matrix's diagonal entries inside the block of ``rows``."""
-    local = np.arange(rows.stop - rows.start)
-    return local, rows.start + local
-
-
 def info_nce(e_target_users: np.ndarray, mixed: np.ndarray, tau: float) -> InfoNceForward:
     """Contrastive alignment of mixed representations with target portraits.
 
@@ -202,24 +196,28 @@ def info_nce(e_target_users: np.ndarray, mixed: np.ndarray, tau: float) -> InfoN
     positives = np.empty(b)
     denominator = np.empty(b)
     row_sums = np.empty(b)
+    block_rows = min(b, _block_rows(b))
+    norms_block = np.empty((block_rows, b))
+    g_block = np.empty((block_rows, b))
     # row 0 of the scratch holds the column sums of cos * g over the rows done
     # so far; summing it with the next rows continues numpy's row-by-row
     # axis-0 sum
-    scratch = np.zeros((min(b, _block_rows(b)) + 1, b))
+    scratch = np.zeros((block_rows + 1, b))
     for rows in _row_blocks(b):
         n = rows.stop - rows.start
-        diagonal = _diagonal(rows)
         cos = buffer[rows]
-        norms = n_m[rows, None] * n_t[None, :]
+        norms = np.multiply(n_m[rows, None], n_t[None, :], out=norms_block[:n])
         cos /= norms
-        g = cos / tau
+        g = np.divide(cos, tau, out=g_block[:n])
+        # the whole matrix's diagonal inside the block: entry (i, rows.start + i)
+        diagonal = g.reshape(-1)[rows.start :: b + 1]
         g -= g.max(axis=1, keepdims=True)
-        positives[rows] = g[diagonal]
+        positives[rows] = diagonal
         np.exp(g, out=g)
         denominator[rows] = g.sum(axis=1)
         # d(mean_i loss_i)/d cos[i, j] = (softmax - I) / (tau B)
         g /= denominator[rows, None]
-        g[diagonal] -= 1.0
+        diagonal -= 1.0
         g /= tau * b
         products = np.multiply(cos, g, out=scratch[1 : n + 1])
         row_sums[rows] = products.sum(axis=1)

@@ -365,11 +365,20 @@ class SynthSpec:
             )
 
 
-# entities whose similarity rows the entity kNN computes with one matrix
-# product; a block holds KNN_BLOCK x (source + target items) float64 values.
-# Smaller blocks run faster at 63,477 entities but round the product
-# differently, which can move a near-tied neighbour
-KNN_BLOCK = 256
+# the entity kNN computes its cosine similarities with one matrix product per
+# block of rows: as many rows as fill KNN_BLOCK float64 values (1.5 MiB, so
+# the product and the argmax passes over it stay in a core's 2 MiB L2 cache),
+# but at least KNN_ROWS, since every block reads all of the unit latents.
+# 6,000 entities take 32 rows, 600 take 327 and 63,477 take KNN_ROWS.  A
+# freed buffer above glibc's mmap threshold raises that threshold: a desk fit
+# run after generate_synthetic in one process took 0.37 s with 32-row blocks
+# (150 KB) against 0.26 s with 327 rows (1.5 MB), mapping fresh pages for its
+# temporaries.
+# The block size changes how the product rounds, which could move a near-tied
+# neighbour; tests/test_data.py checks that no block size from 1 row to all
+# of them moves one on the desk-shape latents
+KNN_BLOCK = 3 << 16
+KNN_ROWS = 32
 
 
 # users whose preference distributions generate_synthetic holds at once, as a
@@ -424,26 +433,28 @@ def _nearest_neighbors(unit: np.ndarray, count: int) -> np.ndarray:
     count.  Row ``i`` of the result lists its neighbours by descending
     similarity, ties to the lower index: ``np.argsort(-similarity[i],
     kind="stable")[:count]`` with ``i`` itself left out.  The similarities are
-    computed for ``KNN_BLOCK`` rows at a time into one reused buffer (a fresh
-    array per block would fault in its pages anew), and ``count`` passes of
-    ``argmax``, which returns the first maximum, each take one neighbour per
-    row and set it to -inf.  Each pass reads the whole block, so the cost
-    grows with ``count``.  With one thread on an AVX-512 host, a block with
-    its product took 3.0 ms at ``count`` = 4 against 9.2 ms for one
-    ``argpartition`` at 6,000 entities, and 85 against 110 ms at 63,477.  The
-    two cost the same near ``count`` = 16 at 6,000 entities and near 8 at
-    63,477; beyond that ``argpartition`` is faster, but the order it returns
-    depends on numpy's SIMD dispatch level.
+    computed for one block of rows at a time (``KNN_BLOCK`` values, at least
+    ``KNN_ROWS`` rows) into one reused buffer (a fresh array per block would
+    fault in its pages anew), and ``count`` passes of ``argmax``, which
+    returns the first maximum, each take one neighbour per row and set it to
+    -inf.  Each pass reads the whole block, so the cost grows with
+    ``count``.  With one thread on an AVX-512 host, a 32-row block with its
+    product took 0.27 ms at ``count`` = 4 against 1.8 ms for one
+    ``argpartition`` at 6,000 entities, and 4.4 against 15 ms at 63,477; at
+    ``count`` = 16 the passes still took less (0.67 against 1.9 ms, 12.4
+    against 14.0 ms).  Beyond that ``argpartition`` may be faster, but the
+    order it returns depends on numpy's SIMD dispatch level.
     """
     n_rows = unit.shape[0]
+    block_rows = max(KNN_ROWS, KNN_BLOCK // n_rows)
     nearest = np.empty((n_rows, count), dtype=np.int64)
-    buffer = np.empty((min(KNN_BLOCK, n_rows), n_rows))
-    for start in range(0, n_rows, KNN_BLOCK):
-        rows = np.arange(start, min(start + KNN_BLOCK, n_rows))
-        block = rows - start
+    buffer = np.empty((min(block_rows, n_rows), n_rows))
+    for start in range(0, n_rows, block_rows):
+        rows = slice(start, min(start + block_rows, n_rows))
+        block = np.arange(rows.stop - start)
         # cosine similarity, each entity infinitely far from itself
-        similarity = np.matmul(unit[rows], unit.T, out=buffer[: rows.size])
-        similarity[block, rows] = -np.inf
+        similarity = np.matmul(unit[rows], unit.T, out=buffer[: block.size])
+        similarity[block, block + start] = -np.inf
         for column in range(count):
             picked = similarity.argmax(axis=1)
             nearest[rows, column] = picked
@@ -478,7 +489,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[DatasetBundle, np.ndarray]:
     and ``test_choice_from_a_pool_draws_as_a_choice_over_its_size`` check.
 
     Time and memory grow with the output, not with the catalog squared: the
-    entity kNN, :func:`_nearest_neighbors`, holds ``KNN_BLOCK`` similarity
+    entity kNN, :func:`_nearest_neighbors`, holds one block of similarity
     rows at a time, never the entities x entities matrix.  It writes each
     entity's edges by descending similarity, ties to the lower index, so the
     line order of ``kg.tsv`` does not depend on numpy's SIMD dispatch level.

@@ -1,11 +1,13 @@
 """Loader accounting, round-trips, and the synthetic generator."""
 
+import math
 import signal
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from crossrec import data
 from crossrec.data import (
     KNN_BLOCK,
     PREFERENCE_BLOCK,
@@ -37,12 +39,9 @@ def dense_knn_oracle(unit, count):
     return np.stack([np.argsort(-row, kind="stable")[:count] for row in similarity])
 
 
-def generate_synthetic_oracle(spec, dense_knn=True):
-    """Reference generator: one ``rng.choice(p=softmax)`` per user and
-    domain, each uniform draw's pool from ``np.setdiff1d``, and the entity
-    kNN from :func:`dense_knn_oracle`.  Returns (source edges, target edges,
-    entity edges, flags); the entity edges are None without ``dense_knn``."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+def item_latents_oracle(spec, rng):
+    """The generator's first draws: each domain's item latents around shared
+    cluster centres."""
     k, n_clusters = spec.latent_dim, spec.entity_clusters
     centers = rng.normal(size=(n_clusters, k))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -50,7 +49,23 @@ def generate_synthetic_oracle(spec, dense_knn=True):
     for domain, n_items in (("source", spec.source_items), ("target", spec.target_items)):
         clusters = rng.integers(0, n_clusters, size=n_items)
         item_latents[domain] = centers[clusters] + 0.3 * rng.normal(size=(n_items, k))
-    user_latents = rng.normal(size=(spec.user_count, k))
+    return item_latents
+
+
+def entity_unit_latents(item_latents):
+    """One unit vector per entity: the source items' latents, then the target items'."""
+    all_latents = np.concatenate([item_latents["source"], item_latents["target"]], axis=0)
+    return all_latents / np.linalg.norm(all_latents, axis=1, keepdims=True)
+
+
+def generate_synthetic_oracle(spec, dense_knn=True):
+    """Reference generator: one ``rng.choice(p=softmax)`` per user and
+    domain, each uniform draw's pool from ``np.setdiff1d``, and the entity
+    kNN from :func:`dense_knn_oracle`.  Returns (source edges, target edges,
+    entity edges, flags); the entity edges are None without ``dense_knn``."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    item_latents = item_latents_oracle(spec, rng)
+    user_latents = rng.normal(size=(spec.user_count, spec.latent_dim))
 
     edges = {"source": [], "target": []}
     flags = []
@@ -79,9 +94,8 @@ def generate_synthetic_oracle(spec, dense_knn=True):
     as_edges = lambda pairs: np.asarray(pairs, dtype=np.int64)  # noqa: E731
     kg = None
     if dense_knn:
-        all_latents = np.concatenate([item_latents["source"], item_latents["target"]], axis=0)
-        unit = all_latents / np.linalg.norm(all_latents, axis=1, keepdims=True)
-        n_entities = all_latents.shape[0]
+        unit = entity_unit_latents(item_latents)
+        n_entities = unit.shape[0]
         neighbor_count = min(spec.entity_neighbors, n_entities - 1)
         nearest = dense_knn_oracle(unit, neighbor_count)
         kg = as_edges([(entity, int(other)) for entity in range(n_entities)
@@ -95,7 +109,9 @@ DESK_SHAPE = dict(
     entity_neighbors=4,
 )
 SMALL_SHAPE = dict(user_count=40, source_interactions=6, target_interactions=5)
-HALF_BLOCK = KNN_BLOCK // 2
+# the most entities whose similarity rows all fit one kNN block of KNN_BLOCK values
+ONE_BLOCK = math.isqrt(KNN_BLOCK)
+HALF_BLOCK = ONE_BLOCK // 2
 # users per preference block at a 256-item source catalog
 BLOCK_USERS = PREFERENCE_BLOCK // 256
 BLOCK_SHAPE = dict(SMALL_SHAPE, source_items=256, target_items=200)
@@ -103,10 +119,13 @@ BLOCK_SHAPE = dict(SMALL_SHAPE, source_items=256, target_items=200)
 # SynthSpec arguments by name; entity count = source_items + target_items
 ORACLE_SHAPES = {
     **{f"desk-seed{seed}": dict(DESK_SHAPE, seed=seed) for seed in (1, 2, 3)},
-    "below-one-block": dict(SMALL_SHAPE, source_items=HALF_BLOCK, target_items=HALF_BLOCK - 20),
-    "one-block": dict(SMALL_SHAPE, source_items=HALF_BLOCK, target_items=HALF_BLOCK, seed=4),
-    "one-block-plus-one":
-        dict(SMALL_SHAPE, source_items=HALF_BLOCK + 1, target_items=HALF_BLOCK, seed=5),
+    "below-one-block": dict(SMALL_SHAPE, source_items=HALF_BLOCK,
+                            target_items=ONE_BLOCK - HALF_BLOCK - 20),
+    "one-block": dict(SMALL_SHAPE, source_items=HALF_BLOCK,
+                      target_items=ONE_BLOCK - HALF_BLOCK, seed=4),
+    # the fewest entities that take two blocks
+    "one-block-plus-one": dict(SMALL_SHAPE, source_items=HALF_BLOCK + 1,
+                               target_items=ONE_BLOCK - HALF_BLOCK, seed=5),
     # several blocks, and an entity count that is not a multiple of 8
     "1100-entities": dict(SMALL_SHAPE, source_items=600, target_items=500, latent_dim=16,
                           entity_neighbors=7, seed=6),
@@ -375,7 +394,7 @@ class TestGenerateSynthetic:
     @pytest.mark.parametrize("rows, count", [
         (6, 5),  # a clamped count: every other row
         (40, 4),
-        (KNN_BLOCK + 37, 7),  # two row blocks
+        (ONE_BLOCK + 37, 7),  # two row blocks, the last one short
     ])
     def test_nearest_neighbors_break_exact_ties_to_the_lower_index(self, rows, count):
         # duplicate directions tie at similarity 1, and the others at 0 or ±1/2
@@ -384,6 +403,23 @@ class TestGenerateSynthetic:
         nearest = _nearest_neighbors(unit, count)
         assert nearest.dtype == np.int64
         assert np.array_equal(nearest, dense_knn_oracle(unit, count))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_nearest_neighbors_do_not_depend_on_the_block_size(self, seed, monkeypatch):
+        # a block size changes how the similarity product rounds; on the desk
+        # shape's 600 entities, which leave a short last block at KNN_BLOCK,
+        # no block size from one row to all of them moves a neighbour
+        spec = SynthSpec(**DESK_SHAPE, seed=seed)
+        unit = entity_unit_latents(
+            item_latents_oracle(spec, np.random.default_rng(np.random.SeedSequence(seed))))
+        n = unit.shape[0]
+        expected = dense_knn_oracle(unit, spec.entity_neighbors)
+        # rows per block; 32 is the mid and reference shapes', KNN_BLOCK // n
+        # this shape's
+        monkeypatch.setattr(data, "KNN_BLOCK", 0)
+        for rows in (1, 7, 32, 256, KNN_BLOCK // n, n):
+            monkeypatch.setattr(data, "KNN_ROWS", rows)
+            assert np.array_equal(_nearest_neighbors(unit, spec.entity_neighbors), expected), rows
 
     def test_nearest_neighbors_of_identical_rows_are_the_others_in_index_order(self):
         unit = np.tile(self.TIED_DIRECTIONS[3], (5, 1))

@@ -22,10 +22,15 @@ from crossrec.compression import (
     NORM_FLOOR,
     ForwardConsumedError,
     _block_rows,
-    _diagonal,
     _floored_norms,
     _row_blocks,
 )
+
+
+def _diagonal(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the whole matrix's diagonal entries inside the block of ``rows``."""
+    local = np.arange(rows.stop - rows.start)
+    return local, rows.start + local
 
 
 @dataclass
