@@ -153,14 +153,16 @@ class InfoNceForward:
     products ``mixed @ t_reps.T``, which the forward writes over the cosine
     matrix.  ``row_sums`` and ``col_sums`` are the row and column sums of
     the cosines times their gradient, which the norm terms need.  The
-    backward drops the buffer, so a record serves exactly one backward.
+    backward drops the buffer, so a record serves exactly one backward.  A
+    loss-only record (``info_nce(..., gradient=False)``) holds none of the
+    three and serves none.
     """
 
     loss: float
     n_m: np.ndarray
     n_t: np.ndarray
-    row_sums: np.ndarray
-    col_sums: np.ndarray
+    row_sums: np.ndarray | None
+    col_sums: np.ndarray | None
     g_dot: np.ndarray | None
 
 
@@ -175,7 +177,9 @@ def _row_blocks(b: int):
         yield slice(start, min(start + rows, b))
 
 
-def info_nce(e_target_users: np.ndarray, mixed: np.ndarray, tau: float) -> InfoNceForward:
+def info_nce(
+    e_target_users: np.ndarray, mixed: np.ndarray, tau: float, gradient: bool = True
+) -> InfoNceForward:
     """Contrastive alignment of mixed representations with target portraits.
 
     Each mixed row is the anchor; its paired target-user row is the positive
@@ -186,7 +190,9 @@ def info_nce(e_target_users: np.ndarray, mixed: np.ndarray, tau: float) -> InfoN
     ``INFO_NCE_BLOCK`` elements is then read once: normalization, the
     shifted ``exp`` and the softmax denominators give the loss, and the same
     values go on to the cosine gradient, its row and column sums, and the
-    gradient of the dot products, which overwrites the block.
+    gradient of the dot products, which overwrites the block.  With
+    ``gradient=False`` each block stops after its denominators; the record
+    then holds the loss and the norms only, and no backward can read it.
     """
     t_reps = e_target_users
     b = t_reps.shape[0]
@@ -215,6 +221,8 @@ def info_nce(e_target_users: np.ndarray, mixed: np.ndarray, tau: float) -> InfoN
         positives[rows] = diagonal
         np.exp(g, out=g)
         denominator[rows] = g.sum(axis=1)
+        if not gradient:
+            continue
         # d(mean_i loss_i)/d cos[i, j] = (softmax - I) / (tau B)
         g /= denominator[rows, None]
         diagonal -= 1.0
@@ -225,6 +233,8 @@ def info_nce(e_target_users: np.ndarray, mixed: np.ndarray, tau: float) -> InfoN
         np.divide(1.0, norms, out=norms)
         np.multiply(g, norms, out=cos)
     losses = np.log(denominator) - positives
+    if not gradient:
+        return InfoNceForward(float(losses.mean()), n_m, n_t, None, None, None)
     return InfoNceForward(float(losses.mean()), n_m, n_t, row_sums, scratch[0], buffer)
 
 
@@ -241,7 +251,8 @@ def info_nce_backward(
     ``ForwardConsumedError``.
     """
     if forward.g_dot is None:
-        raise ForwardConsumedError("InfoNCE forward record was already used by a backward pass")
+        raise ForwardConsumedError("InfoNCE forward record holds no gradient: it was already "
+                                   "used by a backward pass, or made for the loss only")
     g, n_m, n_t = forward.g_dot, forward.n_m, forward.n_t
     forward.g_dot = None
     t_reps = e_target_users

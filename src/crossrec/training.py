@@ -24,9 +24,10 @@ import io
 import json
 import math
 import numbers
+import operator
 import os
 import struct
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -61,10 +62,15 @@ TARGET_ONLY = "target_only"
 PREDICTION_LOSSES = ("bpr", "ce")
 
 # users per bulk draw of the negative sampler
-SAMPLE_WINDOW = 64
+SAMPLE_WINDOW = 128
 
 # early stopping selects on validation NDCG at this cutoff
 VALIDATION_K = 100
+# the NDCG gain of each rank 1..VALIDATION_K, at index rank; index 0 (a miss) is 0
+_VALIDATION_GAINS = np.array([0.0, *ndcg_gains(VALIDATION_K)])
+
+# a LossBundle's values in field order, without astuple's deep copy
+_loss_values = operator.attrgetter(*(entry.name for entry in fields(transfer.LossBundle)))
 
 # the parameter array of each GateNetwork field, in field order
 GATE_ARRAYS = {entry.name: f"gate_{entry.name}" for entry in fields(GateNetwork)}
@@ -201,12 +207,6 @@ class ModelParameters:
     def __post_init__(self):
         if not self.accumulators:
             self.accumulators = {k: np.zeros_like(v) for k, v in self.arrays.items()}
-
-    def copy(self) -> "ModelParameters":
-        return ModelParameters(
-            {k: v.copy() for k, v in self.arrays.items()},
-            {k: v.copy() for k, v in self.accumulators.items()},
-        )
 
     def gate(self) -> GateNetwork:
         return GateNetwork(**{key: self.arrays[name] for key, name in GATE_ARRAYS.items()})
@@ -359,7 +359,9 @@ def forward_losses(
         mixed, eps = compression.mix_noise(merged, gate, mu, sigma, draws.noise)
         fused = mixed + eu_t
         kl = compression.kl_upper_bound(gate, merged, mu, sigma)
-        contrastive = compression.info_nce(eu_t, mixed, config.contrastive_temperature)
+        # without the contrastive term no backward reads InfoNCE's gradient
+        contrastive = compression.info_nce(eu_t, mixed, config.contrastive_temperature,
+                                           gradient=config.alphas[2] != 0.0)
         contrastive_loss = contrastive.loss
 
     scores = {
@@ -377,6 +379,18 @@ def forward_losses(
     return bundle, cache
 
 
+def _add_rows(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(table, rows, values)`` through numpy's 1-d ``add.at`` fast path.
+
+    The flat indices ``rows[:, None] * d + arange(d)`` run row by row, so
+    every element receives the same additions, in the same order, as the
+    2-d call makes them: a repeated row sums in index order.
+    """
+    d = table.shape[1]
+    flat = (rows[:, None] * d + np.arange(d)).reshape(-1)
+    np.add.at(table.reshape(-1), flat, values.reshape(-1))
+
+
 def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
     """Exact adjoint of :func:`forward_losses` w.r.t. every parameter array."""
     config, batch, params = cache.config, cache.batch, cache.params
@@ -386,22 +400,23 @@ def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
     weights = {TARGET: 1.0, SOURCE: a1}
 
     g_fused = np.zeros_like(cache.fused)
-    g_z: dict[str, np.ndarray] = {}
+    g_scores: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for domain, (pos_idx, neg_idx) in batch.pairs.items():
-        state = states[domain]
-        g_z[domain] = np.zeros((state.user_count + state.item_count, config.embedding_dim))
         if weights[domain] == 0.0:
             continue
+        state = states[domain]
         g_pos, g_neg = (g * weights[domain] for g in loss_backward(*cache.scores[domain]))
         g_fused += g_pos[:, None] * state.items[pos_idx] + g_neg[:, None] * state.items[neg_idx]
-        np.add.at(g_z[domain], state.user_count + pos_idx, g_pos[:, None] * cache.fused)
-        np.add.at(g_z[domain], state.user_count + neg_idx, g_neg[:, None] * cache.fused)
+        g_scores[domain] = g_pos, g_neg
 
     grads: dict[str, np.ndarray] = {}
     g_eu_t = g_fused
+    g_merged = None
     if config.model == CROSS:
         g_mixed = g_fused.copy()
         if a3 != 0.0:
+            # the backward drops InfoNCE's B x B buffer, so the item scatters
+            # below run after it is freed
             g_t_cl, g_mixed_cl = compression.info_nce_backward(
                 cache.eu_t, cache.mixed, cache.contrastive
             )
@@ -422,9 +437,20 @@ def backward_losses(cache: _ForwardCache) -> dict[str, np.ndarray]:
         g_merged += g_merged_net
         for key, value in gate_grads.items():
             grads[GATE_ARRAYS[key]] = value
-        np.add.at(g_z[SOURCE], batch.users, g_merged)
         g_eu_t = g_eu_t + g_merged
-    np.add.at(g_z[TARGET], batch.users, g_eu_t)
+
+    # the item rows and the user rows of a domain's gradient are disjoint
+    g_z: dict[str, np.ndarray] = {}
+    for domain, (pos_idx, neg_idx) in batch.pairs.items():
+        state = states[domain]
+        g_z[domain] = np.zeros((state.user_count + state.item_count, config.embedding_dim))
+        if domain in g_scores:
+            g_pos, g_neg = g_scores[domain]
+            _add_rows(g_z[domain], state.user_count + pos_idx, g_pos[:, None] * cache.fused)
+            _add_rows(g_z[domain], state.user_count + neg_idx, g_neg[:, None] * cache.fused)
+    if g_merged is not None:
+        _add_rows(g_z[SOURCE], batch.users, g_merged)
+    _add_rows(g_z[TARGET], batch.users, g_eu_t)
 
     for domain, g in g_z.items():
         pulled = backprop_propagate(g, states[domain], getattr(cache.graphs, domain))
@@ -442,12 +468,23 @@ def adagrad_update(
     """In-place Adagrad: accumulate the squared gradient, then step.
 
     Because accumulation happens first, the very first step on a coordinate
-    moves by at most the learning rate, and so does every later one.
+    moves by at most the learning rate, and so does every later one.  The
+    step is written into the gradient it is computed from, with one scratch
+    array per table; the operations and their order are those of
+    ``acc += grad * grad; param -= learning_rate * grad / (sqrt(acc) + eps)``.
+    The arrays of ``grads`` are overwritten.
     """
     for name, grad in grads.items():
+        # a sum of 0-d arrays (the gate's b2) may come as a numpy scalar
+        grad = np.asarray(grad)
         acc = params.accumulators[name]
-        acc += grad * grad
-        params.arrays[name] -= learning_rate * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+        scratch = np.multiply(grad, grad, out=np.empty_like(grad))
+        acc += scratch
+        np.sqrt(acc, out=scratch)
+        scratch += ADAGRAD_EPS
+        np.multiply(learning_rate, grad, out=grad)
+        grad /= scratch
+        params.arrays[name] -= grad
 
 
 def train_step(
@@ -467,7 +504,7 @@ def train_step(
     grads = backward_losses(cache)
     if config.weight_decay > 0.0:
         for name in grads:
-            grads[name] = grads[name] + config.weight_decay * params.arrays[name]
+            grads[name] += config.weight_decay * params.arrays[name]
     adagrad_update(params, grads, config.learning_rate)
     if not params.all_finite():
         raise NonFiniteLossError("aborted step: parameters became non-finite")
@@ -612,16 +649,13 @@ def _validation_metric(
     excluded_by_user: UserItems,
 ) -> float:
     scorer = build_scorer(params, graphs, config)
-    ranks = held_out_ranks(scorer, split.users, split.validation_items, excluded_by_user)
-    k = VALIDATION_K
-    gains = ndcg_gains(k)
-    # summed left to right: np.mean differs in the last bits of best_validation;
-    # a miss would add 0.0, which leaves the sum as it is
-    total = 0.0
-    for rank in ranks:
-        if rank <= k:
-            total += gains[rank - 1]
-    return 100.0 * total / split.users.size
+    ranks = np.asarray(held_out_ranks(scorer, split.users, split.validation_items,
+                                      excluded_by_user))
+    # summed left to right by accumulate: np.sum and np.mean add pairwise and
+    # differ in the last bits of best_validation; a miss adds 0.0, which
+    # leaves the sum as it is
+    hits = _VALIDATION_GAINS[np.where(ranks <= VALIDATION_K, ranks, 0)]
+    return float(100.0 * np.add.accumulate(hits)[-1] / split.users.size)
 
 
 def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> FitResult:
@@ -654,7 +688,8 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
                 user = bundle.user_ids[split.users[unusable.argmax()]]
                 raise ValueError(f"user {user!r} {problem}")
 
-    best = params.copy()
+    # the best epoch's parameter arrays; nothing reads its Adagrad state
+    best = {name: array.copy() for name, array in params.arrays.items()}
     best_metric = -np.inf
     best_epoch = 0
     log: list[EpochRecord] = []
@@ -674,7 +709,7 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
             except NonFiniteLossError as error:
                 raise NonFiniteLossError(f"{error} at epoch {epoch}, step {step}",
                                          epoch=epoch, step=step) from None
-            sums += batch.users.size * np.array(astuple(losses))
+            sums += batch.users.size * np.array(_loss_values(losses))
         mean = sums / split.users.size  # an epoch batches each split user once
         epoch_losses = transfer.LossBundle(*mean)
         metric = _validation_metric(params, graphs, config, split, excluded_by_user)
@@ -682,13 +717,14 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
         if metric > best_metric:
             best_metric = metric
             best_epoch = epoch
-            best = params.copy()
+            best = {name: array.copy() for name, array in params.arrays.items()}
             stale = 0
         else:
             stale += 1
             if config.patience and stale >= config.patience:
                 break
-    return FitResult(best, best_epoch, float(best_metric) if log else None, log, graphs)
+    return FitResult(ModelParameters(best), best_epoch, float(best_metric) if log else None, log,
+                     graphs)
 
 
 # ---------------------------------------------------------------------------

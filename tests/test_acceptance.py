@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Criteria 6 and 7 train
 25 small models, one worker process per allowed CPU, and take a minute or
-more; everything else is fast.
+more; criterion 1 checks its instances on the same kind of workers, and
+everything else is fast.
 """
 
 import math
@@ -10,6 +11,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -60,6 +62,32 @@ def report(criterion: str, passed: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"\n[acceptance] {criterion}: {status}{suffix}")
     assert passed, f"{criterion} failed{suffix}"
+
+
+@contextmanager
+def on_workers(function, jobs):
+    """Within the block, an iterator over ``function(job)`` for each job, in job order.
+
+    The jobs run on one worker process per allowed CPU; on one CPU they run
+    here, as the iterator is read.  Each worker is a fresh (spawned)
+    interpreter with one BLAS thread, so the workers do not contend for the
+    cores.  Jobs not yet started when the block ends are cancelled.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    if workers <= 1:
+        yield map(function, jobs)
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            patch.setenv(variable, "1")
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            futures = [pool.submit(function, job) for job in jobs]
+            try:
+                yield (future.result() for future in futures)
+            finally:
+                for future in futures:
+                    future.cancel()
 
 
 def random_training_instance(rng):
@@ -123,32 +151,42 @@ def random_training_instance(rng):
     return bundle, batch_for(bundle, rng)
 
 
+def check_gradient(job):
+    """Whether criterion 1's instance ``job`` is at a non-smooth point, and
+    the worst relative error of its gradient."""
+    bundle, batch, config = job
+    graphs = DomainGraphs.from_training_edges(
+        bundle, bundle.source.edges, bundle.target.edges, use_kg=True
+    )
+    params = init_parameters(config, bundle)
+    draws = StepDraws.for_step(config.seed, 1, 0, batch.users.size, 8)
+    # the fourth-order stencil keeps curvature error negligible at an
+    # epsilon large enough to stay clear of float64 cancellation noise
+    result = gradient_check(params, graphs, batch, draws, config, epsilon=1e-4, order=4)
+    return result.non_smooth, result.max_relative_error
+
+
 class TestCriterion1GradientExactness:
     def test_full_objective_vs_central_differences(self):
+        # the instances are drawn one after another from one stream, checked
+        # on the workers, and read back in draw order until 100 are smooth
         rng = np.random.default_rng(20240)
         config = TrainConfig(embedding_dim=8, gate_hidden=8, layers=2, seed=0)
         start = time.perf_counter()
+        jobs = []
+        for _ in range(130):
+            bundle, batch = random_training_instance(rng)
+            jobs.append((bundle, batch, replace(config, seed=int(rng.integers(1 << 31)))))
         worst = 0.0
         checked = 0
-        attempts = 0
-        while checked < 100 and attempts < 130:
-            attempts += 1
-            bundle, batch = random_training_instance(rng)
-            trial_config = replace(config, seed=int(rng.integers(1 << 31)))
-            graphs = DomainGraphs.from_training_edges(
-                bundle, bundle.source.edges, bundle.target.edges, use_kg=True
-            )
-            params = init_parameters(trial_config, bundle)
-            draws = StepDraws.for_step(trial_config.seed, 1, 0, batch.users.size, 8)
-            # the fourth-order stencil keeps curvature error negligible at an
-            # epsilon large enough to stay clear of float64 cancellation noise
-            result = gradient_check(
-                params, graphs, batch, draws, trial_config, epsilon=1e-4, order=4
-            )
-            if result.non_smooth:
-                continue  # clamp boundaries excluded by the criterion
-            checked += 1
-            worst = max(worst, result.max_relative_error)
+        with on_workers(check_gradient, jobs) as results:
+            for non_smooth, error in results:
+                if non_smooth:
+                    continue  # clamp boundaries excluded by the criterion
+                checked += 1
+                worst = max(worst, error)
+                if checked == 100:
+                    break
         elapsed = time.perf_counter() - start
         report(
             "criterion 1 (gradient exactness, 100 instances)",
@@ -290,26 +328,16 @@ def benchmark_runs():
     """Clean and contaminated runs shared by criteria 6 and 7, and each seed's
     paired per-user test NDCG@10 difference ``full - no-kl`` on clean data.
 
-    The 25 fits are independent, so they run on one worker process per
-    allowed CPU, target-only (the shortest) last; on one CPU they run here.
-    Each worker is a fresh interpreter with one BLAS thread, so the workers
-    do not contend for the cores.
+    The 25 fits are independent, so they run ``on_workers``, target-only
+    (the shortest) last.
     """
     clean = {variant: [] for variant in ("full", "no-kl", "target-only")}
     noisy = {variant: [] for variant in ("full", "no-kl")}
     jobs = [(seed, variant, False) for seed in BENCHMARK_SEEDS for variant in clean]
     jobs += [(seed, variant, True) for seed in BENCHMARK_SEEDS for variant in noisy]
     jobs.sort(key=lambda job: job[1] == "target-only")
-    workers = min(len(os.sched_getaffinity(0)), len(jobs))
-    if workers > 1:
-        with pytest.MonkeyPatch.context() as patch:
-            for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-                patch.setenv(variable, "1")
-            spawn = multiprocessing.get_context("spawn")
-            with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
-                results = dict(zip(jobs, pool.map(benchmark_fit, jobs)))
-    else:
-        results = {job: benchmark_fit(job) for job in jobs}
+    with on_workers(benchmark_fit, jobs) as fits:
+        results = dict(zip(jobs, fits))
     for seed in BENCHMARK_SEEDS:
         for runs, contaminated in ((clean, False), (noisy, True)):
             for variant in runs:

@@ -317,6 +317,7 @@ class TestInfoNce:
         forward = info_nce(t_reps, mixed, tau)
         reference = two_pass_info_nce.info_nce(t_reps, mixed, tau)
         assert forward.loss == reference.loss
+        assert info_nce(t_reps, mixed, tau, gradient=False).loss == reference.loss
         g_t, g_m = info_nce_backward(t_reps, mixed, forward)
         r_t, r_m = two_pass_info_nce.info_nce_backward(t_reps, mixed, reference)
         assert np.array_equal(g_t, r_t)
@@ -350,6 +351,11 @@ class TestInfoNce:
         assert square_fields(forward) == []
         with pytest.raises(ForwardConsumedError):
             info_nce_backward(t_reps, mixed, forward)
+        # a loss-only record holds no square buffer and serves no backward
+        loss_only = info_nce(t_reps, mixed, tau=0.2, gradient=False)
+        assert square_fields(loss_only) == []
+        with pytest.raises(ForwardConsumedError):
+            info_nce_backward(t_reps, mixed, loss_only)
 
 
 def test_row_block_reductions_match_whole_array():

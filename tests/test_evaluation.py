@@ -18,6 +18,7 @@ from crossrec.evaluation import (
 from crossrec.graph import InteractionGraph, KnowledgeLinkage
 from crossrec.data import DatasetBundle, SynthSpec, generate_synthetic
 from crossrec.experiments import contaminate_split
+from crossrec import training
 from crossrec.training import SAMPLE_WINDOW, Batch, _owned_keys, _sample_batches
 
 from metric_oracle import brute_force_rank, metrics_at, one_row
@@ -196,13 +197,17 @@ class TestUserItems:
         assert_sampler_matches_oracle(edges, counts, bundle.user_count, split.users,
                                       batch_size, domains)
 
-    @pytest.mark.parametrize("batch_size", [1, SAMPLE_WINDOW - 1, SAMPLE_WINDOW,
+    @pytest.mark.parametrize("batch_size", [1, 63, 64, 65, SAMPLE_WINDOW - 1, SAMPLE_WINDOW,
                                             SAMPLE_WINDOW + 1, 1000])
     @pytest.mark.parametrize("domains", [("source", "target"), ("target",)])
-    def test_sampler_matches_per_user_sets_across_windows(self, batch_size, domains):
+    def test_sampler_matches_per_user_sets_across_windows(self, batch_size, domains,
+                                                          monkeypatch):
         # 150 users span several windows; user 0 owns every target item but
         # one (a long rejection run), user 1 a single item, user 2 repeats
-        # its edges, and user 3 owns every source item but one
+        # its edges, and user 3 owns every source item but one.  The stream
+        # does not depend on the window, so every window size, down to one
+        # user and up to more than the batch, gives the oracle's batches
+        # and generator state
         rng = np.random.default_rng(11)
         counts = {"source": 40, "target": 30}
         edges = {}
@@ -215,7 +220,9 @@ class TestUserItems:
             rows += [(other, 3), (other, 4)]
             edges[domain] = np.asarray(rows, dtype=np.int64)[rng.permutation(len(rows))]
         users = np.arange(150)
-        assert_sampler_matches_oracle(edges, counts, 150, users, batch_size, domains)
+        for window in (1, 63, SAMPLE_WINDOW, 257):
+            monkeypatch.setattr(training, "SAMPLE_WINDOW", window)
+            assert_sampler_matches_oracle(edges, counts, 150, users, batch_size, domains)
 
 
 def test_array_bounds_draw_as_scalar_bounds():

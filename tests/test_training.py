@@ -19,6 +19,7 @@ from crossrec.transfer import (
     cross_entropy_loss_backward,
 )
 from crossrec.training import (
+    ADAGRAD_EPS,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     CROSS,
@@ -38,6 +39,7 @@ from crossrec.training import (
     init_parameters,
     load_checkpoint,
     save_checkpoint,
+    _add_rows,
     _owned_keys,
     _sample_batches,
     train_step,
@@ -47,6 +49,12 @@ from full_matrix import full_matrix_training, full_power
 from gradcheck import gradient_check, pinned
 from metric_oracle import metrics_at, one_row
 from two_pass_info_nce import two_pass_training
+
+
+def copied(params):
+    """An independent copy of ``params``: its arrays and its Adagrad accumulators."""
+    return ModelParameters({name: array.copy() for name, array in params.arrays.items()},
+                           {name: acc.copy() for name, acc in params.accumulators.items()})
 
 
 def micro_setup(bundle, config, seed=7):
@@ -113,6 +121,45 @@ class TestAdagrad:
             adagrad_update(params, {"w": rng.normal(size=10)}, learning_rate=0.1)
             assert np.all(params.accumulators["w"] >= previous)
             previous = params.accumulators["w"].copy()
+
+    def test_in_place_step_equals_the_expression(self):
+        # the step written into the gradient gives the bits of the plain
+        # expression, step after step, for a matrix, a vector and a 0-d table
+        rng = np.random.default_rng(2)
+        shapes = {"w": (6, 3), "b": (5,), "gate_b2": ()}
+        params = ModelParameters({name: rng.normal(size=shape) for name, shape in shapes.items()})
+        expected = copied(params)
+        for _ in range(5):
+            grads = {name: rng.normal(size=shape) * np.exp(rng.normal(size=shape) * 3)
+                     for name, shape in shapes.items()}
+            for name, grad in grads.items():
+                acc = expected.accumulators[name]
+                acc += grad * grad
+                expected.arrays[name] -= 0.3 * grad / (np.sqrt(acc) + ADAGRAD_EPS)
+            adagrad_update(params, {name: grad.copy() for name, grad in grads.items()}, 0.3)
+            for name in shapes:
+                assert params.arrays[name].tobytes() == expected.arrays[name].tobytes(), name
+                assert (params.accumulators[name].tobytes()
+                        == expected.accumulators[name].tobytes()), name
+
+
+def test_flat_scatter_equals_the_row_scatter():
+    # _add_rows goes through numpy's 1-d add.at; a repeated row must sum in
+    # index order, as the 2-d add.at does (1e16, 1, -1e16 sum to 0 in that
+    # order and to 1 as 1e16, -1e16, 1), and a -0.0 must keep its sign
+    rng = np.random.default_rng(3)
+    for trial in range(20):
+        table = rng.normal(size=(7, 4))
+        table[rng.random(table.shape) < 0.3] = -0.0
+        rows = rng.integers(0, 7, size=int(rng.integers(1, 30)))
+        values = rng.normal(size=(rows.size, 4)) * 10.0 ** rng.integers(-3, 17, size=(rows.size, 4))
+        values[rng.random(values.shape) < 0.2] = -0.0
+        rows = np.concatenate([rows, [2, 2, 2]])
+        values = np.concatenate([values, [[1e16] * 4, [1.0] * 4, [-1e16] * 4]])
+        expected = table.copy()
+        np.add.at(expected, rows, values)
+        _add_rows(table, rows, values)
+        assert table.tobytes() == expected.tobytes(), trial
 
 
 class TestTrainStep:
@@ -187,7 +234,7 @@ class TestTrainStep:
         config = TrainConfig(embedding_dim=4, gate_hidden=4, layers=layers, seed=5,
                              batch_size=16, model=model, use_kg=use_kg)
         graphs, params, batch, _ = micro_setup(dense_micro_bundle, config)
-        reference = params.copy()
+        reference = copied(params)
         for step in range(4):
             draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 4)
             train_step(params, graphs, batch, draws, config)
@@ -218,7 +265,7 @@ class TestTrainStep:
         config = config_for_variant(variant, TrainConfig(embedding_dim=4, gate_hidden=4,
                                                          layers=2, seed=5, batch_size=16))
         graphs, params, batch, _ = micro_setup(dense_micro_bundle, config)
-        reference = params.copy()
+        reference = copied(params)
         for step in range(4):
             draws = StepDraws.for_step(config.seed, 1, step, batch.users.size, 4)
             train_step(params, graphs, batch, draws, config)
@@ -244,7 +291,7 @@ class TestTrainStep:
         config = TrainConfig(embedding_dim=4, gate_hidden=4, layers=2, seed=5, batch_size=16,
                              weight_decay=0.01, model=model)
         graphs, params, batch, draws = micro_setup(dense_micro_bundle, config)
-        expected, undecayed = params.copy(), params.copy()
+        expected, undecayed = copied(params), copied(params)
         _, cache = forward_losses(expected, graphs, batch, draws, config)
         grads = backward_losses(cache)
         decayed = {name: grad + 0.01 * expected.arrays[name] for name, grad in grads.items()}
@@ -700,7 +747,7 @@ class TestCheckpoints:
         params = init_parameters(config, bundle)
         first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         save_checkpoint(first, params, {"config": {"seed": 3}})
-        save_checkpoint(second, params.copy(), {"config": {"seed": 3}})
+        save_checkpoint(second, copied(params), {"config": {"seed": 3}})
         assert first.read_bytes() == second.read_bytes()
 
     def test_truncated_file_rejected(self, tiny_bundle, tmp_path):

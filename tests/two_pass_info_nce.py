@@ -44,7 +44,8 @@ class TwoPassForward:
     cos: np.ndarray | None
 
 
-def info_nce(e_target_users, mixed, tau) -> TwoPassForward:
+def info_nce(e_target_users, mixed, tau, gradient=True) -> TwoPassForward:
+    # this forward never does the gradient's work, so ``gradient`` changes nothing
     t_reps = np.asarray(e_target_users, dtype=np.float64)
     mixed = np.asarray(mixed, dtype=np.float64)
     b = t_reps.shape[0]
