@@ -25,7 +25,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -222,7 +222,11 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         for key, raw in parse_config_file(config_path).items():
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r} in {config_path}")
-            resolved[key] = type(defaults[key])(raw)
+            try:
+                resolved[key] = type(defaults[key])(raw)
+            except ValueError:
+                kind = "an integer" if isinstance(defaults[key], int) else "a real number"
+                raise ValueError(f"{config_path}: {key} must be {kind}, got {raw!r}") from None
     for key, value in vars(args).items():
         if key in resolved and value is not None:
             resolved[key] = value
@@ -333,10 +337,10 @@ def _metric_lines(aggregates: dict, variant: str | None = None) -> str:
 
 
 def _log_lines(log) -> str:
-    header = ["epoch", *(entry.name for entry in fields(LossBundle)), f"val_ndcg{VALIDATION_K}"]
+    header = ["epoch", *LossBundle._fields, f"val_ndcg{VALIDATION_K}"]
     rows = [header]
     for record in log:
-        values = [*astuple(record.losses), record.validation_metric]
+        values = [*record.losses, record.validation_metric]
         rows.append([str(record.epoch), *(f"{value:.10g}" for value in values)])
     return format_rows(rows)
 
@@ -423,6 +427,8 @@ def cmd_inject_noise(args: argparse.Namespace) -> int:
     resolved = {**_resolve(args, {"seed": 0}), "ratio": args.ratio}
     if not 0.0 <= args.ratio <= 1.0:  # before the strict-JSON manifest fails on a NaN
         raise ValueError(f"noise ratio must lie in [0, 1], got {args.ratio}")
+    if resolved["seed"] < 0:
+        raise ValueError(f"seed must be non-negative, got {resolved['seed']}")
     out_dir = Path(args.out)
     source_path = Path(args.source)
     with Manifest(out_dir, "inject-noise", resolved, [source_path]) as manifest:

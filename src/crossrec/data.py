@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import secrets
 from collections.abc import Iterable
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -344,18 +344,12 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (
-            self.user_count,
-            self.source_items,
-            self.target_items,
-            self.latent_dim,
-            self.entity_clusters,
-            self.entity_neighbors,
-            self.source_interactions,
-            self.target_interactions,
-        )
-        if min(counts) <= 0:
-            raise ValueError(f"all counts must be positive: {self}")
+        # every int field but the seed is a count
+        for entry in fields(self):
+            value = getattr(self, entry.name)
+            low, bound = (0, "non-negative") if entry.name == "seed" else (1, "positive")
+            if entry.type == "int" and value < low:
+                raise ValueError(f"{entry.name} must be {bound}, got {value}")
         if not 0.0 <= self.irrelevant_fraction <= 1.0:
             raise ValueError(f"irrelevant_fraction must lie in [0, 1]: {self.irrelevant_fraction}")
         if self.source_interactions > self.source_items or self.target_interactions > self.target_items:

@@ -1,6 +1,8 @@
-"""Ablation variants and the source-noise robustness protocol.
+"""Ablation variants: train one, rank its test holdout, and contaminate a split.
 
-A variant names a modification of the training objective or architecture:
+The command line's ``ablate``, the benchmark and the acceptance suite run
+the ablation through these functions.  A variant names a modification of
+the training objective or architecture:
 
 - ``full``        the complete model
 - ``no-pred-s``   drop the source-domain prediction loss (alpha1 = 0)
@@ -9,16 +11,15 @@ A variant names a modification of the training objective or architecture:
 - ``no-kg``       replace the entity bridge with per-item ID embeddings
 - ``target-only`` single-domain light-convolution baseline
 
-Noise robustness contaminates the source training edges with uniformly
-random interactions at a given ratio and re-trains; validation and test
-holdouts stay fixed so the comparison isolates the contamination.
+``contaminate_split`` adds uniformly random source training edges at a
+given ratio; validation and test holdouts stay fixed, so retraining on it
+isolates the contamination.  ``demos/04_noise_robustness.py`` sweeps the
+ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .data import DatasetBundle
 from .evaluation import (
@@ -54,7 +55,6 @@ def config_for_variant(variant: str, base: TrainConfig) -> TrainConfig:
 
 @dataclass
 class ExperimentResult:
-    variant: str
     config: TrainConfig
     fit_result: FitResult
     per_user: list[RankingResult]
@@ -88,7 +88,7 @@ def run_ablation(
     variant_config = config_for_variant(variant, config)
     fit_result = fit(variant_config, bundle, split)
     per_user, aggregates = evaluate_fit(fit_result, split, bundle, variant_config, ks)
-    return ExperimentResult(variant, variant_config, fit_result, per_user, aggregates)
+    return ExperimentResult(variant_config, fit_result, per_user, aggregates)
 
 
 def contaminate_split(
@@ -106,30 +106,3 @@ def contaminate_split(
     )
     noisy, _ = inject_source_noise(train_graph, ratio, rng)
     return replace(split, train_source=noisy.edges)
-
-
-def robustness_curve(
-    variant: str,
-    config: TrainConfig,
-    bundle: DatasetBundle,
-    split: LeaveOneOutSplit,
-    ratios: tuple[float, ...],
-    noise_seed: int = 0,
-    metric: tuple[str, int] = ("ndcg", 10),
-) -> dict[float, float]:
-    """Test metric of one variant across source-noise ratios."""
-    curve: dict[float, float] = {}
-    for ratio in ratios:
-        rng = np.random.default_rng(np.random.SeedSequence([noise_seed, int(round(ratio * 1000))]))
-        noisy_split = contaminate_split(bundle, split, ratio, rng)
-        result = run_ablation(variant, config, bundle, noisy_split, ks=(metric[1],))
-        curve[ratio] = result.metric(*metric)
-    return curve
-
-
-def relative_degradation(curve: dict[float, float], at_ratio: float) -> float:
-    """Fractional drop of the metric at ``at_ratio`` relative to the clean run."""
-    clean = curve[0.0]
-    if clean == 0.0:
-        return 0.0 if curve[at_ratio] == 0.0 else np.inf
-    return (clean - curve[at_ratio]) / clean

@@ -24,10 +24,9 @@ import io
 import json
 import math
 import numbers
-import operator
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,9 +67,6 @@ SAMPLE_WINDOW = 128
 VALIDATION_K = 100
 # the NDCG gain of each rank 1..VALIDATION_K, at index rank; index 0 (a miss) is 0
 _VALIDATION_GAINS = np.array([0.0, *ndcg_gains(VALIDATION_K)])
-
-# a LossBundle's values in field order, without astuple's deep copy
-_loss_values = operator.attrgetter(*(entry.name for entry in fields(transfer.LossBundle)))
 
 # the parameter array of each GateNetwork field, in field order
 GATE_ARRAYS = {entry.name: f"gate_{entry.name}" for entry in fields(GateNetwork)}
@@ -139,7 +135,7 @@ class TrainConfig:
         # init_std 0 starts every embedding at zero, which target-only never leaves
         positive = ("embedding_dim", "batch_size", "learning_rate", "gumbel_temperature",
                     "contrastive_temperature", "init_std")
-        non_negative = ("max_epochs", "layers", "gate_hidden", "alphas", "patience",
+        non_negative = ("max_epochs", "layers", "gate_hidden", "alphas", "seed", "patience",
                         "weight_decay", "hop_radius")
         for name in positive + non_negative:
             value = getattr(self, name)
@@ -498,7 +494,7 @@ def train_step(
     bundle, cache = forward_losses(params, graphs, batch, draws, config)
     if not np.isfinite(bundle.total):
         raise NonFiniteLossError(
-            f"aborted step: non-finite loss {asdict(bundle)} "
+            f"aborted step: non-finite loss {bundle._asdict()} "
             f"(batch of {batch.users.size} users)"
         )
     grads = backward_losses(cache)
@@ -697,7 +693,7 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
     for epoch in range(1, config.max_epochs + 1):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _STREAM_EPOCH, epoch]))
         batches = _sample_batches(rng, split.users, config.batch_size, owned, keys)
-        sums = np.zeros(len(fields(transfer.LossBundle)))
+        sums = np.zeros(len(transfer.LossBundle._fields))
         for step, batch in enumerate(batches):
             draws = None  # only the cross step reads the gate and noise draws
             if config.model == CROSS:
@@ -709,7 +705,7 @@ def fit(config: TrainConfig, bundle: DatasetBundle, split: LeaveOneOutSplit) -> 
             except NonFiniteLossError as error:
                 raise NonFiniteLossError(f"{error} at epoch {epoch}, step {step}",
                                          epoch=epoch, step=step) from None
-            sums += batch.users.size * np.array(_loss_values(losses))
+            sums += batch.users.size * np.array(losses)
         mean = sums / split.users.size  # an epoch batches each split user once
         epoch_losses = transfer.LossBundle(*mean)
         metric = _validation_metric(params, graphs, config, split, excluded_by_user)

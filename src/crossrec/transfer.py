@@ -12,7 +12,7 @@ arrays of matching shapes, built by ``training.forward_losses``, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -53,8 +53,7 @@ def cross_entropy_loss_backward(pos_scores, neg_scores) -> tuple[np.ndarray, np.
     return (expit(pos_scores) - 1.0) / n, expit(neg_scores) / n
 
 
-@dataclass(frozen=True)
-class LossBundle:
+class LossBundle(NamedTuple):
     """The four objective components and their weighted combination."""
 
     pred_target: float

@@ -212,6 +212,23 @@ class TestTrain:
         assert resolved["max_epochs"] == 3
         assert resolved["alpha1"] == 0.111  # flag beats config file
 
+    @pytest.mark.parametrize("line, message", [
+        ("layers = two", "layers must be an integer, got 'two'"),
+        ("layers = 2.0", "layers must be an integer, got '2.0'"),
+        ("learning_rate = fast", "learning_rate must be a real number, got 'fast'"),
+    ])
+    def test_unparsable_config_value_exits_one_naming_file_and_key(
+        self, synth_dir, tmp_path, capsys, line, message
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{line}\n")
+        out = tmp_path / "run"
+        code = main(["train", *data_flags(synth_dir), "--out", str(out),
+                     "--config", str(config)] + FAST_TRAIN)
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not out.exists()
+
     def test_synthetic_key_in_config_file_rejected(self, synth_dir, tmp_path, capsys):
         config = tmp_path / "run.conf"
         config.write_text("rho = 0.1\n")
@@ -689,6 +706,23 @@ def test_nan_rate_exits_one_before_any_output(synth_dir, tmp_path, capsys, argv,
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "evaluate", "gen-synth", "inject-noise"])
+def test_negative_seed_exits_one_before_any_output(synth_dir, trained, tmp_path, capsys, command):
+    head = {
+        "train": ["train", *data_flags(synth_dir), *FAST_TRAIN],
+        "ablate": ["ablate", "--variant", "full", *data_flags(synth_dir), *FAST_TRAIN],
+        "evaluate": ["evaluate", "--checkpoint", str(trained / "best.ckpt"),
+                     *data_flags(synth_dir)],
+        "gen-synth": ["gen-synth", *SYNTH_FLAGS],
+        "inject-noise": ["inject-noise", "--source", str(synth_dir / "source.tsv"),
+                         "--ratio", "0.1"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*head, "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not out.exists()
 
 

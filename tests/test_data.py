@@ -341,6 +341,11 @@ class TestGenerateSynthetic:
         assert np.array_equal(first_bundle.target.edges, second_bundle.target.edges)
         assert np.array_equal(first_flags, second_flags)
 
+    def test_a_zero_count_is_refused_by_its_name(self):
+        with pytest.raises(ValueError) as refused:
+            SynthSpec(user_count=0)
+        assert str(refused.value) == "user_count must be positive, got 0"
+
     def test_infeasible_counts_rejected(self):
         with pytest.raises(ValueError):
             SynthSpec(user_count=5, source_items=4, target_items=10,

@@ -1,4 +1,4 @@
-"""Ablation variant wiring and the robustness harness."""
+"""Ablation variant wiring and source-edge contamination."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from crossrec.experiments import (
     config_for_variant,
     contaminate_split,
     evaluate_fit,
-    relative_degradation,
     run_ablation,
 )
 from crossrec.training import TARGET_ONLY, TrainConfig, fit
@@ -100,7 +99,3 @@ class TestContamination:
         assert np.array_equal(noisy.train_target, tiny_split.train_target)
         assert np.array_equal(noisy.test_items, tiny_split.test_items)
         assert np.array_equal(noisy.validation_items, tiny_split.validation_items)
-
-    def test_relative_degradation(self):
-        assert relative_degradation({0.0: 2.0, 0.2: 1.5}, 0.2) == pytest.approx(0.25)
-        assert relative_degradation({0.0: 0.0, 0.2: 0.0}, 0.2) == 0.0

@@ -1,14 +1,14 @@
 """Optimizer behavior, exact gradients, determinism, checkpoints."""
 
 import struct
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from crossrec.compression import SIGMA_FLOOR
-from crossrec.data import DatasetBundle
+from crossrec.data import DatasetBundle, SynthSpec
 from crossrec.graph import ENTITIES, USERS, InteractionGraph, KnowledgeLinkage
 from crossrec.evaluation import split_leave_one_out
 from crossrec.experiments import config_for_variant
@@ -427,7 +427,7 @@ class TestTargetOnlyIgnoresDraws:
         graphs, params, batch, draws = micro_setup(dense_micro_bundle, config)
         drawn, drawn_cache = forward_losses(params, graphs, batch, draws, config)
         undrawn, undrawn_cache = forward_losses(params, graphs, batch, None, config)
-        assert astuple(undrawn) == astuple(drawn)
+        assert undrawn == drawn
         expected = backward_losses(drawn_cache)
         grads = backward_losses(undrawn_cache)
         assert list(grads) == list(expected)
@@ -669,6 +669,20 @@ def test_config_refuses_an_out_of_range_value_by_name(setting, message):
     with pytest.raises(ValueError) as refused:
         TrainConfig(**setting)
     assert str(refused.value) == message
+
+
+# a value out of every numeric setting's range, by the setting's annotation
+NEGATIVE = {"int": -1, "float": -1.0, "tuple[float, float, float]": (-1.0, 1.0, 1.0)}
+
+
+@pytest.mark.parametrize("settings, entry", [
+    pytest.param(settings, entry, id=f"{settings.__name__}.{entry.name}")
+    for settings in (TrainConfig, SynthSpec) for entry in fields(settings)
+    if entry.type in NEGATIVE
+])
+def test_every_numeric_setting_refuses_a_negative_value_by_name(settings, entry):
+    with pytest.raises(ValueError, match=f"^{entry.name} must "):
+        settings(**{entry.name: NEGATIVE[entry.type]})
 
 
 def validation_oracle(params, graphs, config, split, excluded_by_user):

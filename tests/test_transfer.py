@@ -1,7 +1,6 @@
 """Predictors, ranking losses, and objective combination."""
 
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -182,6 +181,6 @@ class TestTotalLoss:
 
     def test_as_dict_roundtrip(self):
         bundle = total_loss(1.0, 2.0, 3.0, 4.0, (0.5, 0.5, 0.5))
-        named = asdict(bundle)
+        named = bundle._asdict()
         assert named["total"] == bundle.total
         assert list(named) == ["pred_target", "pred_source", "kl", "contrastive", "total"]

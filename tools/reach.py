@@ -10,6 +10,8 @@ no ``sys.monitoring``):
 - ``ablate`` for every variant with ``--loss bpr`` and ``--loss ce``, and
   for ``target-only`` and ``no-kg`` (the variants that allow it) at
   ``--layers 0``, at ``--epochs 3`` on the data that block generated;
+- ``train`` then ``evaluate`` on that data, each reading its settings from
+  a ``--config`` file that the caller writes into the work directory;
 - every demo under ``demos/``, the only callers of the public API outside
   the tests;
 - ``bench/run.py --seed 1 --seconds 2`` for every workload in
@@ -154,6 +156,11 @@ def callers() -> tuple[dict, list[dict], list[dict]]:
         "ablate", "--variant", variant, "--layers", "0", "--epochs", ABLATE_EPOCHS, *data,
         "--out", f"ablate-{variant}-layers-0/", "--seed", "7"]]}
         for variant in ("target-only", "no-kg")]
+    rest.append({"name": "train and evaluate with --config", "kind": "cli",
+                 "files": {"run.cfg": f"# settings file\nmax_epochs = {ABLATE_EPOCHS}\nseed = 7\n"},
+                 "argvs": [["train", *data, "--config", "run.cfg", "--out", "config-train/"],
+                           ["evaluate", "--checkpoint", "config-train/best.ckpt", *data,
+                            "--config", "run.cfg", "--out", "config-evaluate/"]]})
     rest += [{"name": demo.name, "kind": "script", "path": str(demo), "argv": []}
              for demo in sorted((ROOT / "demos").glob("*.py"))]
     workloads = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
@@ -181,6 +188,8 @@ def launch(caller: dict, index: int, work: Path) -> dict:
     A benchmark run that does not report ``"correct": true`` counts as exit 1.
     """
     record = work / f"reach-{index}.json"
+    for name, text in caller.get("files", {}).items():
+        (work / name).write_text(text, encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     start = time.perf_counter()
     command = [sys.executable, str(Path(__file__).resolve()), "--record", str(record),
